@@ -5,8 +5,8 @@
             [--trace] [--json] [--annotate] [--verify depth=N] [--int-literals]
 
 Exit codes: 0 success, 1 analysis-level rejection (invalid program, ill-typed
-term, or specification mismatch), 2 I/O or parse error, 3 verification
-failure.
+term, or specification mismatch), 2 I/O or parse error or input nested too
+deeply for the interpreter's recursion limit, 3 verification failure.
 """
 from __future__ import annotations
 
@@ -17,16 +17,17 @@ import sys
 from dataclasses import dataclass
 
 from . import constraints as cgen
-from .funexpr import Constraint, FunExpr, FunVar, Id, Lift, Opaque, ProdF, SumF
+from .funexpr import Constraint, FunExpr, FunVar, Id, Lift, Opaque, ProdF, SumF, fun_vars
 from .oracle import AgreementReport, agrees
 from .parser import ParseError, parse_program, parse_spec, parse_term
 from .pretty import pretty_annotated, pretty_constraint, pretty_fun, pretty_term, pretty_type
 from .solver import SolvedSystem, solve
-from .syntax import Spec
+from .syntax import Spec, Term
 from .typecheck import (
     FunArityMismatch,
     SpecMismatch,
     TypeCheckError,
+    TypedTerm,
     check_call_invariants,
     infer,
     spec_head_arity,
@@ -44,24 +45,22 @@ class AnalysisReport:
     solved: SolvedSystem | None = None
     run: cgen.RunResult | None = None
     spec: Spec | None = None
+    typed: TypedTerm | None = None
     verify: AgreementReport | None = None
     verify_depth: int | None = None
 
 
 def analyze(
     vp: ValidatedProgram,
-    term_text: str,
-    spec_text: str,
+    term: Term,
+    spec: Spec,
     int_literals: bool = False,
     verify_depth: int | None = None,
 ) -> AnalysisReport:
-    """Parse, typecheck, analyze, and solve; optionally verify by brute force.
+    """Typecheck, analyze, and solve; optionally verify by brute force.
 
-    Parse errors propagate as `ParseError`; typing and specification problems
-    are reported in the returned status.
+    Typing and specification problems are reported in the returned status.
     """
-    term = parse_term(term_text, vp)
-    spec = parse_spec(spec_text, vp)
     try:
         typed = infer(term, vp, int_literals)
         k = spec_head_arity(spec, vp)
@@ -72,7 +71,7 @@ def analyze(
         return AnalysisReport("IllTyped", detail=str(e), spec=spec)
     run = cgen.run(typed, spec, vp)
     solved, form = solve(run.constraints, run.root_funs)
-    report = AnalysisReport("Mappable", form=form, solved=solved, run=run, spec=spec)
+    report = AnalysisReport("Mappable", form=form, solved=solved, run=run, spec=spec, typed=typed)
     if verify_depth is not None:
         report.verify = agrees(form, typed, spec, verify_depth)
         report.verify_depth = verify_depth
@@ -120,11 +119,7 @@ def report_to_json(report: AnalysisReport) -> dict:
     run = report.run
     if report.status == "Mappable" and run is not None and report.form is not None:
         out["form"] = [fun_to_json(f) for f in report.form]
-        seen: dict[str, None] = {}
-        for f in report.form:
-            for v in _form_vars(f):
-                seen.setdefault(v.display, None)
-        out["freeVars"] = list(seen)
+        out["freeVars"] = _free_var_names(report.form)
         out["constraints"] = [_constraint_json(c) for c in run.constraints]
         out["calls"] = [
             {
@@ -165,10 +160,10 @@ def report_to_json(report: AnalysisReport) -> dict:
     return out
 
 
-def _form_vars(e: FunExpr) -> list[FunVar]:
-    from .funexpr import fun_vars
-
-    return list(fun_vars(e))
+def _free_var_names(form: tuple[FunExpr, ...]) -> list[str]:
+    """Display names of the form's free variables, in order of first
+    occurrence across the tuple."""
+    return list(dict.fromkeys(v.display for f in form for v in fun_vars(f)))
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +177,7 @@ def render_report(report: AnalysisReport, trace: bool = False, annotate: bool = 
     run = report.run
     if report.form is not None and run is not None:
         lines.append("form: " + ", ".join(pretty_fun(f) for f in report.form))
-        free: dict[str, None] = {}
-        for f in report.form:
-            for v in _form_vars(f):
-                free.setdefault(v.display, None)
+        free = _free_var_names(report.form)
         lines.append("free variables: " + (", ".join(free) if free else "(none)"))
         lines.append(f"constraints ({len(run.constraints)}):")
         for c in run.constraints:
@@ -297,8 +289,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     try:
-        program = parse_program(text)
-        vp = validate(program)
+        vp = validate(parse_program(text))
+        term = parse_term(args.term, vp)
+        spec = parse_spec(args.spec, vp)
+        report = analyze(vp, term, spec, args.int_literals, verify_depth)
+        if args.json:
+            rendered = json.dumps(report_to_json(report), indent=2)
+        else:
+            rendered = render_report(report, trace=args.trace, annotate=args.annotate)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
@@ -306,17 +304,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         for d in e.errors:
             print(str(d), file=sys.stderr)
         return 1
-    try:
-        report = analyze(
-            vp, args.term, args.spec, int_literals=args.int_literals, verify_depth=verify_depth
-        )
-    except ParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return 2
-    if args.json:
-        print(json.dumps(report_to_json(report), indent=2))
-    else:
-        print(render_report(report, trace=args.trace, annotate=args.annotate))
+    print(rendered)
     if report.status != "Mappable":
         return 1
     if report.verify is not None and not report.verify.agrees:

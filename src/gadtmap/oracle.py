@@ -104,8 +104,9 @@ class _Fail(Exception):
     pass
 
 
-def map_apply(phi: FunExpr, typed: TypedTerm) -> Term | None:
-    """Apply a function expression to a term, or None when not applicable.
+def map_apply(phi: FunExpr, typed: TypedTerm) -> TypedTerm | None:
+    """Apply a function expression to a term and type the result, or None
+    when not applicable.
 
     Identities leave subterms unchanged; opaque functions replace them with
     fresh constants of the opaque codomain; products and sums distribute
@@ -160,10 +161,9 @@ def map_apply(phi: FunExpr, typed: TypedTerm) -> Term | None:
     except _Fail:
         return None
     try:
-        infer(result, vp, typed.int_literals)
+        return infer(result, vp, typed.int_literals)
     except TypeCheckError:
         return None
-    return result
 
 
 def enumerate_candidates(domain: TypeExpr, depth: int, vp: ValidatedProgram) -> list[FunExpr]:
@@ -271,10 +271,9 @@ def mappable(candidates: tuple[FunExpr, ...], typed: TypedTerm, spec: Spec) -> b
     that codomain is again an instance of the specification, so the mapped
     result keeps the specified essential shape.
     """
-    vp = typed.vp
     wrapped = head_lift(spec.shape, candidates)
-    result = map_apply(wrapped, typed)
-    if result is None:
+    rebuilt = map_apply(wrapped, typed)
+    if rebuilt is None:
         return False
     cod = fun_codomain(wrapped)
     assert cod is not None  # candidates contain no function variables
@@ -283,8 +282,7 @@ def mappable(candidates: tuple[FunExpr, ...], typed: TypedTerm, spec: Spec) -> b
     except InternalInvariantViolation:
         return False
     try:
-        rebuilt = infer(result, vp, typed.int_literals)
-        rebuilt._store.unify(rebuilt._type_of[()], cod)
+        rebuilt.unify_root(cod)
     except TypeCheckError:
         return False
     return True

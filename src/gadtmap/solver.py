@@ -28,6 +28,7 @@ from .funexpr import (
     canonical_rename,
     expand_id,
     fun_children,
+    fun_vars,
 )
 
 
@@ -45,6 +46,25 @@ class AtomicConstraint:
     rhs: FunVar
 
 
+def _peel(a: FunExpr, b: FunExpr) -> list[tuple[FunExpr, FunExpr]]:
+    """The child pairs of two non-variable expressions with the same head
+    symbol, expanding identities at composite types on demand; raises
+    `SpecUnsatisfiable` when the heads clash."""
+    if isinstance(a, Id) and isinstance(b, Id) and a.at == b.at:
+        return []
+    if isinstance(a, Id) or isinstance(b, Id):
+        ea = expand_id(a) if isinstance(a, Id) else a
+        eb = expand_id(b) if isinstance(b, Id) else b
+        if ea is None or eb is None:
+            raise SpecUnsatisfiable(f"cannot expand an identity in <{a}, {b}>")
+        return [(ea, eb)]
+    if isinstance(a, (ProdF, SumF)) and type(a) is type(b):
+        return [(a.left, b.left), (a.right, b.right)]
+    if isinstance(a, Lift) and isinstance(b, Lift) and a.ctor == b.ctor:
+        return list(zip(a.args, b.args))
+    raise SpecUnsatisfiable(f"head clash in <{a}, {b}>")
+
+
 def decompose(c: Constraint) -> list[AtomicConstraint]:
     """Peel identical head symbols from both sides until one is a variable."""
     out: list[AtomicConstraint] = []
@@ -52,43 +72,11 @@ def decompose(c: Constraint) -> list[AtomicConstraint]:
     def peel(a: FunExpr, b: FunExpr) -> None:
         if isinstance(b, FunVar):
             out.append(AtomicConstraint(a, b))
-            return
-        if isinstance(a, FunVar):
+        elif isinstance(a, FunVar):
             out.append(AtomicConstraint(b, a))
-            return
-        if isinstance(a, Id) and isinstance(b, Id):
-            if a.at == b.at:
-                return
-            ea, eb = expand_id(a), expand_id(b)
-            if ea is None or eb is None:
-                raise SpecUnsatisfiable(f"cannot decompose <{a}, {b}>")
-            peel(ea, eb)
-            return
-        if isinstance(a, Id):
-            ea = expand_id(a)
-            if ea is None:
-                raise SpecUnsatisfiable(f"cannot decompose <{a}, {b}>")
-            peel(ea, b)
-            return
-        if isinstance(b, Id):
-            eb = expand_id(b)
-            if eb is None:
-                raise SpecUnsatisfiable(f"cannot decompose <{a}, {b}>")
-            peel(a, eb)
-            return
-        if isinstance(a, ProdF) and isinstance(b, ProdF):
-            peel(a.left, b.left)
-            peel(a.right, b.right)
-            return
-        if isinstance(a, SumF) and isinstance(b, SumF):
-            peel(a.left, b.left)
-            peel(a.right, b.right)
-            return
-        if isinstance(a, Lift) and isinstance(b, Lift) and a.ctor == b.ctor:
-            for x, y in zip(a.args, b.args):
+        else:
+            for x, y in _peel(a, b):
                 peel(x, y)
-            return
-        raise SpecUnsatisfiable(f"head clash decomposing <{a}, {b}>")
 
     peel(c.lhs, c.rhs)
     return out
@@ -132,50 +120,16 @@ def unify_all(atomics: list[AtomicConstraint]) -> SolvedSystem:
     def unite(a: FunExpr, b: FunExpr) -> None:
         a, b = walk(a), walk(b)
         if isinstance(a, FunVar) and isinstance(b, FunVar):
-            if a == b:
-                return
-            lo, hi = (a, b) if a.intro < b.intro else (b, a)
-            raw[lo] = hi
-            return
-        if isinstance(a, FunVar):
+            if a != b:
+                lo, hi = (a, b) if a.intro < b.intro else (b, a)
+                raw[lo] = hi
+        elif isinstance(a, FunVar):
             bind(a, b)
-            return
-        if isinstance(b, FunVar):
+        elif isinstance(b, FunVar):
             bind(b, a)
-            return
-        if isinstance(a, Id) and isinstance(b, Id):
-            if a.at == b.at:
-                return
-            ea, eb = expand_id(a), expand_id(b)
-            if ea is None or eb is None:
-                raise SpecUnsatisfiable(f"cannot unify {a} with {b}")
-            unite(ea, eb)
-            return
-        if isinstance(a, Id):
-            ea = expand_id(a)
-            if ea is None:
-                raise SpecUnsatisfiable(f"cannot unify {a} with {b}")
-            unite(ea, b)
-            return
-        if isinstance(b, Id):
-            eb = expand_id(b)
-            if eb is None:
-                raise SpecUnsatisfiable(f"cannot unify {a} with {b}")
-            unite(a, eb)
-            return
-        if isinstance(a, ProdF) and isinstance(b, ProdF):
-            unite(a.left, b.left)
-            unite(a.right, b.right)
-            return
-        if isinstance(a, SumF) and isinstance(b, SumF):
-            unite(a.left, b.left)
-            unite(a.right, b.right)
-            return
-        if isinstance(a, Lift) and isinstance(b, Lift) and a.ctor == b.ctor:
-            for x, y in zip(a.args, b.args):
+        else:
+            for x, y in _peel(a, b):
                 unite(x, y)
-            return
-        raise SpecUnsatisfiable(f"head clash unifying {a} with {b}")
 
     for ac in atomics:
         unite(ac.lhs, ac.rhs)
@@ -192,18 +146,9 @@ def unify_all(atomics: list[AtomicConstraint]) -> SolvedSystem:
 
     ordered = sorted(raw, key=lambda v: v.intro)
     bindings = {v: resolve(raw[v]) for v in ordered}
-    free: dict[FunVar, None] = {}
-
-    def collect_free(e: FunExpr) -> None:
-        if isinstance(e, FunVar):
-            if e not in bindings:
-                free.setdefault(e, None)
-            return
-        for c in fun_children(e):
-            collect_free(c)
-
-    for value in bindings.values():
-        collect_free(value)
+    free = dict.fromkeys(
+        v for value in bindings.values() for v in fun_vars(value) if v not in bindings
+    )
     return SolvedSystem(bindings, tuple(free))
 
 

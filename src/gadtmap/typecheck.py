@@ -154,6 +154,11 @@ class TypedTerm:
     def paths(self) -> list[Path]:
         return sorted(self._type_of)
 
+    def unify_root(self, ty: TypeExpr) -> None:
+        """Refine the typing so that the whole term has type `ty`; raises
+        `TypeCheckError` when it cannot."""
+        self._store.unify(self._type_of[()], ty)
+
 
 def infer(term: Term, vp: ValidatedProgram, int_literals: bool = False) -> TypedTerm:
     """Infer the most general typing of `term`.

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -31,24 +30,11 @@ def nested_vp() -> g.ValidatedProgram:
     return g.validate(g.parse_program(NESTED_SRC))
 
 
-@dataclass
-class Pipeline:
-    vp: g.ValidatedProgram
-    typed: g.TypedTerm
-    spec: g.Spec
-    result: g.RunResult
-    solved: g.SolvedSystem
-    form: tuple
-
-
-def run_pipeline(vp, term_text, spec_text, int_literals=False) -> Pipeline:
+def run_pipeline(vp, term_text, spec_text, int_literals=False) -> g.AnalysisReport:
     term = g.parse_term(term_text, vp)
-    typed = g.infer(term, vp, int_literals)
-    spec = g.parse_spec(spec_text, vp)
-    g.check_call_invariants(typed, spec, g.spec_head_arity(spec, vp))
-    result = g.run(typed, spec, vp)
-    solved, form = g.solve(result.constraints, result.root_funs)
-    return Pipeline(vp, typed, spec, result, solved, form)
+    report = g.analyze(vp, term, g.parse_spec(spec_text, vp), int_literals)
+    assert report.status == "Mappable", report.detail
+    return report
 
 
 def constraint_shape(c: g.Constraint) -> str:

@@ -35,7 +35,7 @@ def passline(n: int, message: str) -> None:
 
 
 def shapes(p) -> Counter:
-    return Counter(constraint_shape(c) for c in p.result.constraints)
+    return Counter(constraint_shape(c) for c in p.run.constraints)
 
 
 def free_var_count(form) -> int:
@@ -51,8 +51,8 @@ def test_criterion_1_paired_sequences(seq_vp):
     elapsed = time.perf_counter() - start
     assert [g.pretty(f) for f in p.form] == ["(f'1 * f'2) * f'3"]
     assert free_var_count(p.form) == 3
-    assert len(p.result.traces) == 5
-    assert len(p.result.constraints) == 7
+    assert len(p.run.traces) == 5
+    assert len(p.run.constraints) == 7
     assert shapes(p) == Counter({"<f'1, f'2>": 5, "<f'1 * f'2, f'3>": 2})
     assert elapsed < 1.0
     passline(1, f"(f'1 * f'2) * f'3 from 5 calls / 7 constraints in {elapsed:.4f}s")
@@ -75,7 +75,7 @@ def test_criterion_2_feedback_term(g_vp):
     )
     assert shapes(p) == expected
     const_calls = [
-        t for t in p.result.traces if t.term == g.Ctor("const", ())
+        t for t in p.run.traces if t.term == g.Ctor("const", ())
     ]
     assert len(const_calls) == 1
     assert any(c.lhs == g.Id(Base("Nat")) for c in const_calls[0].emitted)
@@ -149,11 +149,11 @@ ESSENTIAL_EXPECTED = {
 def test_criterion_6_essential_structure(programs):
     for (key, term, spec, int_lits), expected in ESSENTIAL_EXPECTED.items():
         p = run_pipeline(programs[key], term, spec, int_lits)
-        assert p.result.annotation.essential == frozenset(expected), (term, spec)
+        assert p.run.annotation.essential == frozenset(expected), (term, spec)
     # the second worked example in detail: `cons 2 nil` is entirely
     # incidental while every G-constructor is essential
     p = run_pipeline(programs["g"], G_TERM_INJ, "G b1")
-    ess = p.result.annotation.essential
+    ess = p.run.annotation.essential
     g_ctor_paths = {
         path
         for path in _all_paths(p.typed.term)
@@ -183,16 +183,14 @@ def test_criterion_7_no_constraints_for_nested_types(nested_vp):
             elem = element_types[i % len(element_types)]
             ty = App(decl_name, (elem,))
             term = gen_value(rng, ty, nested_vp, budget=5)
-            typed = g.infer(term, nested_vp)
-            spec = g.parse_spec(f"{decl_name} b1", nested_vp)
-            g.check_call_invariants(typed, spec, 1)
-            result = g.run(typed, spec, nested_vp)
-            solved, form = g.solve(result.constraints, result.root_funs)
+            report = g.analyze(nested_vp, term, g.parse_spec(f"{decl_name} b1", nested_vp))
+            assert report.status == "Mappable", report.detail
+            form, solved = report.form, report.solved
             assert len(form) == 1 and isinstance(form[0], g.FunVar), g.pretty(term)
             assert all(
                 isinstance(v, g.FunVar) for v in solved.bindings.values()
             ), g.pretty(term)
-            for root in result.root_funs:
+            for root in report.run.root_funs:
                 assert root in solved.bindings
             count += 1
     elapsed = time.perf_counter() - start

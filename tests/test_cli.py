@@ -252,6 +252,35 @@ def test_module_entry_point(program_files):
     assert "status: Mappable" in proc.stdout
 
 
+class TestDeepInput:
+    """Input nested past the interpreter's recursion limit ends in a one-line
+    error and exit code 2. Each case runs in a fresh interpreter at the
+    default limit, where the parent process's stack depth does not matter."""
+
+    @staticmethod
+    def run_cli(program, n, *flags):
+        import subprocess
+        import sys
+
+        term = "cons 0 (" * (n - 1) + "cons 0 nil" + ")" * (n - 1)
+        argv = ["analyze", program, "--term", term, "--spec", "List b1", *flags]
+        return subprocess.run(
+            [sys.executable, "-m", "gadtmap", *argv], capture_output=True, text=True
+        )
+
+    def test_deep_term_fails_in_parser(self, program_files):
+        proc = self.run_cli(program_files["nested"], 1000)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: input nested too deeply\n"
+        assert "Traceback" not in proc.stderr
+
+    def test_deep_term_fails_in_json_rendering(self, program_files):
+        proc = self.run_cli(program_files["nested"], 300, "--json")
+        assert proc.returncode == 2
+        assert proc.stderr == "error: input nested too deeply\n"
+        assert "Traceback" not in proc.stderr
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("key,term,spec,int_lits", CORPUS)
     def test_json_runs_are_byte_identical(self, program_files, capsys, key, term, spec, int_lits):

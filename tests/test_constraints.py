@@ -147,7 +147,7 @@ class TestEmitSteps:
 
 
 def constraint_strings(p) -> list[tuple[str, str]]:
-    return [(c.origin, g.pretty(c)) for c in p.result.constraints]
+    return [(c.origin, g.pretty(c)) for c in p.run.constraints]
 
 
 class TestGoldenTraces:
@@ -162,8 +162,8 @@ class TestGoldenTraces:
             ("1.1.2:i", "<g1^1.1.2, h2^1.1>"),
             ("1.2:i", "<g1^1.2, h2^1>"),
         ]
-        assert [t.label for t in p.result.traces] == ["1", "1.1", "1.1.1", "1.1.2", "1.2"]
-        root = p.result.traces[0]
+        assert [t.label for t in p.run.traces] == ["1", "1.1", "1.1.1", "1.1.2", "1.2"]
+        root = p.run.traces[0]
         assert [f"{g.pretty(l)} == {g.pretty(r)}" for l, r in root.matching] == [
             "b1 == y1^1 * y2^1"
         ]
@@ -186,10 +186,10 @@ class TestGoldenTraces:
             ("1.1.1.2.2:v", "<id@Nat, g1^1.1.1.2.2>"),
         ]
         # the literal 2 under the first inner injection is never visited
-        assert (0, 0, 0, 0) not in p.result.annotation.essential
+        assert (0, 0, 0, 0) not in p.run.annotation.essential
         # recursion through the pairing happens at the pair component, so the
         # input functions of the pair call are composite
-        pair_call = next(t for t in p.result.traces if t.label == "1.1.1")
+        pair_call = next(t for t in p.run.traces if t.label == "1.1.1")
         assert [g.pretty(f) for f in pair_call.funs] == ["G g1^1.1", "G (g2^1.1 * g2^1.1)"]
 
     def test_g_flat_example(self, g_vp):
@@ -199,14 +199,14 @@ class TestGoldenTraces:
         assert ("1.1.1.1:v", "<List h1^1.1.1.1, g1^1.1.1.1>") in strings
         assert ("1.1.1.1.1.1:v", "<id@Nat, g1^1.1.1.1.1.1>") in strings
         assert ("1.1.1.2.2:v", "<id@Nat, g1^1.1.1.2.2>") in strings
-        flat_call = next(t for t in p.result.traces if t.label == "1.1.1.1")
+        flat_call = next(t for t in p.run.traces if t.label == "1.1.1.1")
         assert [f"{g.pretty(l)} == {g.pretty(r)}" for l, r in flat_call.matching] == [
             "y1^1 == List y1^1.1.1.1"
         ]
         assert tuple(map(g.pretty, flat_call.taus)) == ("y1^1.1.1.1",)
         assert list(map(g.pretty, flat_call.rjs)) == ["List (G y1^1.1.1.1)"]
         # the list-of-analyses call gets a lifted constructor as input function
-        inner = next(t for t in p.result.traces if t.label == "1.1.1.1.1")
+        inner = next(t for t in p.run.traces if t.label == "1.1.1.1.1")
         assert [g.pretty(f) for f in inner.funs] == ["G h1^1.1.1.1"]
         assert g.pretty(inner.spec) == "List (G y1^1.1.1.1)"
 
@@ -217,7 +217,7 @@ class TestGoldenTraces:
             ("1.2:i", "<g1^1.2, g1^1>"),
             ("1.2.2:i", "<g1^1.2.2, g1^1.2>"),
         ]
-        root = p.result.traces[0]
+        root = p.run.traces[0]
         assert list(map(g.pretty, root.rjs)) == ["b1", "List b1"]
         assert root.zetas[0] is None and root.zetas[1] == (Var("b1"),)
 
@@ -240,7 +240,7 @@ class TestGoldenTraces:
             ("1:i", "<g1^1, f1>"),
             ("1:i", "<g2^1, f2>"),
         ]
-        assert len(p.result.traces) == 1
+        assert len(p.run.traces) == 1
 
     def test_two_pins_on_one_index_via_program(self):
         vp = g.validate(
@@ -279,7 +279,7 @@ class TestInvariants:
     def test_fresh_variable_hygiene(self, programs, key, term, spec, int_lits):
         p = run_pipeline(programs[key], term, spec, int_lits)
         seen: dict[g.FunVar, int] = {}
-        for c in p.result.constraints:
+        for c in p.run.constraints:
             for side in (c.lhs, c.rhs):
                 for v in g.funexpr.fun_vars(side):
                     if v in seen:
@@ -291,14 +291,14 @@ class TestInvariants:
 
     def test_origin_matches_call_label(self, g_vp):
         p = run_pipeline(g_vp, G_TERM_FLAT, "G b1")
-        for t in p.result.traces:
+        for t in p.run.traces:
             for c in t.emitted:
                 assert c.origin.split(":")[0] == t.label
 
     def test_emitted_constraints_decompose(self, g_vp):
         # both sides of every emitted constraint are top-unifiable
         p = run_pipeline(g_vp, G_TERM_FLAT, "G b1")
-        for c in p.result.constraints:
+        for c in p.run.constraints:
             g.decompose(c)
 
     def test_nested_programs_emit_variable_pairs_only(self, nested_vp):
@@ -310,7 +310,7 @@ class TestInvariants:
             ("bcons 1 (bcons (bcons 2 bnil) bnil)", "Bush b1"),
         ]:
             p = run_pipeline(nested_vp, term, spec)
-            for c in p.result.constraints:
+            for c in p.run.constraints:
                 for atomic in g.decompose(c):
                     assert isinstance(atomic.lhs, g.FunVar)
                     assert isinstance(atomic.rhs, g.FunVar)

@@ -20,19 +20,18 @@ BOOL = Base("Bool")
 
 
 def pipeline_and_oracle(vp, term, spec_text, depth):
-    typed = g.infer(term, vp)
-    spec = g.parse_spec(spec_text, vp)
-    g.check_call_invariants(typed, spec, g.spec_head_arity(spec, vp))
-    result = g.run(typed, spec, vp)
-    solved, form = g.solve(result.constraints, result.root_funs)
-    report = g.agrees(form, typed, spec, depth)
-    assert report.agrees, (
+    report = g.analyze(vp, term, g.parse_spec(spec_text, vp), verify_depth=depth)
+    assert report.status == "Mappable", report.detail
+    assert report.verify.agrees, (
         g.pretty(term),
         spec_text,
-        [g.pretty(f) for f in form],
-        [([g.pretty(c) for c in d.candidates], d.mappable, d.instance) for d in report.disagreements],
+        [g.pretty(f) for f in report.form],
+        [
+            ([g.pretty(c) for c in d.candidates], d.mappable, d.instance)
+            for d in report.verify.disagreements
+        ],
     )
-    return form
+    return report.form
 
 
 def gen_seq(rng: random.Random, ty, vp, budget: int) -> g.Term:
@@ -194,11 +193,11 @@ class TestExoticGadts:
 
     def test_existential_data_is_incidental(self, exotic_vp):
         p = run_pipeline(exotic_vp, "hide (5, tt)", "E b1")
-        assert p.result.annotation.essential == frozenset({()})
+        assert p.run.annotation.essential == frozenset({()})
 
     def test_permuted_indices_cross_wire(self, exotic_vp):
         p = run_pipeline(exotic_vp, "swap (wmk 1 tt)", "W b1 b2")
-        rendered = [g.pretty(c) for c in p.result.constraints]
+        rendered = [g.pretty(c) for c in p.run.constraints]
         assert "<g1^1.1, g2^1>" in rendered and "<g2^1.1, g1^1>" in rendered
 
 
@@ -206,15 +205,13 @@ class TestZeroArity:
     def test_zero_arity_spec_head(self, unit_vp):
         # no specification arguments means no input functions and no constraints
         term = g.parse_term("mk", unit_vp)
-        typed = g.infer(term, unit_vp)
         spec = g.parse_spec("U", unit_vp)
         assert g.spec_head_arity(spec, unit_vp) == 0
-        g.check_call_invariants(typed, spec, 0)
-        result = g.run(typed, spec, unit_vp)
-        assert result.constraints == [] and result.root_funs == ()
-        solved, form = g.solve(result.constraints, result.root_funs)
-        assert form == ()
-        assert g.agrees(form, typed, spec, 2).agrees
+        report = g.analyze(unit_vp, term, spec, verify_depth=2)
+        assert report.status == "Mappable", report.detail
+        assert report.run.constraints == [] and report.run.root_funs == ()
+        assert report.form == ()
+        assert report.verify.agrees
 
     def test_zero_arity_type_as_element(self, unit_vp):
         term = g.parse_term("cons mk (cons mk2 nil)", unit_vp)
@@ -247,9 +244,7 @@ class TestRandomNestedTerms:
         rng = random.Random(35)
         for _ in range(20):
             term = gen_value(rng, App("Rose", (NAT,)), nested_vp, budget=4)
-            typed = g.infer(term, nested_vp)
-            spec = g.parse_spec("Rose b1", nested_vp)
-            g.check_call_invariants(typed, spec, 1)
-            assert g.map_apply(g.Id(typed.type_at(())), typed) == typed.term
+            typed = g.analyze(nested_vp, term, g.parse_spec("Rose b1", nested_vp)).typed
+            assert g.map_apply(g.Id(typed.type_at(())), typed).term == typed.term
             wrapped = g.Lift("Rose", (g.Id(NAT),))
-            assert g.map_apply(wrapped, typed) == typed.term
+            assert g.map_apply(wrapped, typed).term == typed.term

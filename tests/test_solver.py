@@ -165,7 +165,7 @@ class TestSolvedSystems:
                 # orientation: replaced by later-created variables
                 assert v.intro > key_var.intro
         # exactly one binding per root, and roots never occur in values
-        for root in p.result.root_funs:
+        for root in p.run.root_funs:
             assert root in bindings
             for value in bindings.values():
                 assert root not in fun_vars(value)

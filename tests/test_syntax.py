@@ -265,7 +265,7 @@ def test_corpus_round_trips(programs, key, term_text, spec_text, int_lits):
 @pytest.mark.parametrize("key,term_text,spec_text,int_lits", CORPUS)
 def test_corpus_constraint_round_trips(programs, key, term_text, spec_text, int_lits):
     p = run_pipeline(programs[key], term_text, spec_text, int_lits)
-    for c in p.result.constraints:
+    for c in p.run.constraints:
         parsed = g.parse_funexpr(g.pretty(c.lhs))
         assert parsed == c.lhs
         assert g.parse_funexpr(g.pretty(c.rhs)) == c.rhs
