@@ -86,6 +86,7 @@ from .typecheck import (
     InstanceWitness,
     SpecMismatch,
     TypeCheckError,
+    TypedNode,
     TypedTerm,
     check_call_invariants,
     infer,

@@ -44,10 +44,9 @@ from .syntax import (
     free_type_vars,
     is_closed,
     subst_type,
-    subterm_at,
     type_children,
 )
-from .typecheck import TypedTerm
+from .typecheck import TypedNode, TypedTerm
 from .wellformed import ValidatedProgram
 
 
@@ -256,27 +255,27 @@ class _Run:
         self._intro = itertools.count()
         self.constraints: list[Constraint] = []
         self.traces: list[CallTrace] = []
-        self.essential: set[Path] = set()
 
     def fresh_fun(self, kind: str, label: str, index: int, domain: TypeExpr) -> FunVar:
         return FunVar(kind, label, index, intro=next(self._intro), domain=domain)
 
     def call(
         self,
+        node: TypedNode,
         path: Path,
         funs: tuple[FunExpr, ...],
         spec_te: TypeExpr,
         cenv: dict[str, TypeExpr],
         label: str,
     ) -> None:
-        term = subterm_at(self.typed.term, path)
+        term = node.term
         components = spec_components(spec_te)
         if components is None or len(components) != len(funs):
             raise InternalInvariantViolation(f"bad call on {spec_te} with {len(funs)} functions")
-        if subst_type(spec_te, cenv) != self.typed.type_at(path):
+        if subst_type(spec_te, cenv) != self.typed.type_of(node):
             raise InternalInvariantViolation(
                 f"call {label}: instantiated specification {subst_type(spec_te, cenv)} "
-                f"differs from subterm type {self.typed.type_at(path)}"
+                f"differs from subterm type {self.typed.type_of(node)}"
             )
 
         betas = free_type_vars(spec_te)
@@ -285,7 +284,6 @@ class _Run:
         }
         trace = CallTrace(label, path, term, funs, spec_te)
         self.traces.append(trace)
-        self.essential.add(path)
 
         def emit(c: Constraint) -> None:
             trace.emitted.append(c)
@@ -305,13 +303,13 @@ class _Run:
                 branches = [(1, 0, components[1])]
             else:
                 raise InternalInvariantViolation(f"call {label}: expected an injection")
-            for j, child_idx, comp in branches:
+            for j, i, comp in branches:
                 zetas = recursion_target(comp)
                 if zetas is None:
                     continue
                 child_funs = tuple(lift_type(z, g_env) for z in zetas)
                 child_cenv = {v: cenv[v] for v in free_type_vars(comp)}
-                self.call(path + (child_idx,), child_funs, comp, child_cenv, f"{label}.{j + 1}")
+                self.call(node.kids[i], path + (i,), child_funs, comp, child_cenv, f"{label}.{j + 1}")
             return
 
         # Constructor case.
@@ -322,7 +320,7 @@ class _Run:
             raise InternalInvariantViolation(
                 f"call {label}: constructor {term.name!r} does not build {spec_te}"
             )
-        w = self.typed.instance_at(path)
+        w = self.typed.instance_of(node)
         for ell, k_expr in enumerate(sig.ret_indices):
             expected = subst_type(k_expr, dict(zip(sig.type_vars, w)))
             got = fun_domain(funs[ell])
@@ -362,7 +360,7 @@ class _Run:
             trace.zetas.append(zetas)
             child_funs = tuple(lift_type(z, gh_env) for z in zetas)
             child_cenv = {v: child_cenv_all[v] for v in free_type_vars(rj)}
-            self.call(path + (j,), child_funs, rj, child_cenv, f"{label}.{j + 1}")
+            self.call(node.kids[j], path + (j,), child_funs, rj, child_cenv, f"{label}.{j + 1}")
 
 
 def run(typed: TypedTerm, spec: Spec, vp: ValidatedProgram) -> RunResult:
@@ -377,16 +375,16 @@ def run(typed: TypedTerm, spec: Spec, vp: ValidatedProgram) -> RunResult:
     components = spec_components(shape)
     if components is None:
         raise InternalInvariantViolation(f"specification {shape} has no analyzable head")
-    cenv = match_shape(shape, typed.type_at(()), spec.vars)
+    cenv = match_shape(shape, typed.type_of(typed.root), spec.vars)
     r = _Run(typed, vp)
     root_funs = tuple(
         r.fresh_fun("f", "", ell + 1, subst_type(comp, cenv))
         for ell, comp in enumerate(components)
     )
-    r.call((), root_funs, shape, cenv, "1")
+    r.call(typed.root, (), root_funs, shape, cenv, "1")
     return RunResult(
         r.constraints,
         r.traces,
-        AnnotatedTerm(typed.term, frozenset(r.essential)),
+        AnnotatedTerm(typed.term, frozenset(t.path for t in r.traces)),
         root_funs,
     )

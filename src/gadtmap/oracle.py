@@ -42,7 +42,6 @@ from .syntax import (
     Inl,
     Inr,
     Pair,
-    Path,
     Prod,
     Spec,
     Sum,
@@ -51,9 +50,8 @@ from .syntax import (
     Var,
     is_closed,
     subst_type,
-    subterm_at,
 )
-from .typecheck import TypeCheckError, TypedTerm, infer
+from .typecheck import TypeCheckError, TypedNode, TypedTerm, infer
 from .wellformed import ValidatedProgram
 
 
@@ -117,8 +115,8 @@ def map_apply(phi: FunExpr, typed: TypedTerm) -> TypedTerm | None:
     vp = typed.vp
     counter = itertools.count()
 
-    def apply(phi: FunExpr, path: Path) -> Term:
-        term = subterm_at(typed.term, path)
+    def apply(phi: FunExpr, node: TypedNode) -> Term:
+        term = node.term
         if isinstance(phi, Id):
             return term
         if isinstance(phi, Opaque):
@@ -126,12 +124,12 @@ def map_apply(phi: FunExpr, typed: TypedTerm) -> TypedTerm | None:
         if isinstance(phi, ProdF):
             if not isinstance(term, Pair):
                 raise _Fail
-            return Pair(apply(phi.left, path + (0,)), apply(phi.right, path + (1,)))
+            return Pair(apply(phi.left, node.kids[0]), apply(phi.right, node.kids[1]))
         if isinstance(phi, SumF):
             if isinstance(term, Inl):
-                return Inl(apply(phi.left, path + (0,)))
+                return Inl(apply(phi.left, node.kids[0]))
             if isinstance(term, Inr):
-                return Inr(apply(phi.right, path + (0,)))
+                return Inr(apply(phi.right, node.kids[0]))
             raise _Fail
         if isinstance(phi, Lift):
             if not isinstance(term, Ctor):
@@ -144,20 +142,20 @@ def map_apply(phi: FunExpr, typed: TypedTerm) -> TypedTerm | None:
                 env = match_fun(k_expr, component, env)
                 if env is None:
                     raise _Fail
-            w = typed.instance_at(path)
+            w = typed.instance_of(node)
             for d, binder in enumerate(sig.type_vars):
                 # Binders absent from every return index carry incidental
                 # data; it is preserved unchanged.
                 env.setdefault(binder, Id(w[d]))
             new_args = tuple(
-                apply(lift_type(arg_ty, env), path + (j,))
-                for j, arg_ty in enumerate(sig.arg_types)
+                apply(lift_type(arg_ty, env), kid)
+                for arg_ty, kid in zip(sig.arg_types, node.kids)
             )
             return Ctor(term.name, new_args)
         raise _Fail
 
     try:
-        result = apply(phi, ())
+        result = apply(phi, typed.root)
     except _Fail:
         return None
     try:
@@ -272,14 +270,14 @@ def mappable(candidates: tuple[FunExpr, ...], typed: TypedTerm, spec: Spec) -> b
     result keeps the specified essential shape.
     """
     wrapped = head_lift(spec.shape, candidates)
-    rebuilt = map_apply(wrapped, typed)
-    if rebuilt is None:
-        return False
     cod = fun_codomain(wrapped)
     assert cod is not None  # candidates contain no function variables
     try:
         match_shape(spec.shape, cod, spec.vars)
     except InternalInvariantViolation:
+        return False
+    rebuilt = map_apply(wrapped, typed)
+    if rebuilt is None:
         return False
     try:
         rebuilt.unify_root(cod)
@@ -300,7 +298,7 @@ def agrees(
     vp = typed.vp
     components = spec_components(spec.shape)
     assert components is not None
-    cenv = match_shape(spec.shape, typed.type_at(()), spec.vars)
+    cenv = match_shape(spec.shape, typed.type_of(typed.root), spec.vars)
     domains = [subst_type(c, cenv) for c in components]
     pools = [enumerate_candidates(d, depth, vp) for d in domains]
     disagreements: list[Disagreement] = []

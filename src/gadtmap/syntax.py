@@ -222,28 +222,6 @@ def subterm_at(t: Term, path: Path) -> Term:
     return t
 
 
-def strip_annotations(t: Term) -> tuple[Term, list[tuple[Path, TypeExpr]]]:
-    """Remove Ann nodes, returning the bare term and the annotations keyed by
-    the path of the annotated subterm in the *stripped* tree."""
-    notes: list[tuple[Path, TypeExpr]] = []
-
-    def go(t: Term, path: Path) -> Term:
-        while isinstance(t, Ann):
-            notes.append((path, t.type))
-            t = t.inner
-        if isinstance(t, Ctor):
-            return Ctor(t.name, tuple(go(a, path + (i,)) for i, a in enumerate(t.args)))
-        if isinstance(t, Pair):
-            return Pair(go(t.left, path + (0,)), go(t.right, path + (1,)))
-        if isinstance(t, Inl):
-            return Inl(go(t.inner, path + (0,)))
-        if isinstance(t, Inr):
-            return Inr(go(t.inner, path + (0,)))
-        return t
-
-    return go(t, ()), notes
-
-
 # ---------------------------------------------------------------------------
 # Declarations and specifications
 

@@ -14,9 +14,12 @@ atom, so the analysis itself never sees a metavariable.
 """
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .syntax import (
+    Ann,
     App,
     Atom,
     Base,
@@ -27,16 +30,13 @@ from .syntax import (
     Lit,
     Meta,
     Pair,
-    Path,
     Prod,
     Spec,
     Sum,
     Term,
     TypeExpr,
     metas_in,
-    strip_annotations,
     subst_type,
-    subterm_at,
 )
 from .wellformed import ValidatedProgram
 
@@ -75,10 +75,8 @@ class _Store:
 
     def resolve(self, t: TypeExpr) -> TypeExpr:
         t = self.walk(t)
-        if isinstance(t, Prod):
-            return Prod(self.resolve(t.left), self.resolve(t.right))
-        if isinstance(t, Sum):
-            return Sum(self.resolve(t.left), self.resolve(t.right))
+        if isinstance(t, (Prod, Sum)):
+            return type(t)(self.resolve(t.left), self.resolve(t.right))
         if isinstance(t, App):
             return App(t.ctor, tuple(self.resolve(a) for a in t.args))
         return t
@@ -114,11 +112,7 @@ class _Store:
         if isinstance(b, Meta):
             self._bind(b, a)
             return
-        if isinstance(a, Prod) and isinstance(b, Prod):
-            self.unify(a.left, b.left, where)
-            self.unify(a.right, b.right, where)
-            return
-        if isinstance(a, Sum) and isinstance(b, Sum):
+        if isinstance(a, (Prod, Sum)) and type(a) is type(b):
             self.unify(a.left, b.left, where)
             self.unify(a.right, b.right, where)
             return
@@ -132,88 +126,119 @@ class _Store:
         )
 
 
-@dataclass
-class TypedTerm:
-    """A term with a type for every subterm occurrence (keyed by path) and,
-    for each constructor occurrence, the instantiation of its binders."""
+@dataclass(frozen=True)
+class TypedNode:
+    """One subterm occurrence: the annotation-free subterm, its raw type
+    (metavariables unresolved), the instantiation of its binders when it is a
+    constructor application (`()` otherwise), and its typed children in
+    `term_children` order."""
 
     term: Term
+    type: TypeExpr
+    instance: tuple[TypeExpr, ...] = ()
+    kids: tuple[TypedNode, ...] = ()
+
+
+@dataclass
+class TypedTerm:
+    """A term as a tree of typed nodes, read through the metavariable store."""
+
+    root: TypedNode
     vp: ValidatedProgram
     _store: _Store
-    _type_of: dict[Path, TypeExpr]
-    _instance_of: dict[Path, tuple[TypeExpr, ...]]
     int_literals: bool = False
     frozen: bool = False
 
-    def type_at(self, path: Path = ()) -> TypeExpr:
-        return self._store.resolve(self._type_of[path])
+    @property
+    def term(self) -> Term:
+        return self.root.term
 
-    def instance_at(self, path: Path) -> tuple[TypeExpr, ...]:
-        return tuple(self._store.resolve(t) for t in self._instance_of[path])
+    def type_of(self, node: TypedNode) -> TypeExpr:
+        return self._store.resolve(node.type)
 
-    def paths(self) -> list[Path]:
-        return sorted(self._type_of)
+    def instance_of(self, node: TypedNode) -> tuple[TypeExpr, ...]:
+        return tuple(self._store.resolve(t) for t in node.instance)
+
+    def nodes(self) -> Iterator[TypedNode]:
+        """Every node, in preorder."""
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.kids))
 
     def unify_root(self, ty: TypeExpr) -> None:
         """Refine the typing so that the whole term has type `ty`; raises
         `TypeCheckError` when it cannot."""
-        self._store.unify(self._type_of[()], ty)
+        self._store.unify(self.root.type, ty)
 
 
 def infer(term: Term, vp: ValidatedProgram, int_literals: bool = False) -> TypedTerm:
     """Infer the most general typing of `term`.
 
-    Metavariables that no constraint determines (such as the element type of
-    a bare `nil`) survive in the result as unsolved metas.
+    Annotations are dropped from the typed tree and checked after the walk,
+    in preorder, outer before inner. Metavariables that no constraint
+    determines (such as the element type of a bare `nil`) survive in the
+    result as unsolved metas.
     """
     store = _Store()
-    stripped, annotations = strip_annotations(term)
-    type_of: dict[Path, TypeExpr] = {}
-    instance_of: dict[Path, tuple[TypeExpr, ...]] = {}
+    # (annotated node, annotation) in preorder, outer before inner: the slot
+    # is taken when the annotation is met and filled once its node is typed.
+    annotations: list = []
 
-    def go(t: Term, path: Path) -> TypeExpr:
-        ty: TypeExpr
+    def go(t: Term) -> TypedNode:
+        if isinstance(t, Ann):
+            slot = len(annotations)
+            annotations.append(None)
+            node = go(t.inner)
+            annotations[slot] = (node, t.type)
+            return node
         if isinstance(t, Ctor):
             try:
                 decl, sig = vp.ctor(t.name)
             except KeyError:
                 raise TypeCheckError(f"unknown constructor {t.name!r}") from None
             inst = {v: store.fresh() for v in sig.type_vars}
+            kids = []
             for j, arg in enumerate(t.args):
                 expected = subst_type(sig.arg_types[j], inst)
-                actual = go(arg, path + (j,))
-                store.unify(expected, actual, f"argument {j + 1} of {t.name!r}")
-            instance_of[path] = tuple(inst[v] for v in sig.type_vars)
-            ty = App(decl.name, tuple(subst_type(k, inst) for k in sig.ret_indices))
-        elif isinstance(t, Pair):
-            ty = Prod(go(t.left, path + (0,)), go(t.right, path + (1,)))
-        elif isinstance(t, Inl):
-            ty = Sum(go(t.inner, path + (0,)), store.fresh())
-        elif isinstance(t, Inr):
-            ty = Sum(store.fresh(), go(t.inner, path + (0,)))
-        elif isinstance(t, Lit):
+                kids.append(go(arg))
+                store.unify(expected, kids[j].type, f"argument {j + 1} of {t.name!r}")
+            return TypedNode(
+                Ctor(t.name, tuple(k.term for k in kids)),
+                App(decl.name, tuple(subst_type(k, inst) for k in sig.ret_indices)),
+                tuple(inst[v] for v in sig.type_vars),
+                tuple(kids),
+            )
+        if isinstance(t, Pair):
+            left, right = go(t.left), go(t.right)
+            return TypedNode(Pair(left.term, right.term), Prod(left.type, right.type), kids=(left, right))
+        if isinstance(t, Inl):
+            inner = go(t.inner)
+            return TypedNode(Inl(inner.term), Sum(inner.type, store.fresh()), kids=(inner,))
+        if isinstance(t, Inr):
+            other = store.fresh()
+            inner = go(t.inner)
+            return TypedNode(Inr(inner.term), Sum(other, inner.type), kids=(inner,))
+        if isinstance(t, Lit):
             if t.base_hint in ("Bool", "Unit", "Int"):
-                ty = Base(t.base_hint)
-            else:
-                ty = store.fresh(numeric=True)
-        elif isinstance(t, Const):
-            ty = t.type
-        else:
-            raise TypeCheckError(f"cannot type {t!r}")
-        type_of[path] = ty
-        return ty
+                return TypedNode(t, Base(t.base_hint))
+            return TypedNode(t, store.fresh(numeric=True))
+        if isinstance(t, Const):
+            return TypedNode(t, t.type)
+        raise TypeCheckError(f"cannot type {t!r}")
 
-    go(stripped, ())
-    for path, ann_ty in annotations:
-        store.unify(type_of[path], ann_ty, f"annotation at {subterm_at(stripped, path)}")
+    root = go(term)
+    for node, ann_ty in annotations:
+        store.unify(node.type, ann_ty, f"annotation at {node.term}")
 
     default = Base("Int" if int_literals else "Nat")
     for ident in sorted(store.numeric):
-        root = store.walk(Meta(ident))
-        if isinstance(root, Meta):
-            store.solutions[root.ident] = default
+        root_ty = store.walk(Meta(ident))
+        if isinstance(root_ty, Meta):
+            store.solutions[root_ty.ident] = default
 
-    return TypedTerm(stripped, vp, store, type_of, instance_of, int_literals)
+    return TypedTerm(root, vp, store, int_literals)
 
 
 @dataclass(frozen=True)
@@ -260,32 +285,27 @@ def check_call_invariants(typed: TypedTerm, spec: Spec, fun_arity: int) -> Insta
     store = typed._store
     mus = {v: store.fresh() for v in spec.vars}
     try:
-        store.unify(subst_type(spec.shape, mus), typed._type_of[()], "specification")
+        store.unify(subst_type(spec.shape, mus), typed.root.type, "specification")
     except TypeCheckError as e:
         raise SpecMismatch(
-            f"term of type {typed.type_at(())} does not match specification "
+            f"term of type {typed.type_of(typed.root)} does not match specification "
             f"{spec}: {e}"
         ) from None
 
     _freeze(typed)
     subst = {v: store.resolve(m) for v, m in mus.items()}
-    w = typed.instance_at(()) if isinstance(typed.term, Ctor) else None
+    w = typed.instance_of(typed.root) if isinstance(typed.term, Ctor) else None
     return InstanceWitness(subst, k, w)
 
 
 def _freeze(typed: TypedTerm) -> None:
     """Bind every metavariable still reachable from the typing to a fresh
-    rigid atom, in deterministic path order."""
+    rigid atom: those of the node types in preorder, then those of the
+    constructor instances in preorder."""
     store = typed._store
-    counter = 0
-    for path in typed.paths():
-        pending = metas_in(store.resolve(typed._type_of[path]))
-        for ident in sorted(pending):
-            store.solutions[ident] = Atom(f"?{counter}")
-            counter += 1
-    for path in sorted(typed._instance_of):
-        for t in typed._instance_of[path]:
-            for ident in sorted(metas_in(store.resolve(t))):
-                store.solutions[ident] = Atom(f"?{counter}")
-                counter += 1
+    nodes = list(typed.nodes())
+    counter = itertools.count()
+    for t in [n.type for n in nodes] + [i for n in nodes for i in n.instance]:
+        for ident in sorted(metas_in(store.resolve(t))):
+            store.solutions[ident] = Atom(f"?{next(counter)}")
     typed.frozen = True

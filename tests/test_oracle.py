@@ -8,10 +8,19 @@ import gadtmap as g
 from gadtmap.oracle import head_lift, mappable
 from gadtmap.syntax import App, Atom, Base, Prod, Var
 
-from conftest import CORPUS, G_TERM_INJ, LISTS_TERM, run_pipeline
+from conftest import CORPUS, G_TERM_INJ, LISTS_TERM, NESTED_SRC, run_pipeline
 
 NAT = Base("Nat")
 LIST_NAT = App("List", (NAT,))
+
+# Constructors whose return index is a sum: mapping through them takes the
+# sum case of component recovery and of the instance check.
+SUM_INDEXED_SRC = """
+data S : Set -> Set where
+  sl : forall a b. a -> S (a + b) ;
+  sr : forall a b. b -> S (a + b) ;
+  sw : forall a. S a -> S a
+"""
 
 
 def opaque(domain, name="X"):
@@ -64,7 +73,7 @@ class TestMapApply:
 
     def test_identity_preserves_term(self, nested_vp):
         typed, _ = self.prep(nested_vp, LISTS_TERM, "List b1")
-        assert g.map_apply(g.Id(typed.type_at(())), typed).term == typed.term
+        assert g.map_apply(g.Id(typed.type_of(typed.root)), typed).term == typed.term
 
     def test_lifted_identity_preserves_term(self, nested_vp):
         typed, _ = self.prep(nested_vp, LISTS_TERM, "List b1")
@@ -83,7 +92,7 @@ class TestMapApply:
         wrapped = g.Lift("G", (g.ProdF(opaque(LIST_NAT), g.Id(NAT)),))
         rebuilt = g.map_apply(wrapped, typed)
         assert rebuilt is not None
-        ty = rebuilt.type_at(())
+        ty = rebuilt.type_of(rebuilt.root)
         assert isinstance(ty, App) and ty.ctor == "G"
         assert ty.args[0] == Prod(Atom("X"), NAT)
 
@@ -164,6 +173,22 @@ class TestAgreement:
         report = g.agrees(p.form, p.typed, p.spec, 2)
         assert report.agrees, report.disagreements
 
+    @pytest.mark.parametrize(
+        "term,spec,checked",
+        [
+            ("sw (sl (cons 1 nil))", "S b1", 10),
+            ("sr tt", "S b1", 6),
+            ("sl (inr 2 : Bool + Nat)", "S b1", 14),
+            ("inr (cons 1 nil)", "b1 + List b2", 8),
+        ],
+    )
+    def test_sum_indexed_constructors_agree_at_depth_two(self, term, spec, checked):
+        vp = g.validate(g.parse_program(NESTED_SRC + SUM_INDEXED_SRC))
+        p = run_pipeline(vp, term, spec)
+        report = g.agrees(p.form, p.typed, p.spec, 2)
+        assert report.agrees, report.disagreements
+        assert report.checked == checked
+
     def test_unique_survivor_for_flat_term(self, g_vp):
         from conftest import G_TERM_FLAT
 
@@ -201,7 +226,7 @@ def _combos(p, depth):
     from gadtmap.syntax import subst_type
 
     components = spec_components(p.spec.shape)
-    cenv = match_shape(p.spec.shape, p.typed.type_at(()), p.spec.vars)
+    cenv = match_shape(p.spec.shape, p.typed.type_of(p.typed.root), p.spec.vars)
     pools = [
         g.enumerate_candidates(subst_type(c, cenv), depth, p.typed.vp) for c in components
     ]

@@ -245,6 +245,6 @@ class TestRandomNestedTerms:
         for _ in range(20):
             term = gen_value(rng, App("Rose", (NAT,)), nested_vp, budget=4)
             typed = g.analyze(nested_vp, term, g.parse_spec("Rose b1", nested_vp)).typed
-            assert g.map_apply(g.Id(typed.type_at(())), typed).term == typed.term
+            assert g.map_apply(g.Id(typed.type_of(typed.root)), typed).term == typed.term
             wrapped = g.Lift("Rose", (g.Id(NAT),))
             assert g.map_apply(wrapped, typed).term == typed.term

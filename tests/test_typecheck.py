@@ -11,35 +11,35 @@ class TestInfer:
     def test_seq_example_with_int_literals(self, seq_vp):
         t = g.parse_term("pair (pair (const tt) (const 2)) (const 5)", seq_vp)
         typed = g.infer(t, seq_vp, int_literals=True)
-        assert typed.type_at(()) == App(
+        assert typed.type_of(typed.root) == App(
             "Seq", (Prod(Prod(Base("Bool"), Base("Int")), Base("Int")),)
         )
 
     def test_literals_default_to_nat(self, nested_vp):
         t = g.parse_term("cons (cons 1 (cons 2 nil)) (cons (cons 3 nil) nil)", nested_vp)
         typed = g.infer(t, nested_vp)
-        assert typed.type_at(()) == App("List", (App("List", (Base("Nat"),)),))
+        assert typed.type_of(typed.root) == App("List", (App("List", (Base("Nat"),)),))
 
     def test_bare_nil_keeps_unsolved_meta(self, nested_vp):
         typed = g.infer(g.parse_term("nil", nested_vp), nested_vp)
-        ty = typed.type_at(())
+        ty = typed.type_of(typed.root)
         assert isinstance(ty, App) and ty.ctor == "List"
         assert isinstance(ty.args[0], Meta)
 
     def test_subterm_types_are_recorded(self, seq_vp):
         t = g.parse_term("pair (const tt) (const 2)", seq_vp)
         typed = g.infer(t, seq_vp)
-        assert typed.type_at((0,)) == App("Seq", (Base("Bool"),))
-        assert typed.type_at((0, 0)) == Base("Bool")
+        assert typed.type_of(typed.root.kids[0]) == App("Seq", (Base("Bool"),))
+        assert typed.type_of(typed.root.kids[0].kids[0]) == Base("Bool")
 
     def test_constructor_instances_are_recorded(self, seq_vp):
         t = g.parse_term("pair (const tt) (const 2)", seq_vp)
         typed = g.infer(t, seq_vp)
-        assert typed.instance_at(()) == (Base("Bool"), Base("Nat"))
+        assert typed.instance_of(typed.root) == (Base("Bool"), Base("Nat"))
 
     def test_annotation_forces_int(self, nested_vp):
         typed = g.infer(g.parse_term("cons (2 : Int) nil", nested_vp), nested_vp)
-        assert typed.type_at(()) == App("List", (Base("Int"),))
+        assert typed.type_of(typed.root) == App("List", (Base("Int"),))
         # annotations are erased from the typed term
         assert typed.term == g.Ctor("cons", (g.Lit("2"), g.Ctor("nil", ())))
 
@@ -54,7 +54,7 @@ class TestInfer:
     def test_inference_is_deterministic(self, g_vp):
         t = g.parse_term("projpair (inj (inj (cons 2 nil), pairing (inj 2) const))", g_vp)
         a, b = g.infer(t, g_vp), g.infer(t, g_vp)
-        assert a.type_at(()) == b.type_at(()) == App(
+        assert a.type_of(a.root) == b.type_of(b.root) == App(
             "G", (Prod(App("List", (Base("Nat"),)), Base("Nat")),)
         )
 
@@ -93,7 +93,7 @@ class TestCheckCallInvariants:
     def test_spec_instantiates_leftover_metas(self, nested_vp):
         typed = g.infer(g.parse_term("nil", nested_vp), nested_vp)
         w = g.check_call_invariants(typed, g.parse_spec("List (List b1)", nested_vp), 1)
-        ty = typed.type_at(())
+        ty = typed.type_of(typed.root)
         assert isinstance(ty.args[0], App) and ty.args[0].ctor == "List"
         assert isinstance(w.subst["b1"], Atom)
 
@@ -101,14 +101,14 @@ class TestCheckCallInvariants:
         typed = g.infer(g.parse_term("nil", nested_vp), nested_vp)
         g.check_call_invariants(typed, g.parse_spec("List b1", nested_vp), 1)
         assert typed.frozen
-        for path in typed.paths():
-            assert not g.syntax.metas_in(typed.type_at(path))
+        for node in typed.nodes():
+            assert not g.syntax.metas_in(typed.type_of(node))
 
     def test_spec_with_closed_component(self, nested_vp):
         typed = g.infer(g.parse_term("nil", nested_vp), nested_vp)
         w = g.check_call_invariants(typed, g.parse_spec("List Bool", nested_vp), 1)
         assert w.subst == {}
-        assert typed.type_at(()) == App("List", (Base("Bool"),))
+        assert typed.type_of(typed.root) == App("List", (Base("Bool"),))
 
     def test_closed_spec_conflict(self, nested_vp):
         typed = g.infer(g.parse_term("cons 1 nil", nested_vp), nested_vp)
@@ -121,3 +121,16 @@ class TestCheckCallInvariants:
         assert w.subst["b1"] == Base("Nat")
         assert isinstance(w.subst["b2"], Atom)
         assert w.w is None
+
+    def test_freezing_numbers_instances_after_types(self):
+        vp = g.validate(g.parse_program("data P : Set -> Set where\n  p : forall a b. a -> P a"))
+        typed = g.infer(g.parse_term("p 1", vp), vp)
+        g.check_call_invariants(typed, g.parse_spec("P b1", vp), 1)
+        assert typed.instance_of(typed.root) == (Base("Nat"), Atom("?0"))
+
+    def test_freezing_numbers_types_in_preorder(self, nested_vp):
+        typed = g.infer(g.parse_term("(nil, nil)", nested_vp), nested_vp)
+        g.check_call_invariants(typed, g.parse_spec("b1 * b2", nested_vp), 2)
+        assert typed.type_of(typed.root) == Prod(
+            App("List", (Atom("?0"),)), App("List", (Atom("?1"),))
+        )
