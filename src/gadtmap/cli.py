@@ -20,7 +20,7 @@ from . import constraints as cgen
 from .funexpr import Constraint, FunExpr, FunVar, Id, Lift, Opaque, ProdF, SumF, fun_vars
 from .oracle import AgreementReport, agrees
 from .parser import ParseError, parse_program, parse_spec, parse_term
-from .pretty import pretty_annotated, pretty_constraint, pretty_fun, pretty_term, pretty_type
+from .pretty import pretty_annotated, pretty_constraint, pretty_fun, pretty_subterms, pretty_type
 from .solver import SolvedSystem, solve
 from .syntax import Spec, Term
 from .typecheck import (
@@ -121,10 +121,11 @@ def report_to_json(report: AnalysisReport) -> dict:
         out["form"] = [fun_to_json(f) for f in report.form]
         out["freeVars"] = _free_var_names(report.form)
         out["constraints"] = [_constraint_json(c) for c in run.constraints]
+        shown = _call_terms(run)
         out["calls"] = [
             {
                 "label": t.label,
-                "term": pretty_term(t.term),
+                "term": shown[id(t.term)],
                 "funs": [fun_to_json(f) for f in t.funs],
                 "spec": pretty_type(t.spec),
                 "matching": [
@@ -140,7 +141,7 @@ def report_to_json(report: AnalysisReport) -> dict:
             for t in run.traces
         ]
         out["annotation"] = {
-            "term": pretty_term(run.annotation.term),
+            "term": shown[id(run.annotation.term)],
             "essentialPaths": sorted(list(p) for p in run.annotation.essential),
         }
     if report.verify is not None:
@@ -158,6 +159,13 @@ def report_to_json(report: AnalysisReport) -> dict:
             ],
         }
     return out
+
+
+def _call_terms(run: cgen.RunResult) -> dict[int, str]:
+    """The rendering of every call's subterm and of the whole term, keyed by
+    `id`: the call subterms are subterm objects of the annotation term."""
+    term = run.annotation.term
+    return pretty_subterms(term, [term] + [t.term for t in run.traces])
 
 
 def _free_var_names(form: tuple[FunExpr, ...]) -> list[str]:
@@ -189,9 +197,10 @@ def render_report(report: AnalysisReport, trace: bool = False, annotate: bool = 
             )
         if trace:
             lines.append("calls:")
+            shown = _call_terms(run)
             for t in run.traces:
                 lines.append(
-                    f"  call {t.label}: {pretty_term(t.term)}"
+                    f"  call {t.label}: {shown[id(t.term)]}"
                     f"  |  funs: {', '.join(pretty_fun(f) for f in t.funs)}"
                     f"  |  spec: {pretty_type(t.spec)}"
                 )

@@ -3,6 +3,8 @@
 The output re-parses to an equal value for everything expressible in the
 surface grammar (see GRAMMAR.md). Internal-only nodes (metavariables, rigid
 atoms, opaque functions) render readably but are not part of the grammar.
+Terms render with explicit stacks, so their depth is bounded by memory, not
+by the interpreter's recursion limit.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ from .syntax import (
     Term,
     TypeExpr,
     Var,
+    term_children,
 )
 
 
@@ -62,31 +65,78 @@ def _infix_child(t: TypeExpr) -> str:
     return f"({s})" if isinstance(t, (Prod, Sum)) else s
 
 
-def _term_atom(t: Term) -> str:
-    s = pretty_term(t)
-    if isinstance(t, (Lit, Pair, Ann, Const)) or (isinstance(t, Ctor) and not t.args):
-        return s
-    return f"({s})"
+def _is_atomic(t: Term) -> bool:
+    """Whether `t` prints without parentheses as a constructor argument or
+    injection payload."""
+    return isinstance(t, (Lit, Pair, Ann, Const)) or (isinstance(t, Ctor) and not t.args)
+
+
+def _parts(t: Term) -> list[str | tuple[Term, bool]]:
+    """One node's rendering: strings interleaved with `(child, atom)` slots
+    in `term_children` order. An atom slot parenthesizes a non-atomic child."""
+    if isinstance(t, Ctor):
+        parts: list[str | tuple[Term, bool]] = [t.name]
+        for a in t.args:
+            parts += (" ", (a, True))
+        return parts
+    if isinstance(t, Pair):
+        return ["(", (t.left, False), ", ", (t.right, False), ")"]
+    if isinstance(t, Inl):
+        return ["inl ", (t.inner, True)]
+    if isinstance(t, Inr):
+        return ["inr ", (t.inner, True)]
+    if isinstance(t, Lit):
+        return [t.value]
+    if isinstance(t, Ann):
+        return ["(", (t.inner, False), f" : {pretty_type(t.type)})"]
+    if isinstance(t, Const):
+        return [f"<{t.tag}:{pretty_type(t.type)}>"]
+    raise TypeError(f"not a term: {t!r}")
+
+
+def _render(t: Term, done: dict[int, str]) -> str:
+    """Render `t` with an explicit stack, taking the string of every subterm
+    object found in `done` (keyed by `id`) instead of descending into it."""
+    out: list[str] = []
+    stack: list[str | Term] = [t]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, str):
+            out.append(x)
+            continue
+        s = done.get(id(x))
+        if s is not None:
+            out.append(s)
+            continue
+        for part in reversed(_parts(x)):
+            if isinstance(part, str):
+                stack.append(part)
+                continue
+            child, atom = part
+            stack += (")", child, "(") if atom and not _is_atomic(child) else (child,)
+    return "".join(out)
 
 
 def pretty_term(t: Term) -> str:
-    if isinstance(t, Ctor):
-        if not t.args:
-            return t.name
-        return t.name + " " + " ".join(_term_atom(a) for a in t.args)
-    if isinstance(t, Pair):
-        return f"({pretty_term(t.left)}, {pretty_term(t.right)})"
-    if isinstance(t, Inl):
-        return f"inl {_term_atom(t.inner)}"
-    if isinstance(t, Inr):
-        return f"inr {_term_atom(t.inner)}"
-    if isinstance(t, Lit):
-        return t.value
-    if isinstance(t, Ann):
-        return f"({pretty_term(t.inner)} : {pretty_type(t.type)})"
-    if isinstance(t, Const):
-        return f"<{t.tag}:{pretty_type(t.type)}>"
-    raise TypeError(f"not a term: {t!r}")
+    return _render(t, {})
+
+
+def pretty_subterms(t: Term, wanted: list[Term]) -> dict[int, str]:
+    """The rendering of each `wanted` subterm object of `t`, keyed by `id`.
+
+    Wanted subterms are rendered bottom-up, each from the strings of the
+    wanted subterms below it, so every node is walked once and the cost is
+    the size of the tree plus the length of the strings returned.
+    """
+    ids = {id(w) for w in wanted}
+    nodes = [t]
+    for x in nodes:  # breadth-first: ancestors before descendants
+        nodes.extend(term_children(x))
+    done: dict[int, str] = {}
+    for x in reversed(nodes):
+        if id(x) in ids and id(x) not in done:
+            done[id(x)] = _render(x, done)
+    return done
 
 
 def _fun_atom(e: FunExpr) -> str:
@@ -143,30 +193,31 @@ def pretty_annotated(t: Term, essential: frozenset[tuple[int, ...]] | set[tuple[
     subtree is wrapped in [...]. Essential positions are upward closed, so
     bracketed regions never nest.
     """
-
-    def atom(t: Term, path: tuple[int, ...]) -> str:
+    out: list[str] = []
+    stack: list[str | tuple[Term, tuple[int, ...]]] = [(t, ())]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, str):
+            out.append(x)
+            continue
+        node, path = x
         if path not in essential:
-            return f"[{pretty_term(t)}]"
-        s = go(t, path)
-        if isinstance(t, (Lit, Pair, Const)) or (isinstance(t, Ctor) and not t.args):
-            return s
-        return f"({s})"
-
-    def go(t: Term, path: tuple[int, ...]) -> str:
-        if path not in essential:
-            return f"[{pretty_term(t)}]"
-        if isinstance(t, Ctor):
-            if not t.args:
-                return t.name
-            return t.name + " " + " ".join(
-                atom(a, path + (i,)) for i, a in enumerate(t.args)
-            )
-        if isinstance(t, Pair):
-            return f"({go(t.left, path + (0,))}, {go(t.right, path + (1,))})"
-        if isinstance(t, Inl):
-            return f"inl {atom(t.inner, path + (0,))}"
-        if isinstance(t, Inr):
-            return f"inr {atom(t.inner, path + (0,))}"
-        return pretty_term(t)
-
-    return go(t, ())
+            out += ("[", pretty_term(node), "]")
+            continue
+        if not isinstance(node, (Ctor, Pair, Inl, Inr)):
+            out.append(pretty_term(node))
+            continue
+        items: list[str | tuple[Term, tuple[int, ...]]] = []
+        slot = 0
+        for part in _parts(node):
+            if isinstance(part, str):
+                items.append(part)
+                continue
+            (child, atom), child_path = part, path + (slot,)
+            slot += 1
+            if atom and child_path in essential and not _is_atomic(child):
+                items += ("(", (child, child_path), ")")
+            else:
+                items.append((child, child_path))
+        stack.extend(reversed(items))
+    return "".join(out)

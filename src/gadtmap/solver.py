@@ -97,13 +97,24 @@ def unify_all(atomics: list[AtomicConstraint]) -> SolvedSystem:
 
     Orientation: when two variables meet, the earlier-created one is bound to
     the later; a variable meeting a composite is bound to it (after the occurs
-    check). Identities expand on demand exactly as in decomposition.
+    check). Identities expand on demand exactly as in decomposition. Binding
+    chains are path-compressed as they are walked (union-find, Tarjan 1975).
     """
     raw: dict[FunVar, FunExpr] = {}
 
     def walk(e: FunExpr) -> FunExpr:
-        while isinstance(e, FunVar) and e in raw:
-            e = raw[e]
+        # Path compression: every variable passed is repointed to the end of
+        # its chain. This keeps the keys of `raw` and the value each of them
+        # resolves to, so the solved system is the same.
+        passed = []
+        while isinstance(e, FunVar):
+            nxt = raw.get(e)
+            if nxt is None:
+                break
+            passed.append(e)
+            e = nxt
+        for v in passed:
+            raw[v] = e
         return e
 
     def occurs(v: FunVar, e: FunExpr) -> bool:

@@ -15,7 +15,7 @@ atom, so the analysis itself never sees a metavariable.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 from .syntax import (
@@ -102,7 +102,11 @@ class _Store:
                 raise TypeCheckError(f"a numeric literal cannot have type {t_}")
         self.solutions[m.ident] = t
 
-    def unify(self, a: TypeExpr, b: TypeExpr, where: str = "") -> None:
+    def unify(
+        self, a: TypeExpr, b: TypeExpr, where: Callable[[], str] | None = None
+    ) -> None:
+        """Unify `a` with `b`; `where` names the site in a mismatch message
+        and is called only when there is one."""
         a, b = self.walk(a), self.walk(b)
         if a == b:
             return
@@ -120,7 +124,7 @@ class _Store:
             for x, y in zip(a.args, b.args):
                 self.unify(x, y, where)
             return
-        suffix = f" in {where}" if where else ""
+        suffix = f" in {where()}" if where else ""
         raise TypeCheckError(
             f"type mismatch{suffix}: expected {self.resolve(a)}, found {self.resolve(b)}"
         )
@@ -198,12 +202,17 @@ def infer(term: Term, vp: ValidatedProgram, int_literals: bool = False) -> Typed
                 decl, sig = vp.ctor(t.name)
             except KeyError:
                 raise TypeCheckError(f"unknown constructor {t.name!r}") from None
+            if len(t.args) != len(sig.arg_types):
+                raise TypeCheckError(
+                    f"constructor {t.name!r} expects {len(sig.arg_types)} argument(s), "
+                    f"got {len(t.args)}"
+                )
             inst = {v: store.fresh() for v in sig.type_vars}
             kids = []
             for j, arg in enumerate(t.args):
                 expected = subst_type(sig.arg_types[j], inst)
                 kids.append(go(arg))
-                store.unify(expected, kids[j].type, f"argument {j + 1} of {t.name!r}")
+                store.unify(expected, kids[j].type, lambda: f"argument {j + 1} of {t.name!r}")
             return TypedNode(
                 Ctor(t.name, tuple(k.term for k in kids)),
                 App(decl.name, tuple(subst_type(k, inst) for k in sig.ret_indices)),
@@ -230,7 +239,7 @@ def infer(term: Term, vp: ValidatedProgram, int_literals: bool = False) -> Typed
 
     root = go(term)
     for node, ann_ty in annotations:
-        store.unify(node.type, ann_ty, f"annotation at {node.term}")
+        store.unify(node.type, ann_ty, lambda: f"annotation at {node.term}")
 
     default = Base("Int" if int_literals else "Nat")
     for ident in sorted(store.numeric):
@@ -285,7 +294,7 @@ def check_call_invariants(typed: TypedTerm, spec: Spec, fun_arity: int) -> Insta
     store = typed._store
     mus = {v: store.fresh() for v in spec.vars}
     try:
-        store.unify(subst_type(spec.shape, mus), typed.root.type, "specification")
+        store.unify(subst_type(spec.shape, mus), typed.root.type, lambda: "specification")
     except TypeCheckError as e:
         raise SpecMismatch(
             f"term of type {typed.type_of(typed.root)} does not match specification "

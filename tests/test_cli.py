@@ -253,9 +253,9 @@ def test_module_entry_point(program_files):
 
 
 class TestDeepInput:
-    """Input nested past the interpreter's recursion limit ends in a one-line
-    error and exit code 2. Each case runs in a fresh interpreter at the
-    default limit, where the parent process's stack depth does not matter."""
+    """Deep input either analyses or ends in a one-line error and exit code 2.
+    Each case runs in a fresh interpreter at the default recursion limit,
+    where the parent process's stack depth does not matter."""
 
     @staticmethod
     def run_cli(program, n, *flags):
@@ -274,11 +274,13 @@ class TestDeepInput:
         assert proc.stderr == "error: input nested too deeply\n"
         assert "Traceback" not in proc.stderr
 
-    def test_deep_term_fails_in_json_rendering(self, program_files):
-        proc = self.run_cli(program_files["nested"], 300, "--json")
-        assert proc.returncode == 2
-        assert proc.stderr == "error: input nested too deeply\n"
-        assert "Traceback" not in proc.stderr
+    @pytest.mark.parametrize("n", [300, 400])
+    def test_deep_term_renders_as_json(self, program_files, n):
+        proc = self.run_cli(program_files["nested"], n, "--json")
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["status"] == "Mappable"
+        assert len(out["calls"]) == n + 1
 
 
 class TestDeterminism:

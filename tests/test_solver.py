@@ -1,6 +1,8 @@
 """Decomposition, unification orientation, and solved-system properties."""
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import gadtmap as g
@@ -14,6 +16,15 @@ from conftest import (
     SEQ_TERM,
     run_pipeline,
 )
+
+
+def cons_list(items):
+    """Surface text of a `cons` list of the given element texts."""
+    return "".join(f"cons ({x}) (" for x in items) + "nil" + ")" * len(items)
+
+
+LONG_LIST = cons_list([str(i) for i in range(300)])
+LONG_LIST_OF_LISTS = cons_list([cons_list([str(i)] * (i % 3)) for i in range(300)])
 
 
 def fv(kind, label, index, intro):
@@ -93,6 +104,15 @@ class TestUnifyAll:
         )
         assert solved.bindings == {f: g2, g1: g2}
 
+        # A long chain met in shuffled order: every link ends up bound to the
+        # last variable, keys in creation order.
+        chain = [fv("g", str(i), 1, i) for i in range(500)]
+        links = [g.AtomicConstraint(b, a) for a, b in zip(chain, chain[1:])]
+        random.Random(7).shuffle(links)
+        solved = g.unify_all(links)
+        assert list(solved.bindings.items()) == [(v, chain[-1]) for v in chain[:-1]]
+        assert solved.free_vars == (chain[-1],)
+
     def test_occurs_check(self):
         v = fv("g", "1", 1, 1)
         with pytest.raises(g.SpecUnsatisfiable):
@@ -151,6 +171,11 @@ class TestSolvedSystems:
             ("g", G_TERM_INJ, "G b1", False),
             ("g", G_TERM_FLAT, "G b1", False),
             ("nested", LISTS_TERM, "List (List b1)", False),
+            # Long binding chains: path compression rewrites these.
+            pytest.param("nested", LONG_LIST, "List b1", False, id="long-list"),
+            pytest.param(
+                "nested", LONG_LIST_OF_LISTS, "List (List b1)", False, id="long-list-of-lists"
+            ),
         ],
     )
     def test_solved_system_invariants(self, programs, key, term, spec, int_lits):

@@ -1,11 +1,14 @@
 """Parsing and printing: grammar coverage, error positions, round trips."""
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gadtmap as g
-from gadtmap.syntax import App, Base, Prod, Sum, Var
+from gadtmap.pretty import pretty_annotated, pretty_subterms
+from gadtmap.syntax import App, Base, Prod, Sum, Var, subterm_at, term_children
 
 from conftest import CORPUS, PROGRAM_SOURCES, run_pipeline
 
@@ -271,3 +274,81 @@ def test_corpus_constraint_round_trips(programs, key, term_text, spec_text, int_
         assert g.parse_funexpr(g.pretty(c.rhs)) == c.rhs
     for f in p.form:
         assert g.parse_funexpr(g.pretty(f)) == f
+
+
+# ---------------------------------------------------------------------------
+# Rendering every subterm once, and without recursion
+
+
+def _subterms(term):
+    out = [term]
+    for t in out:
+        out.extend(term_children(t))
+    return out
+
+
+@given(_terms_strategy())
+@settings(max_examples=200)
+def test_shared_table_matches_standalone_rendering(term):
+    subs = _subterms(term)
+    table = pretty_subterms(term, subs)
+    for t in subs:
+        assert table[id(t)] == g.pretty(t)
+
+
+@given(_terms_strategy())
+@settings(max_examples=100)
+def test_annotated_rendering_brackets_exactly_the_incidental_subtrees(term):
+    paths = [()]
+    for path in paths:
+        paths.extend(path + (i,) for i in range(len(term_children(subterm_at(term, path)))))
+    assert pretty_annotated(term, set(paths)) == g.pretty(term)
+    assert pretty_annotated(term, set()) == f"[{g.pretty(term)}]"
+
+
+DEEP = 50_000
+
+
+def _deep_cons(n):
+    t = g.Ctor("nil", ())
+    for _ in range(n):
+        t = g.Ctor("cons", (g.Lit("0"), t))
+    return t
+
+
+def test_deep_cons_chain_renders_without_recursion():
+    t = _deep_cons(DEEP)
+    chain = "cons 0 (" * (DEEP - 1) + "cons 0 nil" + ")" * (DEEP - 1)
+    assert g.pretty(t) == chain
+    # Three essential spine positions, then one incidental bracket.
+    rest = "cons 0 (" * (DEEP - 4) + "cons 0 nil" + ")" * (DEEP - 4)
+    assert (
+        pretty_annotated(t, {(), (1,), (1, 1)})
+        == f"cons [0] (cons [0] (cons [0] [{rest}]))"
+    )
+
+
+def test_long_essential_spine_renders_without_recursion():
+    n = 3 * sys.getrecursionlimit()
+    t = _deep_cons(n)
+    spine = {(1,) * k for k in range(n + 1)}
+    assert pretty_annotated(t, spine) == "cons [0] (" * (n - 1) + "cons [0] nil" + ")" * (n - 1)
+
+
+def test_deep_pair_injection_nest_renders_without_recursion():
+    t, opens, closes = g.Lit("0"), [], []
+    for i in range(DEEP):
+        if i % 2:
+            # The payload is a pair: atomic, no parentheses.
+            t = g.Inl(t)
+            opens.append("inl ")
+            closes.append("")
+        else:
+            t = g.Pair(t, g.Lit("tt", "Bool"))
+            opens.append("(")
+            closes.append(", tt)")
+    text = "".join(reversed(opens)) + "0" + "".join(closes)
+    assert g.pretty(t) == text
+    assert pretty_annotated(t, set()) == f"[{text}]"
+    # The root injection is essential; its pair payload is bracketed whole.
+    assert pretty_annotated(t, {()}) == f"inl [{text[len('inl '):]}]"

@@ -1,6 +1,8 @@
 """Type inference, literal defaulting, and the analysis entry precondition."""
 from __future__ import annotations
 
+import re
+
 import pytest
 
 import gadtmap as g
@@ -50,6 +52,19 @@ class TestInfer:
     def test_annotation_conflict_fails(self, nested_vp):
         with pytest.raises(g.TypeCheckError):
             g.infer(g.parse_term("cons (tt : Int) nil", nested_vp), nested_vp)
+
+    @pytest.mark.parametrize(
+        "args", [(g.Lit("1"),), (g.Lit("1"), g.Ctor("nil", ()), g.Lit("2"))], ids=["1", "3"]
+    )
+    def test_constructor_arity_is_checked(self, nested_vp, args):
+        # Only terms built through the library can have the wrong arity; the
+        # parser rejects them.
+        term = g.Ctor("cons", args)
+        expected = f"constructor 'cons' expects 2 argument(s), got {len(args)}"
+        with pytest.raises(g.TypeCheckError, match=re.escape(expected)):
+            g.infer(term, nested_vp)
+        report = g.analyze(nested_vp, term, g.parse_spec("List b1", nested_vp))
+        assert (report.status, report.detail) == ("IllTyped", expected)
 
     def test_inference_is_deterministic(self, g_vp):
         t = g.parse_term("projpair (inj (inj (cons 2 nil), pairing (inj 2) const))", g_vp)
