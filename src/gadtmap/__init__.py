@@ -19,7 +19,6 @@ from .constraints import (
     compute_taus,
     emit_step_five,
     emit_step_six,
-    match_shape,
     match_spec,
     recursion_target,
     run,

@@ -24,7 +24,6 @@ from .pretty import pretty_annotated, pretty_constraint, pretty_fun, pretty_subt
 from .solver import SolvedSystem, solve
 from .syntax import Spec, Term
 from .typecheck import (
-    FunArityMismatch,
     SpecMismatch,
     TypeCheckError,
     TypedTerm,
@@ -63,9 +62,8 @@ def analyze(
     """
     try:
         typed = infer(term, vp, int_literals)
-        k = spec_head_arity(spec, vp)
-        check_call_invariants(typed, spec, k)
-    except (SpecMismatch, FunArityMismatch) as e:
+        check_call_invariants(typed, spec, spec_head_arity(spec, vp))
+    except SpecMismatch as e:
         return AnalysisReport("SpecMismatch", detail=str(e), spec=spec)
     except TypeCheckError as e:
         return AnalysisReport("IllTyped", detail=str(e), spec=spec)
@@ -239,12 +237,20 @@ def render_report(report: AnalysisReport, trace: bool = False, annotate: bool = 
 # Entry points
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def _read(path: str) -> str | None:
+    """The program file's text, or None after reporting on stderr why it
+    cannot be read (missing, unreadable, or not UTF-8)."""
     try:
-        with open(args.program, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return None
+
+
+def cmd_validate(args: argparse.Namespace) -> int:
+    text = _read(args.program)
+    if text is None:
         return 2
     try:
         program = parse_program(text)
@@ -291,11 +297,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             print("error: --verify expects depth=N", file=sys.stderr)
             return 2
         verify_depth = int(m.group(1))
-    try:
-        with open(args.program, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
+    text = _read(args.program)
+    if text is None:
         return 2
     try:
         vp = validate(parse_program(text))

@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .funexpr import Constraint, FunExpr, FunVar, fun_domain, lift_type
+from .funexpr import Constraint, FunExpr, FunVar, fun_type, lift_type
 from .syntax import (
     App,
     Ctor,
@@ -132,32 +132,6 @@ def recursion_target(arg_type: TypeExpr) -> tuple[TypeExpr, ...] | None:
     if is_closed(arg_type) or isinstance(arg_type, Var):
         return None
     return spec_components(arg_type)
-
-
-def match_shape(pattern: TypeExpr, concrete: TypeExpr, bindable: tuple[str, ...]) -> dict[str, TypeExpr]:
-    """One-sided matching of a variable pattern against a ground type."""
-    out: dict[str, TypeExpr] = {}
-
-    def go(p: TypeExpr, c: TypeExpr) -> bool:
-        if isinstance(p, Var) and p.name in bindable:
-            if p.name in out:
-                return out[p.name] == c
-            out[p.name] = c
-            return True
-        if type(p) is not type(c):
-            return False
-        if isinstance(p, App):
-            return p.ctor == c.ctor and all(go(a, b) for a, b in zip(p.args, c.args))
-        kids_p, kids_c = type_children(p), type_children(c)
-        if kids_p:
-            return all(go(a, b) for a, b in zip(kids_p, kids_c))
-        return p == c
-
-    if not go(pattern, concrete):
-        raise InternalInvariantViolation(
-            f"type {concrete} is not an instance of {pattern}"
-        )
-    return out
 
 
 def match_spec(sigma: TypeExpr, index_expr: TypeExpr) -> list[Assignment]:
@@ -323,7 +297,7 @@ class _Run:
         w = self.typed.instance_of(node)
         for ell, k_expr in enumerate(sig.ret_indices):
             expected = subst_type(k_expr, dict(zip(sig.type_vars, w)))
-            got = fun_domain(funs[ell])
+            got = fun_type(funs[ell], codomain=False)
             if got is not None and got != expected:
                 raise InternalInvariantViolation(
                     f"call {label}: input function {ell + 1} has domain {got}, "
@@ -367,21 +341,17 @@ def run(typed: TypedTerm, spec: Spec, vp: ValidatedProgram) -> RunResult:
     """Run the analysis on a typed, frozen term.
 
     The caller must have established the entry precondition with
-    `check_call_invariants`; the walk re-checks it at every call.
+    `check_call_invariants`, whose witness gives the root call's substitution
+    and the input functions' domains; the walk re-checks it at every call.
     """
-    if not typed.frozen:
+    witness = typed.witness
+    if witness is None:
         raise InternalInvariantViolation("run requires a frozen typing; check invariants first")
-    shape = spec.shape
-    components = spec_components(shape)
-    if components is None:
-        raise InternalInvariantViolation(f"specification {shape} has no analyzable head")
-    cenv = match_shape(shape, typed.type_of(typed.root), spec.vars)
     r = _Run(typed, vp)
     root_funs = tuple(
-        r.fresh_fun("f", "", ell + 1, subst_type(comp, cenv))
-        for ell, comp in enumerate(components)
+        r.fresh_fun("f", "", ell + 1, domain) for ell, domain in enumerate(witness.domains)
     )
-    r.call(typed.root, (), root_funs, shape, cenv, "1")
+    r.call(typed.root, (), root_funs, spec.shape, witness.subst, "1")
     return RunResult(
         r.constraints,
         r.traces,

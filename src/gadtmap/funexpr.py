@@ -160,36 +160,17 @@ def fun_vars(e: FunExpr) -> tuple[FunVar, ...]:
     return tuple(seen)
 
 
-def fun_domain(e: FunExpr) -> TypeExpr | None:
-    """The domain type of a function expression, when derivable."""
+def fun_type(e: FunExpr, codomain: bool) -> TypeExpr | None:
+    """The domain (or, with `codomain`, the codomain) type of a function
+    expression; None when not derivable: a function variable's domain is known
+    only when recorded, and its codomain never is."""
     if isinstance(e, FunVar):
-        return e.domain
+        return None if codomain else e.domain
     if isinstance(e, Id):
         return e.at
     if isinstance(e, Opaque):
-        return e.domain
-    kids = [fun_domain(c) for c in fun_children(e)]
-    if any(k is None for k in kids):
-        return None
-    if isinstance(e, ProdF):
-        return Prod(kids[0], kids[1])
-    if isinstance(e, SumF):
-        return Sum(kids[0], kids[1])
-    if isinstance(e, Lift):
-        return App(e.ctor, tuple(kids))
-    return None
-
-
-def fun_codomain(e: FunExpr) -> TypeExpr | None:
-    """The codomain type of a function expression; None when it contains a
-    function variable (whose codomain is unconstrained)."""
-    if isinstance(e, FunVar):
-        return None
-    if isinstance(e, Id):
-        return e.at
-    if isinstance(e, Opaque):
-        return e.codomain
-    kids = [fun_codomain(c) for c in fun_children(e)]
+        return e.codomain if codomain else e.domain
+    kids = [fun_type(c, codomain) for c in fun_children(e)]
     if any(k is None for k in kids):
         return None
     if isinstance(e, ProdF):

@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .constraints import InternalInvariantViolation, match_shape, spec_components
 from .funexpr import (
     FunExpr,
     FunVar,
@@ -30,7 +29,7 @@ from .funexpr import (
     ProdF,
     SumF,
     expand_id,
-    fun_codomain,
+    fun_type,
     lift_type,
     normalize,
 )
@@ -49,9 +48,8 @@ from .syntax import (
     TypeExpr,
     Var,
     is_closed,
-    subst_type,
 )
-from .typecheck import TypeCheckError, TypedNode, TypedTerm, infer
+from .typecheck import TypeCheckError, TypedNode, TypedTerm, _Store, infer, spec_instance
 from .wellformed import ValidatedProgram
 
 
@@ -270,11 +268,11 @@ def mappable(candidates: tuple[FunExpr, ...], typed: TypedTerm, spec: Spec) -> b
     result keeps the specified essential shape.
     """
     wrapped = head_lift(spec.shape, candidates)
-    cod = fun_codomain(wrapped)
+    cod = fun_type(wrapped, codomain=True)
     assert cod is not None  # candidates contain no function variables
     try:
-        match_shape(spec.shape, cod, spec.vars)
-    except InternalInvariantViolation:
+        spec_instance(spec, cod, _Store())
+    except TypeCheckError:
         return False
     rebuilt = map_apply(wrapped, typed)
     if rebuilt is None:
@@ -294,13 +292,9 @@ def agrees(
 ) -> AgreementReport:
     """Exhaustively compare the analysis result against the brute-force
     semantics: every candidate tuple must be mappable over the term iff it
-    instantiates the most general form."""
-    vp = typed.vp
-    components = spec_components(spec.shape)
-    assert components is not None
-    cenv = match_shape(spec.shape, typed.type_of(typed.root), spec.vars)
-    domains = [subst_type(c, cenv) for c in components]
-    pools = [enumerate_candidates(d, depth, vp) for d in domains]
+    instantiates the most general form. Candidates range over the input
+    functions' domains in the witness `check_call_invariants` recorded."""
+    pools = [enumerate_candidates(d, depth, typed.vp) for d in typed.witness.domains]
     disagreements: list[Disagreement] = []
     checked = 0
     for combo in itertools.product(*pools):

@@ -32,7 +32,9 @@ from .syntax import (
     Var,
     free_type_vars,
     make_spec,
+    type_children,
 )
+from .wellformed import ValidatedProgram
 
 
 class ParseError(Exception):
@@ -314,24 +316,20 @@ def _parse_ctor(c: _Cursor, owner: str, owner_arity: int) -> ConstructorSig:
 # Terms
 
 
-def _ctor_table(program) -> dict[str, ConstructorSig]:
-    # Accepts a Program or anything carrying one as `.program`.
-    prog = getattr(program, "program", program)
-    table: dict[str, ConstructorSig] = {}
-    for d in prog.decls:
-        for sig in d.ctors:
-            table[sig.name] = sig
-    return table
-
-
-def parse_term(text: str, program) -> Term:
-    """Parse a term, resolving constructor names and arities against `program`."""
+def parse_term(text: str, vp: ValidatedProgram) -> Term:
+    """Parse a term, resolving constructor names and arities against `vp`."""
     c = _cursor(text)
-    table = _ctor_table(program)
-    term = _parse_term(c, table, program)
+    term = _parse_term(c, vp)
     if c.peek() is not None:
         raise c.error(f"unexpected trailing input {c.peek().text!r}")
     return term
+
+
+def _ctor_sig(vp: ValidatedProgram, tok: Token) -> ConstructorSig:
+    try:
+        return vp.ctor(tok.text)[1]
+    except KeyError:
+        raise ParseError(f"unknown constructor {tok.text!r}", tok.line, tok.col) from None
 
 
 def _is_term_atom_start(c: _Cursor) -> bool:
@@ -343,24 +341,20 @@ def _is_term_atom_start(c: _Cursor) -> bool:
     return tok.kind == "name" and tok.text not in ("inl", "inr") and tok.text not in KEYWORDS
 
 
-def _parse_term(c: _Cursor, table: dict[str, ConstructorSig], program) -> Term:
+def _parse_term(c: _Cursor, vp: ValidatedProgram) -> Term:
     tok = c.peek()
     if tok is None:
         raise c.error("expected a term")
     if tok.kind == "name" and tok.text in ("inl", "inr"):
         c.next()
-        inner = _parse_term_atom(c, table, program)
+        inner = _parse_term_atom(c, vp)
         return Inl(inner) if tok.text == "inl" else Inr(inner)
     if tok.kind == "name" and tok.text not in LITERAL_WORDS and tok.text not in KEYWORDS:
         name_tok = c.next()
-        sig = table.get(name_tok.text)
-        if sig is None:
-            raise ParseError(
-                f"unknown constructor {name_tok.text!r}", name_tok.line, name_tok.col
-            )
+        sig = _ctor_sig(vp, name_tok)
         args: list[Term] = []
         while _is_term_atom_start(c):
-            args.append(_parse_term_atom(c, table, program))
+            args.append(_parse_term_atom(c, vp))
         if len(args) != len(sig.arg_types):
             raise ParseError(
                 f"constructor {sig.name!r} expects {len(sig.arg_types)} "
@@ -369,22 +363,22 @@ def _parse_term(c: _Cursor, table: dict[str, ConstructorSig], program) -> Term:
                 name_tok.col,
             )
         return Ctor(sig.name, tuple(args))
-    return _parse_term_atom(c, table, program)
+    return _parse_term_atom(c, vp)
 
 
-def _parse_term_atom(c: _Cursor, table: dict[str, ConstructorSig], program) -> Term:
+def _parse_term_atom(c: _Cursor, vp: ValidatedProgram) -> Term:
     tok = c.next()
     if tok.kind == "(":
-        first = _parse_term(c, table, program)
+        first = _parse_term(c, vp)
         if c.at(","):
             c.next()
-            second = _parse_term(c, table, program)
+            second = _parse_term(c, vp)
             c.expect(")")
             return Pair(first, second)
         if c.at(":"):
             c.next()
             ty = _parse_type(c)
-            _check_spec_refs(ty, program, c, allow_vars=False)
+            _check_spec_refs(ty, vp, c, allow_vars=False)
             c.expect(")")
             return Ann(first, ty)
         c.expect(")")
@@ -397,9 +391,7 @@ def _parse_term_atom(c: _Cursor, table: dict[str, ConstructorSig], program) -> T
             return Lit(tok.text, "Bool")
         if tok.text == "unit":
             return Lit(tok.text, "Unit")
-        sig = table.get(tok.text)
-        if sig is None:
-            raise ParseError(f"unknown constructor {tok.text!r}", tok.line, tok.col)
+        sig = _ctor_sig(vp, tok)
         if sig.arg_types:
             raise ParseError(
                 f"constructor {sig.name!r} expects {len(sig.arg_types)} "
@@ -415,25 +407,21 @@ def _parse_term_atom(c: _Cursor, table: dict[str, ConstructorSig], program) -> T
 # Specifications
 
 
-def _check_spec_refs(t: TypeExpr, program, c: _Cursor, allow_vars: bool) -> None:
-    prog = getattr(program, "program", program)
+def _check_spec_refs(t: TypeExpr, vp: ValidatedProgram, c: _Cursor, allow_vars: bool) -> None:
     if isinstance(t, App):
-        decl = prog.decl(t.ctor)
-        if decl is None:
-            raise c.error(f"unknown type constructor {t.ctor!r}")
-        if len(t.args) != decl.arity:
-            raise c.error(
-                f"{t.ctor!r} applied to {len(t.args)} argument(s), expected {decl.arity}"
-            )
+        try:
+            arity = vp.arity(t.ctor)
+        except KeyError:
+            raise c.error(f"unknown type constructor {t.ctor!r}") from None
+        if len(t.args) != arity:
+            raise c.error(f"{t.ctor!r} applied to {len(t.args)} argument(s), expected {arity}")
     if isinstance(t, Var) and not allow_vars:
         raise c.error(f"type annotations must be closed (found variable {t.name!r})")
-    from .syntax import type_children
-
     for child in type_children(t):
-        _check_spec_refs(child, program, c, allow_vars)
+        _check_spec_refs(child, vp, c, allow_vars)
 
 
-def parse_spec(text: str, program) -> Spec:
+def parse_spec(text: str, vp: ValidatedProgram) -> Spec:
     """Parse a specification. Free lowercase names become the specification
     variables, listed in first-occurrence order."""
     c = _cursor(text)
@@ -442,18 +430,18 @@ def parse_spec(text: str, program) -> Spec:
         raise c.error("arrow types are not allowed here")
     if c.peek() is not None:
         raise c.error(f"unexpected trailing input {c.peek().text!r}")
-    _check_spec_refs(shape, program, c, allow_vars=True)
+    _check_spec_refs(shape, vp, c, allow_vars=True)
     return make_spec(shape)
 
 
-def parse_type(text: str, program=None) -> TypeExpr:
-    """Parse a bare type expression (no resolution unless `program` given)."""
+def parse_type(text: str, vp: ValidatedProgram | None = None) -> TypeExpr:
+    """Parse a bare type expression (no resolution unless `vp` given)."""
     c = _cursor(text)
     ty = _parse_type(c)
     if c.peek() is not None:
         raise c.error(f"unexpected trailing input {c.peek().text!r}")
-    if program is not None:
-        _check_spec_refs(ty, program, c, allow_vars=True)
+    if vp is not None:
+        _check_spec_refs(ty, vp, c, allow_vars=True)
     return ty
 
 

@@ -10,7 +10,9 @@ requested), matching both conventions used in practice.
 type must be an instance of the specification. Metavariables that survive
 inference (e.g. the element type of a bare `nil`) may be instantiated by the
 specification here; anything still unsolved afterwards is frozen to a rigid
-atom, so the analysis itself never sees a metavariable.
+atom, so the analysis itself never sees a metavariable. The substitution it
+finds is recorded on the typing once (`InstanceWitness`), and fixes the domain
+of every input function.
 """
 from __future__ import annotations
 
@@ -37,6 +39,7 @@ from .syntax import (
     TypeExpr,
     metas_in,
     subst_type,
+    type_children,
 )
 from .wellformed import ValidatedProgram
 
@@ -151,7 +154,7 @@ class TypedTerm:
     vp: ValidatedProgram
     _store: _Store
     int_literals: bool = False
-    frozen: bool = False
+    witness: InstanceWitness | None = None  # set by `check_call_invariants`
 
     @property
     def term(self) -> Term:
@@ -253,12 +256,11 @@ def infer(term: Term, vp: ValidatedProgram, int_literals: bool = False) -> Typed
 @dataclass(frozen=True)
 class InstanceWitness:
     """Evidence that the term's type instantiates the specification: the
-    substitution for the specification variables, the head arity, and the
-    root constructor's binder instantiation (None for pair/injection roots)."""
+    substitution for the specification variables, and the specification
+    head's components under it, which are the input functions' domains."""
 
     subst: dict[str, TypeExpr]
-    k: int
-    w: tuple[TypeExpr, ...] | None
+    domains: tuple[TypeExpr, ...]
 
 
 def spec_head_arity(spec: Spec, vp: ValidatedProgram) -> int:
@@ -277,24 +279,32 @@ def spec_head_arity(spec: Spec, vp: ValidatedProgram) -> int:
     )
 
 
+def spec_instance(spec: Spec, ty: TypeExpr, store: _Store) -> dict[str, Meta]:
+    """Unify the specification, its variables made fresh metavariables of
+    `store`, with `ty`; returns those metavariables. Raises `TypeCheckError`
+    when `ty` is not an instance of the specification."""
+    mus = {v: store.fresh() for v in spec.vars}
+    store.unify(subst_type(spec.shape, mus), ty, lambda: "specification")
+    return mus
+
+
 def check_call_invariants(typed: TypedTerm, spec: Spec, fun_arity: int) -> InstanceWitness:
     """Check the analysis precondition and freeze the typing.
 
     Finds a substitution s for the specification variables with
     spec[vars := s] equal to the term's type; the search may instantiate
     metavariables still unsolved in the typing. Afterwards every remaining
-    metavariable is frozen to a fresh rigid atom.
+    metavariable is frozen to a fresh rigid atom, and the witness is recorded
+    as `typed.witness`.
     """
-    vp = typed.vp
-    k = spec_head_arity(spec, vp)
+    k = spec_head_arity(spec, typed.vp)
     if fun_arity != k:
         raise FunArityMismatch(
             f"specification head expects {k} input function(s), got {fun_arity}"
         )
     store = typed._store
-    mus = {v: store.fresh() for v in spec.vars}
     try:
-        store.unify(subst_type(spec.shape, mus), typed.root.type, lambda: "specification")
+        mus = spec_instance(spec, typed.root.type, store)
     except TypeCheckError as e:
         raise SpecMismatch(
             f"term of type {typed.type_of(typed.root)} does not match specification "
@@ -303,8 +313,10 @@ def check_call_invariants(typed: TypedTerm, spec: Spec, fun_arity: int) -> Insta
 
     _freeze(typed)
     subst = {v: store.resolve(m) for v, m in mus.items()}
-    w = typed.instance_of(typed.root) if isinstance(typed.term, Ctor) else None
-    return InstanceWitness(subst, k, w)
+    # The root type is the specification under `subst`, so its head's
+    # components are the specification head's components under `subst`.
+    typed.witness = InstanceWitness(subst, type_children(typed.type_of(typed.root)))
+    return typed.witness
 
 
 def _freeze(typed: TypedTerm) -> None:
@@ -317,4 +329,3 @@ def _freeze(typed: TypedTerm) -> None:
     for t in [n.type for n in nodes] + [i for n in nodes for i in n.instance]:
         for ident in sorted(metas_in(store.resolve(t))):
             store.solutions[ident] = Atom(f"?{next(counter)}")
-    typed.frozen = True

@@ -45,6 +45,9 @@ class TestValidateCommand:
 
     def test_missing_file(self, capsys):
         assert main(["validate", "/nonexistent/prog.gadt"]) == 2
+        assert capsys.readouterr().err == (
+            "error: [Errno 2] No such file or directory: '/nonexistent/prog.gadt'\n"
+        )
 
     def test_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.gadt"
@@ -250,6 +253,25 @@ def test_module_entry_point(program_files):
     )
     assert proc.returncode == 0
     assert "status: Mappable" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv", [["validate"], ["analyze", "--term", "nil", "--spec", "List b1"]]
+)
+def test_non_utf8_program_is_an_io_error(tmp_path, argv):
+    import subprocess
+    import sys
+
+    bad = tmp_path / "bad.gadt"
+    bad.write_bytes(b"\xff")
+    proc = subprocess.run(
+        [sys.executable, "-m", "gadtmap", argv[0], str(bad), *argv[1:]],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 class TestDeepInput:

@@ -189,6 +189,27 @@ class TestAgreement:
         assert report.agrees, report.disagreements
         assert report.checked == checked
 
+    @pytest.mark.parametrize("depth", [2, 3])
+    @pytest.mark.parametrize(
+        "key,term,spec,checked",
+        [
+            ("g", "(1, 2)", "b1 * b1", 4),
+            ("g", "inl 1", "b1 + b1", 4),
+            ("g", "pairing (inj 1) (inj 2)", "G (b1 * b1)", 6),
+            ("seq", "pair (const 1) (const 1)", "Seq (b1 * b1)", 6),
+            ("seq", "const (1, 1)", "Seq (b1 * b1)", 6),
+            ("seq", "pair (const (1, 2)) (const 1)", "Seq ((b1 * b2) * b1)", 14),
+            ("nested", "(cons 1 nil, cons 2 nil)", "List b1 * List b1", 16),
+        ],
+    )
+    def test_repeated_spec_variables_agree(self, programs, key, term, spec, checked, depth):
+        # A repeated variable makes the codomain check in `mappable` decide:
+        # candidates that map its occurrences apart must be rejected.
+        p = run_pipeline(programs[key], term, spec)
+        report = g.agrees(p.form, p.typed, p.spec, depth)
+        assert report.agrees, report.disagreements
+        assert report.checked == checked
+
     def test_unique_survivor_for_flat_term(self, g_vp):
         from conftest import G_TERM_FLAT
 
@@ -222,12 +243,5 @@ class TestAgreement:
 def _combos(p, depth):
     import itertools
 
-    from gadtmap.constraints import match_shape, spec_components
-    from gadtmap.syntax import subst_type
-
-    components = spec_components(p.spec.shape)
-    cenv = match_shape(p.spec.shape, p.typed.type_of(p.typed.root), p.spec.vars)
-    pools = [
-        g.enumerate_candidates(subst_type(c, cenv), depth, p.typed.vp) for c in components
-    ]
+    pools = [g.enumerate_candidates(d, depth, p.typed.vp) for d in p.typed.witness.domains]
     return list(itertools.product(*pools))

@@ -80,13 +80,16 @@ class TestCheckCallInvariants:
         typed = g.infer(t, seq_vp, int_literals=True)
         w = g.check_call_invariants(typed, g.parse_spec("Seq b1", seq_vp), 1)
         assert w.subst == {"b1": Prod(Prod(Base("Bool"), Base("Int")), Base("Int"))}
-        assert w.w == (Prod(Base("Bool"), Base("Int")), Base("Int"))
+        assert w.domains == (Prod(Prod(Base("Bool"), Base("Int")), Base("Int")),)
+        assert typed.witness is w
+        assert typed.instance_of(typed.root) == (Prod(Base("Bool"), Base("Int")), Base("Int"))
 
     def test_witness_for_deep_list_spec(self, nested_vp):
         t = g.parse_term("cons (cons 1 (cons 2 nil)) (cons (cons 3 nil) nil)", nested_vp)
         typed = g.infer(t, nested_vp)
         w = g.check_call_invariants(typed, g.parse_spec("List (List b1)", nested_vp), 1)
         assert w.subst == {"b1": Base("Nat")}
+        assert w.domains == (App("List", (Base("Nat"),)),)
 
     def test_head_clash_is_spec_mismatch(self, seq_vp, nested_vp):
         src = open("programs/seq.gadt").read() + "\n" + open("programs/nested.gadt").read()
@@ -115,7 +118,7 @@ class TestCheckCallInvariants:
     def test_freezing_grounds_all_types(self, nested_vp):
         typed = g.infer(g.parse_term("nil", nested_vp), nested_vp)
         g.check_call_invariants(typed, g.parse_spec("List b1", nested_vp), 1)
-        assert typed.frozen
+        assert typed.witness is not None
         for node in typed.nodes():
             assert not g.syntax.metas_in(typed.type_of(node))
 
@@ -135,7 +138,7 @@ class TestCheckCallInvariants:
         w = g.check_call_invariants(typed, g.parse_spec("List b1 + b2", nested_vp), 2)
         assert w.subst["b1"] == Base("Nat")
         assert isinstance(w.subst["b2"], Atom)
-        assert w.w is None
+        assert w.domains == (App("List", (Base("Nat"),)), w.subst["b2"])
 
     def test_freezing_numbers_instances_after_types(self):
         vp = g.validate(g.parse_program("data P : Set -> Set where\n  p : forall a b. a -> P a"))
