@@ -1,0 +1,95 @@
+#!/usr/bin/env python3
+"""Per-stage cost of the library pipeline on long `cons` lists.
+
+    python3 scripts/sweep.py [--src DIR] [--big-stack] N...
+
+For each N, a fresh interpreter parses an N-element `cons` list, runs
+`infer`, `check_call_invariants`, `constraints.run` and `solve` on it under
+`List b1` (no rendering), and reports the seconds of each stage, the number
+of calls, the peak RSS of the child, and the peak RSS per element above the
+interpreter's baseline. This is repeated in three fresh interpreters; one
+JSON line per N gives each stage's least time and the largest RSS.
+
+`--src` points at another source tree; `--big-stack` runs the stages in a
+thread with a 1 GB stack and a raised recursion limit, for code that
+recurses once per nesting level.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+STAGES = ("parse", "infer", "check", "run", "solve")
+REPEAT = 3
+
+CHILD = r"""
+import json, resource, sys, threading, time
+src, n, big = sys.argv[1], int(sys.argv[2]), sys.argv[3] == "1"
+sys.path.insert(0, src)
+import gadtmap as g
+from gadtmap import cli, constraints
+program = open(sys.argv[4], encoding="utf-8").read()
+vp = g.validate(g.parse_program(program))
+text = "cons 0 (" * (n - 1) + "cons 0 nil" + ")" * (n - 1)
+base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+out = {"n": n}
+
+def stages():
+    t0 = time.perf_counter()
+    term = cli.parse_term(text, vp)
+    spec = cli.parse_spec("List b1", vp)
+    t1 = time.perf_counter()
+    typed = cli.infer(term, vp)
+    t2 = time.perf_counter()
+    cli.check_call_invariants(typed, spec, cli.spec_head_arity(spec, vp))
+    t3 = time.perf_counter()
+    run = constraints.run(typed, spec, vp)
+    t4 = time.perf_counter()
+    cli.solve(run.constraints, run.root_funs)
+    t5 = time.perf_counter()
+    out.update(parse=t1 - t0, infer=t2 - t1, check=t3 - t2, run=t4 - t3, solve=t5 - t4,
+               calls=len(run.traces))
+
+if big:
+    sys.setrecursionlimit(10 ** 7)
+    threading.stack_size(1 << 30)
+    th = threading.Thread(target=stages)
+    th.start()
+    th.join()
+else:
+    stages()
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+out.update(peak_rss_mb=peak / 1024, rss_per_element_kb=(peak - base) / n)
+print(json.dumps(out))
+"""
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", default=str(ROOT / "src"))
+    ap.add_argument("--big-stack", action="store_true")
+    ap.add_argument("n", type=int, nargs="+")
+    args = ap.parse_args()
+    for n in args.n:
+        runs = []
+        for _ in range(REPEAT):
+            proc = subprocess.run(
+                [sys.executable, "-c", CHILD, args.src, str(n), "1" if args.big_stack else "0",
+                 str(ROOT / "programs" / "nested.gadt")],
+                capture_output=True, text=True,
+            )
+            if proc.returncode != 0:
+                print(json.dumps({"n": n, "error": proc.stderr.strip().splitlines()[-1]}))
+                return
+            runs.append(json.loads(proc.stdout))
+        best = {k: min(r[k] for r in runs) for k in STAGES}
+        worst = {k: max(r[k] for r in runs) for k in ("peak_rss_mb", "rss_per_element_kb")}
+        print(json.dumps({"n": n, **best, "calls": runs[0]["calls"], **worst}), flush=True)
+
+
+if __name__ == "__main__":
+    main()

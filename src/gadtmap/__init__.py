@@ -11,6 +11,7 @@ from .constraints import (
     AnnotatedTerm,
     BetaAssign,
     CallTrace,
+    IndexName,
     InternalInvariantViolation,
     NotTopUnifiable,
     RunResult,
@@ -25,6 +26,7 @@ from .constraints import (
     spec_components,
 )
 from .funexpr import (
+    Call,
     Constraint,
     FunExpr,
     FunVar,

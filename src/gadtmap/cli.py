@@ -5,8 +5,10 @@
             [--trace] [--json] [--annotate] [--verify depth=N] [--int-literals]
 
 Exit codes: 0 success, 1 analysis-level rejection (invalid program, ill-typed
-term, or specification mismatch), 2 I/O or parse error or input nested too
-deeply for the interpreter's recursion limit, 3 verification failure.
+term, or specification mismatch), 2 I/O or parse error or a type nested too
+deeply for the interpreter's recursion limit, 3 verification failure or an
+internal error (a fault of the analysis, reported on one line as
+`internal error: <stage>: <message>`).
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from .funexpr import Constraint, FunExpr, FunVar, Id, Lift, Opaque, ProdF, SumF,
 from .oracle import AgreementReport, agrees
 from .parser import ParseError, parse_program, parse_spec, parse_term
 from .pretty import pretty_annotated, pretty_constraint, pretty_fun, pretty_subterms, pretty_type
-from .solver import SolvedSystem, solve
+from .solver import SolvedSystem, SpecUnsatisfiable, solve
 from .syntax import Spec, Term
 from .typecheck import (
     SpecMismatch,
@@ -319,6 +321,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     except RecursionError:
         print("error: input nested too deeply", file=sys.stderr)
         return 2
+    except (cgen.InternalInvariantViolation, SpecUnsatisfiable) as e:
+        print(f"internal error: {e.stage}: {e}", file=sys.stderr)
+        return 3
     print(rendered)
     if report.status != "Mappable":
         return 1

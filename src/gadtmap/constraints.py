@@ -21,13 +21,19 @@ function variables:
     makes them incidental rather than essential.
 
 The head former of every call is recorded as essential structure.
+
+The walk runs its calls in preorder from an explicit stack, so the depth of
+a term is bounded by memory, not by the interpreter's recursion limit. Each
+call is named by a `Call` node of constant size; the labels that name calls,
+index variables and constraint origins in output, and the term paths of the
+essential positions, are built only when output asks for them.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
 
-from .funexpr import Constraint, FunExpr, FunVar, fun_type, lift_type
+from .funexpr import Call, Constraint, FunExpr, FunVar, fun_type, lift_type
 from .syntax import (
     App,
     Ctor,
@@ -44,6 +50,7 @@ from .syntax import (
     free_type_vars,
     is_closed,
     subst_type,
+    term_children,
     type_children,
 )
 from .typecheck import TypedNode, TypedTerm
@@ -53,12 +60,14 @@ from .wellformed import ValidatedProgram
 class InternalInvariantViolation(Exception):
     """A call precondition failed mid-run; indicates a bug, not bad input."""
 
+    stage = "constraints"
+
 
 class NotTopUnifiable(InternalInvariantViolation):
     """A matching problem had clashing head symbols."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BetaAssign:
     """An assignment `var == psi`, defining a specification variable in terms
     of the current call's index variables (psi may also be closed)."""
@@ -67,7 +76,7 @@ class BetaAssign:
     psi: TypeExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SigmaAssign:
     """An assignment `sigma == gamma`, pinning an index variable to an
     expression over the current call's specification variables."""
@@ -79,12 +88,31 @@ class SigmaAssign:
 Assignment = BetaAssign | SigmaAssign
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
+class IndexName:
+    """The name of a call's index variable: `y<index>^<call label>` when
+    rendered."""
+
+    index: int
+    call: Call
+
+    def __hash__(self) -> int:
+        return hash((self.index, self.call._key))
+
+    def __str__(self) -> str:
+        return f"y{self.index}^{self.call.label}"
+
+
+# The name of a specification variable: a name from the specification, or
+# the index variable of an enclosing call.
+VarName = str | IndexName
+
+
+@dataclass(slots=True)
 class CallTrace:
     """Everything one call of the walk did, for reporting and golden tests."""
 
-    label: str
-    path: Path
+    call: Call
     term: Term
     funs: tuple[FunExpr, ...]
     spec: TypeExpr
@@ -95,13 +123,34 @@ class CallTrace:
     zetas: list[tuple[TypeExpr, ...] | None] = field(default_factory=list)
     emitted: list[Constraint] = field(default_factory=list)
 
+    @property
+    def label(self) -> str:
+        return self.call.label
+
+    @property
+    def path(self) -> Path:
+        return self.call.path
+
 
 @dataclass(frozen=True)
 class AnnotatedTerm:
-    """A term with the set of essential positions (paths of call heads)."""
+    """A term with its essential positions: the subterms that head a call of
+    the walk, held by identity (`id`) as subterm objects of `term`."""
 
     term: Term
-    essential: frozenset[Path]
+    heads: frozenset[int]
+
+    @property
+    def essential(self) -> frozenset[Path]:
+        """The essential positions as child-index paths from the root."""
+        out = []
+        stack: list[tuple[Term, Path]] = [(self.term, ())]
+        while stack:
+            t, path = stack.pop()
+            if id(t) in self.heads:
+                out.append(path)
+                stack.extend((c, path + (i,)) for i, c in enumerate(term_children(t)))
+        return frozenset(out)
 
 
 @dataclass
@@ -189,14 +238,15 @@ def emit_step_five(
     betas: tuple[str, ...],
     g_env: dict[str, FunExpr],
     h_env: dict[str, FunExpr],
-    origin: str,
+    step: str,
+    call: Call | None = None,
 ) -> list[Constraint]:
     """One constraint <psi h.., g_i> per defining assignment, in variable order."""
     out = []
     for b in betas:
         for a in assignments:
             if isinstance(a, BetaAssign) and a.var == b:
-                out.append(Constraint(lift_type(a.psi, h_env), g_env[b], origin))
+                out.append(Constraint(lift_type(a.psi, h_env), g_env[b], step, call))
     return out
 
 
@@ -204,7 +254,8 @@ def emit_step_six(
     assignments: list[Assignment],
     gammas: tuple[str, ...],
     g_env: dict[str, FunExpr],
-    origin: str,
+    step: str,
+    call: Call | None = None,
 ) -> list[Constraint]:
     """Consistency constraints when several expressions pin the same index."""
     out = []
@@ -212,7 +263,9 @@ def emit_step_six(
         sigmas = [a.sigma for a in assignments if isinstance(a, SigmaAssign) and a.gamma == g]
         for q in range(1, len(sigmas)):
             out.append(
-                Constraint(lift_type(sigmas[q], g_env), lift_type(sigmas[0], g_env), origin)
+                Constraint(
+                    lift_type(sigmas[q], g_env), lift_type(sigmas[0], g_env), step, call
+                )
             )
     return out
 
@@ -222,89 +275,102 @@ def compute_rj(arg_type: TypeExpr, type_vars: tuple[str, ...], taus: tuple[TypeE
     return subst_type(arg_type, dict(zip(type_vars, taus)))
 
 
+# A pending call: the typed subterm, its input functions, its specification,
+# the substitution instantiating that specification, and its name.
+_Pending = tuple[TypedNode, tuple[FunExpr, ...], TypeExpr, dict[VarName, TypeExpr], Call]
+
+
 class _Run:
     def __init__(self, typed: TypedTerm, vp: ValidatedProgram):
         self.typed = typed
         self.vp = vp
         self._intro = itertools.count()
-        self.constraints: list[Constraint] = []
         self.traces: list[CallTrace] = []
 
-    def fresh_fun(self, kind: str, label: str, index: int, domain: TypeExpr) -> FunVar:
-        return FunVar(kind, label, index, intro=next(self._intro), domain=domain)
+    def fresh_fun(self, kind: str, call: Call | None, index: int, domain: TypeExpr) -> FunVar:
+        return FunVar(kind, call, index, intro=next(self._intro), domain=domain)
+
+    def walk(self, root: _Pending) -> None:
+        """Run `root` and every call below it in preorder, from an explicit
+        stack of pending calls."""
+        stack = [root]
+        while stack:
+            stack.extend(reversed(self.call(*stack.pop())))
 
     def call(
         self,
         node: TypedNode,
-        path: Path,
         funs: tuple[FunExpr, ...],
         spec_te: TypeExpr,
-        cenv: dict[str, TypeExpr],
-        label: str,
-    ) -> None:
+        cenv: dict[VarName, TypeExpr],
+        call: Call,
+    ) -> list[_Pending]:
+        """Run one call; returns its child calls in order."""
         term = node.term
         components = spec_components(spec_te)
         if components is None or len(components) != len(funs):
-            raise InternalInvariantViolation(f"bad call on {spec_te} with {len(funs)} functions")
+            raise InternalInvariantViolation(
+                f"call {call.label}: bad call on {spec_te} with {len(funs)} functions"
+            )
         if subst_type(spec_te, cenv) != self.typed.type_of(node):
             raise InternalInvariantViolation(
-                f"call {label}: instantiated specification {subst_type(spec_te, cenv)} "
+                f"call {call.label}: instantiated specification {subst_type(spec_te, cenv)} "
                 f"differs from subterm type {self.typed.type_of(node)}"
             )
 
         betas = free_type_vars(spec_te)
-        g_env: dict[str, FunExpr] = {
-            b: self.fresh_fun("g", label, i + 1, cenv[b]) for i, b in enumerate(betas)
+        g_env: dict[VarName, FunExpr] = {
+            b: self.fresh_fun("g", call, i + 1, cenv[b]) for i, b in enumerate(betas)
         }
-        trace = CallTrace(label, path, term, funs, spec_te)
+        trace = CallTrace(call, term, funs, spec_te)
         self.traces.append(trace)
 
-        def emit(c: Constraint) -> None:
-            trace.emitted.append(c)
-            self.constraints.append(c)
-
         for ell, comp in enumerate(components):
-            emit(Constraint(lift_type(comp, g_env), funs[ell], f"{label}:i"))
+            trace.emitted.append(Constraint(lift_type(comp, g_env), funs[ell], "i", call))
 
+        children: list[_Pending] = []
         if isinstance(spec_te, (Prod, Sum)):
             if isinstance(spec_te, Prod):
                 if not isinstance(term, Pair):
-                    raise InternalInvariantViolation(f"call {label}: expected a pair")
+                    raise InternalInvariantViolation(f"call {call.label}: expected a pair")
                 branches = [(0, 0, components[0]), (1, 1, components[1])]
             elif isinstance(term, Inl):
                 branches = [(0, 0, components[0])]
             elif isinstance(term, Inr):
                 branches = [(1, 0, components[1])]
             else:
-                raise InternalInvariantViolation(f"call {label}: expected an injection")
+                raise InternalInvariantViolation(f"call {call.label}: expected an injection")
             for j, i, comp in branches:
                 zetas = recursion_target(comp)
                 if zetas is None:
                     continue
                 child_funs = tuple(lift_type(z, g_env) for z in zetas)
                 child_cenv = {v: cenv[v] for v in free_type_vars(comp)}
-                self.call(node.kids[i], path + (i,), child_funs, comp, child_cenv, f"{label}.{j + 1}")
-            return
+                children.append((node.kids[i], child_funs, comp, child_cenv, Call(call, j + 1, i)))
+            return children
 
         # Constructor case.
         if not isinstance(term, Ctor):
-            raise InternalInvariantViolation(f"call {label}: expected a constructor application")
+            raise InternalInvariantViolation(
+                f"call {call.label}: expected a constructor application"
+            )
         decl, sig = self.vp.ctor(term.name)
         if not isinstance(spec_te, App) or spec_te.ctor != decl.name:
             raise InternalInvariantViolation(
-                f"call {label}: constructor {term.name!r} does not build {spec_te}"
+                f"call {call.label}: constructor {term.name!r} does not build {spec_te}"
             )
         w = self.typed.instance_of(node)
+        inst = dict(zip(sig.type_vars, w))
         for ell, k_expr in enumerate(sig.ret_indices):
-            expected = subst_type(k_expr, dict(zip(sig.type_vars, w)))
+            expected = subst_type(k_expr, inst)
             got = fun_type(funs[ell], codomain=False)
             if got is not None and got != expected:
                 raise InternalInvariantViolation(
-                    f"call {label}: input function {ell + 1} has domain {got}, "
+                    f"call {call.label}: input function {ell + 1} has domain {got}, "
                     f"expected {expected}"
                 )
 
-        gammas = tuple(f"y{i + 1}^{label}" for i in range(len(sig.type_vars)))
+        gammas = tuple(IndexName(i + 1, call) for i in range(len(sig.type_vars)))
         gamma_types = dict(zip(gammas, w))
         rename = {a: Var(g) for a, g in zip(sig.type_vars, gammas)}
         for ell, comp in enumerate(components):
@@ -314,13 +380,11 @@ class _Run:
 
         taus = compute_taus(trace.assignments, gammas)
         trace.taus = taus
-        h_env: dict[str, FunExpr] = {
-            g: self.fresh_fun("h", label, i + 1, w[i]) for i, g in enumerate(gammas)
+        h_env: dict[VarName, FunExpr] = {
+            g: self.fresh_fun("h", call, i + 1, w[i]) for i, g in enumerate(gammas)
         }
-        for c in emit_step_five(trace.assignments, betas, g_env, h_env, f"{label}:v"):
-            emit(c)
-        for c in emit_step_six(trace.assignments, gammas, g_env, f"{label}:vi"):
-            emit(c)
+        trace.emitted += emit_step_five(trace.assignments, betas, g_env, h_env, "v", call)
+        trace.emitted += emit_step_six(trace.assignments, gammas, g_env, "vi", call)
 
         gh_env = {**g_env, **h_env}
         child_cenv_all = {**cenv, **gamma_types}
@@ -328,13 +392,13 @@ class _Run:
             rj = compute_rj(arg_type, sig.type_vars, taus)
             trace.rjs.append(rj)
             zetas = recursion_target(rj)
-            if zetas is None:
-                trace.zetas.append(None)
-                continue
             trace.zetas.append(zetas)
+            if zetas is None:
+                continue
             child_funs = tuple(lift_type(z, gh_env) for z in zetas)
             child_cenv = {v: child_cenv_all[v] for v in free_type_vars(rj)}
-            self.call(node.kids[j], path + (j,), child_funs, rj, child_cenv, f"{label}.{j + 1}")
+            children.append((node.kids[j], child_funs, rj, child_cenv, Call(call, j + 1)))
+        return children
 
 
 def run(typed: TypedTerm, spec: Spec, vp: ValidatedProgram) -> RunResult:
@@ -349,12 +413,13 @@ def run(typed: TypedTerm, spec: Spec, vp: ValidatedProgram) -> RunResult:
         raise InternalInvariantViolation("run requires a frozen typing; check invariants first")
     r = _Run(typed, vp)
     root_funs = tuple(
-        r.fresh_fun("f", "", ell + 1, domain) for ell, domain in enumerate(witness.domains)
+        r.fresh_fun("f", None, ell + 1, domain) for ell, domain in enumerate(witness.domains)
     )
-    r.call(typed.root, (), root_funs, spec.shape, witness.subst, "1")
+    r.walk((typed.root, root_funs, spec.shape, witness.subst, Call(None, 1)))
     return RunResult(
-        r.constraints,
+        # Calls run in preorder and each emits its constraints in one block.
+        [c for t in r.traces for c in t.emitted],
         r.traces,
-        AnnotatedTerm(typed.term, frozenset(t.path for t in r.traces)),
+        AnnotatedTerm(typed.term, frozenset(id(t.term) for t in r.traces)),
         root_funs,
     )

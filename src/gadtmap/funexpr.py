@@ -23,48 +23,132 @@ class FunExpr:
         return pretty(self)
 
 
-@dataclass(frozen=True)
+class Call:
+    """One call of the constraint walk, named by its place in the call tree:
+    its parent call (None for the root call) and its 1-based branch number
+    below that parent. `slot` is the child index of the call's subterm in the
+    parent's subterm; it differs from `branch - 1` only under `inr`.
+
+    Every call holds a constant amount of data. Its dotted label ("1.2.1")
+    and its term path are built from the parent chain only when output asks
+    for them. Calls are equal when their labels are, so a function variable
+    parsed back from its display name equals the original.
+    """
+
+    __slots__ = ("parent", "branch", "slot", "_key", "_label")
+
+    def __init__(self, parent: Call | None, branch: int, slot: int | None = None):
+        self.parent = parent
+        self.branch = branch
+        self.slot = branch - 1 if slot is None else slot
+        self._key = hash((0 if parent is None else parent._key, branch))
+        self._label: str | None = None
+
+    @classmethod
+    def from_label(cls, label: str) -> Call | None:
+        """The call a dotted label names; None for the empty label."""
+        call = None
+        for part in label.split(".") if label else ():
+            call = cls(call, int(part))
+        return call
+
+    @property
+    def label(self) -> str:
+        """The dotted label, built on demand and kept. It is built from the
+        nearest ancestor whose label is kept, and labels the walk between are
+        not kept, so one label costs memory linear in its depth."""
+        if self._label is None:
+            branches = []
+            c: Call | None = self
+            while c is not None and c._label is None:
+                branches.append(str(c.branch))
+                c = c.parent
+            parts = [] if c is None else [c._label]
+            parts += reversed(branches)
+            self._label = ".".join(parts)
+        return self._label
+
+    @property
+    def path(self) -> tuple[int, ...]:
+        """The child-index path of the call's subterm from the root."""
+        slots = []
+        c = self
+        while c.parent is not None:
+            slots.append(c.slot)
+            c = c.parent
+        return tuple(reversed(slots))
+
+    def __hash__(self) -> int:
+        return self._key
+
+    def __eq__(self, other: object) -> bool:
+        a: Call | None = self
+        b = other
+        while a is not b:
+            if not (isinstance(a, Call) and isinstance(b, Call)):
+                return False
+            if a._key != b._key or a.branch != b.branch:
+                return False
+            a, b = a.parent, b.parent
+        return True
+
+    def __repr__(self) -> str:
+        return f"Call({self.label!r})"
+
+
+@dataclass(frozen=True, slots=True)
 class FunVar(FunExpr):
     """A function variable.
 
-    (kind, label, index, prime) identifies the variable within one analysis
+    (kind, call, index, prime) identifies the variable within one analysis
     run; `intro` is its global creation rank and `domain`, when known, the
     concrete domain type. Both are bookkeeping and excluded from equality.
+    A dotted label string in place of `call` is read with `Call.from_label`.
     """
 
     kind: str  # "f" (root), "g" (per spec variable), "h" (per index variable)
-    label: str  # dotted label of the introducing call; "" for roots
+    call: Call | None  # the introducing call; None for roots
     index: int
     intro: int = field(default=-1, compare=False)
     prime: bool = False
     domain: TypeExpr | None = field(default=None, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if isinstance(self.call, str):
+            object.__setattr__(self, "call", Call.from_label(self.call))
+        # Variables key the solver's dictionaries: hash once.
+        object.__setattr__(self, "_hash", hash((self.kind, self.call, self.index, self.prime)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def display(self) -> str:
         name = self.kind + ("'" if self.prime else "") + str(self.index)
-        return name + (f"^{self.label}" if self.label else "")
+        return name if self.call is None else f"{name}^{self.call.label}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Id(FunExpr):
     """The identity function at a closed type."""
 
     at: TypeExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProdF(FunExpr):
     left: FunExpr
     right: FunExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SumF(FunExpr):
     left: FunExpr
     right: FunExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lift(FunExpr):
     """A data type constructor mapped over one function per type parameter."""
 
@@ -72,7 +156,7 @@ class Lift(FunExpr):
     args: tuple[FunExpr, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Opaque(FunExpr):
     """An arbitrary unknown function into a rigid codomain (oracle use only)."""
 
@@ -80,13 +164,24 @@ class Opaque(FunExpr):
     codomain: TypeExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Constraint:
-    """An ordered requirement that `lhs` and `rhs` describe the same function."""
+    """An ordered requirement that `lhs` and `rhs` describe the same function.
+
+    `call` is the walk call that emitted it and `step` the emitting step
+    (`i`, `v` or `vi`); a constraint built by hand has no call, and `step`
+    may hold any text.
+    """
 
     lhs: FunExpr
     rhs: FunExpr
-    origin: str = ""
+    step: str = ""
+    call: Call | None = None
+
+    @property
+    def origin(self) -> str:
+        """`<call label>:<step>`, or `step` alone when there is no call."""
+        return self.step if self.call is None else f"{self.call.label}:{self.step}"
 
 
 def lift_type(t: TypeExpr, env: dict[str, FunExpr]) -> FunExpr:
@@ -191,7 +286,7 @@ def canonical_rename(exprs: tuple[FunExpr, ...]) -> tuple[FunExpr, ...]:
         if isinstance(e, FunVar):
             if e not in mapping:
                 mapping[e] = FunVar(
-                    "f", "", len(mapping) + 1, intro=e.intro, prime=True, domain=e.domain
+                    "f", None, len(mapping) + 1, intro=e.intro, prime=True, domain=e.domain
                 )
             return mapping[e]
         if isinstance(e, ProdF):

@@ -47,7 +47,7 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     kind: str  # "name", "number", or the symbol itself
     text: str
@@ -342,47 +342,81 @@ def _is_term_atom_start(c: _Cursor) -> bool:
 
 
 def _parse_term(c: _Cursor, vp: ValidatedProgram) -> Term:
+    """Parse a term (`inl`/`inr` atom, constructor application, or atom).
+
+    The parser keeps the constructs it is inside of on an explicit stack, so
+    nesting depth is bounded by memory, not by the interpreter's recursion
+    limit. Tokens are consumed and errors raised in the order of a
+    recursive descent.
+    """
+    # One frame per open construct, innermost last: ["inj", token] for an
+    # injection awaiting its atom, ["app", token, sig, args] for a constructor
+    # application collecting atoms, ["paren"] after `(` and ["pair", first]
+    # after `(first,`.
+    stack: list[list] = []
+    want_term = True  # parse a term next, or else an atom
+    while True:
+        term = _parse_term_start(c, vp, stack, want_term)
+        if term is None:
+            want_term = stack[-1][0] == "paren"
+            continue
+        # Hand the finished term to the innermost frame, until a frame needs
+        # a further term or atom, or the outermost term is finished.
+        while stack:
+            frame = stack[-1]
+            kind = frame[0]
+            if kind == "app":
+                frame[3].append(term)
+                if _is_term_atom_start(c):
+                    want_term = False
+                    break
+                term = _ctor_app(frame[1], frame[2], frame[3])
+            elif kind == "inj":
+                term = Inl(term) if frame[1].text == "inl" else Inr(term)
+            elif kind == "paren":
+                if c.at(","):
+                    c.next()
+                    stack[-1] = ["pair", term]
+                    want_term = True
+                    break
+                if c.at(":"):
+                    c.next()
+                    ty = _parse_type(c)
+                    _check_spec_refs(ty, vp, c, allow_vars=False)
+                    term = Ann(term, ty)
+                c.expect(")")
+            else:
+                c.expect(")")
+                term = Pair(frame[1], term)
+            stack.pop()
+        else:
+            return term
+
+
+def _parse_term_start(
+    c: _Cursor, vp: ValidatedProgram, stack: list[list], want_term: bool
+) -> Term | None:
+    """Parse a term (or, unless `want_term`, an atom) up to its first
+    subterm: return it when it has none, else push its frame and return
+    None."""
     tok = c.peek()
-    if tok is None:
-        raise c.error("expected a term")
-    if tok.kind == "name" and tok.text in ("inl", "inr"):
-        c.next()
-        inner = _parse_term_atom(c, vp)
-        return Inl(inner) if tok.text == "inl" else Inr(inner)
-    if tok.kind == "name" and tok.text not in LITERAL_WORDS and tok.text not in KEYWORDS:
-        name_tok = c.next()
-        sig = _ctor_sig(vp, name_tok)
-        args: list[Term] = []
-        while _is_term_atom_start(c):
-            args.append(_parse_term_atom(c, vp))
-        if len(args) != len(sig.arg_types):
-            raise ParseError(
-                f"constructor {sig.name!r} expects {len(sig.arg_types)} "
-                f"argument(s), got {len(args)}",
-                name_tok.line,
-                name_tok.col,
-            )
-        return Ctor(sig.name, tuple(args))
-    return _parse_term_atom(c, vp)
-
-
-def _parse_term_atom(c: _Cursor, vp: ValidatedProgram) -> Term:
+    if want_term:
+        if tok is None:
+            raise c.error("expected a term")
+        if tok.kind == "name" and tok.text in ("inl", "inr"):
+            stack.append(["inj", c.next()])
+            return None
+        if tok.kind == "name" and tok.text not in LITERAL_WORDS and tok.text not in KEYWORDS:
+            name_tok = c.next()
+            sig = _ctor_sig(vp, name_tok)
+            if not _is_term_atom_start(c):
+                return _ctor_app(name_tok, sig, [])
+            stack.append(["app", name_tok, sig, []])
+            return None
     tok = c.next()
     if tok.kind == "(":
-        first = _parse_term(c, vp)
-        if c.at(","):
-            c.next()
-            second = _parse_term(c, vp)
-            c.expect(")")
-            return Pair(first, second)
-        if c.at(":"):
-            c.next()
-            ty = _parse_type(c)
-            _check_spec_refs(ty, vp, c, allow_vars=False)
-            c.expect(")")
-            return Ann(first, ty)
-        c.expect(")")
-        return first
+        stack.append(["paren"])
+        return None
     if tok.kind == "number":
         hint = "Int" if tok.text.startswith("-") else None
         return Lit(tok.text, hint)
@@ -401,6 +435,17 @@ def _parse_term_atom(c: _Cursor, vp: ValidatedProgram) -> Term:
             )
         return Ctor(sig.name, ())
     raise ParseError(f"expected a term, got {tok.text!r}", tok.line, tok.col)
+
+
+def _ctor_app(name_tok: Token, sig: ConstructorSig, args: list[Term]) -> Ctor:
+    if len(args) != len(sig.arg_types):
+        raise ParseError(
+            f"constructor {sig.name!r} expects {len(sig.arg_types)} "
+            f"argument(s), got {len(args)}",
+            name_tok.line,
+            name_tok.col,
+        )
+    return Ctor(sig.name, tuple(args))
 
 
 # ---------------------------------------------------------------------------

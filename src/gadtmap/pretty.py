@@ -40,7 +40,7 @@ def _type_atom(t: TypeExpr) -> str:
 
 def pretty_type(t: TypeExpr) -> str:
     if isinstance(t, Var):
-        return t.name
+        return str(t.name)
     if isinstance(t, Base):
         return t.name
     if isinstance(t, Atom):

@@ -39,8 +39,10 @@ class SpecUnsatisfiable(Exception):
     holds; this surfaces only for hand-built constraint sets.
     """
 
+    stage = "solver"
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class AtomicConstraint:
     lhs: FunExpr
     rhs: FunVar

@@ -6,6 +6,10 @@ function type, so the restriction is structural rather than checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .constraints import IndexName
 
 BASE_TYPES = ("Nat", "Int", "Bool", "Unit")
 
@@ -25,33 +29,35 @@ class TypeExpr:
         return pretty(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(TypeExpr):
-    """A type variable: a specification variable or a constructor binder."""
+    """A type variable: a specification variable or a constructor binder, or
+    an index variable of a constraint-walk call, whose name is an
+    `IndexName` rendered by `str`."""
 
-    name: str
+    name: str | IndexName
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Base(TypeExpr):
     """A built-in base type: one of Nat, Int, Bool, Unit."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prod(TypeExpr):
     left: TypeExpr
     right: TypeExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sum(TypeExpr):
     left: TypeExpr
     right: TypeExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App(TypeExpr):
     """Application of a declared data type constructor to type arguments."""
 
@@ -59,14 +65,14 @@ class App(TypeExpr):
     args: tuple[TypeExpr, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Meta(TypeExpr):
     """A unification metavariable; only appears during type inference."""
 
     ident: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom(TypeExpr):
     """A rigid type atom: a frozen metavariable or an opaque codomain type."""
 
@@ -154,7 +160,7 @@ class Term:
         return pretty(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ctor(Term):
     """A saturated data constructor application."""
 
@@ -162,23 +168,23 @@ class Ctor(Term):
     args: tuple[Term, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pair(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Inl(Term):
     inner: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Inr(Term):
     inner: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lit(Term):
     """A literal token. Numeric literals carry an unresolved base hint; the
     hint is only forced to Int for negative numerals."""
@@ -187,7 +193,7 @@ class Lit(Term):
     base_hint: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ann(Term):
     """A checked type annotation `(t : T)`; erased during inference."""
 
@@ -195,7 +201,7 @@ class Ann(Term):
     type: TypeExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const(Term):
     """An opaque constant of a rigid type, produced when an unknown function
     is applied during map application. Not part of the surface syntax."""

@@ -26,7 +26,9 @@ from .syntax import (
     Atom,
     Base,
     Const,
+    ConstructorSig,
     Ctor,
+    GadtDecl,
     Inl,
     Inr,
     Lit,
@@ -133,7 +135,7 @@ class _Store:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypedNode:
     """One subterm occurrence: the annotation-free subterm, its raw type
     (metavariables unresolved), the instantiation of its binders when it is a
@@ -187,60 +189,103 @@ def infer(term: Term, vp: ValidatedProgram, int_literals: bool = False) -> Typed
     in preorder, outer before inner. Metavariables that no constraint
     determines (such as the element type of a bare `nil`) survive in the
     result as unsolved metas.
+
+    The walk keeps the nodes whose children are being typed on an explicit
+    stack, so term depth is bounded by memory, not by the interpreter's
+    recursion limit. It allocates and unifies metavariables in the order of
+    a recursive descent: children left to right, each constructor argument
+    unified with its expected type as soon as it is typed.
     """
     store = _Store()
     # (annotated node, annotation) in preorder, outer before inner: the slot
     # is taken when the annotation is met and filled once its node is typed.
     annotations: list = []
-
-    def go(t: Term) -> TypedNode:
-        if isinstance(t, Ann):
-            slot = len(annotations)
-            annotations.append(None)
-            node = go(t.inner)
-            annotations[slot] = (node, t.type)
-            return node
-        if isinstance(t, Ctor):
-            try:
-                decl, sig = vp.ctor(t.name)
-            except KeyError:
-                raise TypeCheckError(f"unknown constructor {t.name!r}") from None
-            if len(t.args) != len(sig.arg_types):
-                raise TypeCheckError(
-                    f"constructor {t.name!r} expects {len(sig.arg_types)} argument(s), "
-                    f"got {len(t.args)}"
+    # One frame per node whose children are being typed, innermost last:
+    # [Ctor, term, decl, sig, inst, kids], [Pair, term, left or None],
+    # [Inl], [Inr, right-hand metavariable] or [Ann, slot, annotation].
+    stack: list[list] = []
+    t = term
+    while True:
+        # Descend to the leftmost untyped leaf, opening a frame per inner node.
+        while True:
+            if isinstance(t, Ann):
+                stack.append([Ann, len(annotations), t.type])
+                annotations.append(None)
+                t = t.inner
+            elif isinstance(t, Ctor):
+                try:
+                    decl, sig = vp.ctor(t.name)
+                except KeyError:
+                    raise TypeCheckError(f"unknown constructor {t.name!r}") from None
+                if len(t.args) != len(sig.arg_types):
+                    raise TypeCheckError(
+                        f"constructor {t.name!r} expects {len(sig.arg_types)} argument(s), "
+                        f"got {len(t.args)}"
+                    )
+                inst = {v: store.fresh() for v in sig.type_vars}
+                if not t.args:
+                    node = _ctor_node(t, decl, sig, inst, [])
+                    break
+                stack.append([Ctor, t, decl, sig, inst, []])
+                t = t.args[0]
+            elif isinstance(t, Pair):
+                stack.append([Pair, t, None])
+                t = t.left
+            elif isinstance(t, Inl):
+                stack.append([Inl])
+                t = t.inner
+            elif isinstance(t, Inr):
+                stack.append([Inr, store.fresh()])
+                t = t.inner
+            elif isinstance(t, Lit):
+                if t.base_hint in ("Bool", "Unit", "Int"):
+                    node = TypedNode(t, Base(t.base_hint))
+                else:
+                    node = TypedNode(t, store.fresh(numeric=True))
+                break
+            elif isinstance(t, Const):
+                node = TypedNode(t, t.type)
+                break
+            else:
+                raise TypeCheckError(f"cannot type {t!r}")
+        # Ascend: hand the typed node to the innermost frame, until a frame
+        # has a further child to type or the root is typed.
+        while stack:
+            frame = stack[-1]
+            kind = frame[0]
+            if kind is Ctor:
+                _, c, decl, sig, inst, kids = frame
+                j = len(kids)
+                store.unify(
+                    subst_type(sig.arg_types[j], inst),
+                    node.type,
+                    lambda: f"argument {j + 1} of {c.name!r}",
                 )
-            inst = {v: store.fresh() for v in sig.type_vars}
-            kids = []
-            for j, arg in enumerate(t.args):
-                expected = subst_type(sig.arg_types[j], inst)
-                kids.append(go(arg))
-                store.unify(expected, kids[j].type, lambda: f"argument {j + 1} of {t.name!r}")
-            return TypedNode(
-                Ctor(t.name, tuple(k.term for k in kids)),
-                App(decl.name, tuple(subst_type(k, inst) for k in sig.ret_indices)),
-                tuple(inst[v] for v in sig.type_vars),
-                tuple(kids),
-            )
-        if isinstance(t, Pair):
-            left, right = go(t.left), go(t.right)
-            return TypedNode(Pair(left.term, right.term), Prod(left.type, right.type), kids=(left, right))
-        if isinstance(t, Inl):
-            inner = go(t.inner)
-            return TypedNode(Inl(inner.term), Sum(inner.type, store.fresh()), kids=(inner,))
-        if isinstance(t, Inr):
-            other = store.fresh()
-            inner = go(t.inner)
-            return TypedNode(Inr(inner.term), Sum(other, inner.type), kids=(inner,))
-        if isinstance(t, Lit):
-            if t.base_hint in ("Bool", "Unit", "Int"):
-                return TypedNode(t, Base(t.base_hint))
-            return TypedNode(t, store.fresh(numeric=True))
-        if isinstance(t, Const):
-            return TypedNode(t, t.type)
-        raise TypeCheckError(f"cannot type {t!r}")
+                kids.append(node)
+                if j + 1 < len(c.args):
+                    t = c.args[j + 1]
+                    break
+                node = _ctor_node(c, decl, sig, inst, kids)
+            elif kind is Pair:
+                left = frame[2]
+                if left is None:
+                    frame[2] = node
+                    t = frame[1].right
+                    break
+                node = TypedNode(
+                    Pair(left.term, node.term), Prod(left.type, node.type), kids=(left, node)
+                )
+            elif kind is Inl:
+                node = TypedNode(Inl(node.term), Sum(node.type, store.fresh()), kids=(node,))
+            elif kind is Inr:
+                node = TypedNode(Inr(node.term), Sum(frame[1], node.type), kids=(node,))
+            else:
+                annotations[frame[1]] = (node, frame[2])
+            stack.pop()
+        else:
+            break
 
-    root = go(term)
+    root = node
     for node, ann_ty in annotations:
         store.unify(node.type, ann_ty, lambda: f"annotation at {node.term}")
 
@@ -251,6 +296,18 @@ def infer(term: Term, vp: ValidatedProgram, int_literals: bool = False) -> Typed
             store.solutions[root_ty.ident] = default
 
     return TypedTerm(root, vp, store, int_literals)
+
+
+def _ctor_node(
+    t: Ctor, decl: GadtDecl, sig: ConstructorSig, inst: dict[str, Meta], kids: list[TypedNode]
+) -> TypedNode:
+    """The typed node of a constructor application whose arguments are typed."""
+    return TypedNode(
+        Ctor(t.name, tuple(k.term for k in kids)),
+        App(decl.name, tuple(subst_type(k, inst) for k in sig.ret_indices)),
+        tuple(inst[v] for v in sig.type_vars),
+        tuple(kids),
+    )
 
 
 @dataclass(frozen=True)

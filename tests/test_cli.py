@@ -275,34 +275,72 @@ def test_non_utf8_program_is_an_io_error(tmp_path, argv):
 
 
 class TestDeepInput:
-    """Deep input either analyses or ends in a one-line error and exit code 2.
-    Each case runs in a fresh interpreter at the default recursion limit,
-    where the parent process's stack depth does not matter."""
+    """Deep terms analyse; input whose type is too deep ends in a one-line
+    error and exit code 2. Each case runs in a fresh interpreter at the
+    default recursion limit, where the parent process's stack depth does
+    not matter."""
 
     @staticmethod
-    def run_cli(program, n, *flags):
+    def run_cli(program, term, spec, *flags):
         import subprocess
         import sys
 
-        term = "cons 0 (" * (n - 1) + "cons 0 nil" + ")" * (n - 1)
-        argv = ["analyze", program, "--term", term, "--spec", "List b1", *flags]
+        argv = ["analyze", program, "--term", term, "--spec", spec, *flags]
         return subprocess.run(
             [sys.executable, "-m", "gadtmap", *argv], capture_output=True, text=True
         )
 
-    def test_deep_term_fails_in_parser(self, program_files):
-        proc = self.run_cli(program_files["nested"], 1000)
-        assert proc.returncode == 2
-        assert proc.stderr == "error: input nested too deeply\n"
-        assert "Traceback" not in proc.stderr
+    @staticmethod
+    def cons_list(n):
+        return "cons 0 (" * (n - 1) + "cons 0 nil" + ")" * (n - 1)
 
-    @pytest.mark.parametrize("n", [300, 400])
+    @pytest.mark.parametrize("n", [300, 400, 1000, 1600])
     def test_deep_term_renders_as_json(self, program_files, n):
-        proc = self.run_cli(program_files["nested"], n, "--json")
+        proc = self.run_cli(program_files["nested"], self.cons_list(n), "List b1", "--json")
         assert proc.returncode == 0, proc.stderr
         out = json.loads(proc.stdout)
         assert out["status"] == "Mappable"
         assert len(out["calls"]) == n + 1
+
+    def test_deep_type_fails_with_one_line(self, program_files):
+        n = 1000
+        nest = "(0, " * (n - 1) + "0" + ")" * (n - 1)
+        proc = self.run_cli(program_files["nested"], nest, "b1 * b2", "--json")
+        assert proc.returncode == 2
+        assert proc.stderr == "error: input nested too deeply\n"
+        assert "Traceback" not in proc.stderr
+
+
+class TestInternalError:
+    """A fault of the analysis itself ends in one line naming the stage, and
+    exit code 3, never a traceback."""
+
+    ARGV = ["--term", "cons 1 nil", "--spec", "List b1"]
+
+    def test_walk_invariant_violation(self, program_files, capsys, monkeypatch):
+        import gadtmap.constraints
+
+        def fail(*args):
+            raise gadtmap.constraints.InternalInvariantViolation("call 1.2: expected a pair")
+
+        monkeypatch.setattr(gadtmap.constraints, "run", fail)
+        assert main(["analyze", program_files["nested"], *self.ARGV]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "internal error: constraints: call 1.2: expected a pair\n"
+
+    def test_unsatisfiable_constraints(self, program_files, capsys, monkeypatch):
+        import gadtmap.cli
+        from gadtmap.solver import SpecUnsatisfiable
+
+        def fail(*args):
+            raise SpecUnsatisfiable("head clash in <f1, g1^1>")
+
+        monkeypatch.setattr(gadtmap.cli, "solve", fail)
+        assert main(["analyze", program_files["nested"], *self.ARGV, "--json"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "internal error: solver: head clash in <f1, g1^1>\n"
 
 
 class TestDeterminism:
