@@ -41,6 +41,7 @@ from .funexpr import (
 )
 from .oracle import (
     AgreementReport,
+    OracleInconsistency,
     agrees,
     count_candidates,
     enumerate_candidates,

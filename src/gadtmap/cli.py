@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import constraints as cgen
 from .funexpr import Constraint, FunExpr, FunVar, Id, Lift, Opaque, ProdF, SumF, fun_vars
-from .oracle import AgreementReport, agrees
+from .oracle import AgreementReport, OracleInconsistency, agrees
 from .parser import ParseError, parse_program, parse_spec, parse_term
 from .pretty import pretty_annotated, pretty_constraint, pretty_fun, pretty_subterms, pretty_type
 from .solver import SolvedSystem, SpecUnsatisfiable, solve
@@ -321,7 +321,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     except RecursionError:
         print("error: input nested too deeply", file=sys.stderr)
         return 2
-    except (cgen.InternalInvariantViolation, SpecUnsatisfiable) as e:
+    except (cgen.InternalInvariantViolation, SpecUnsatisfiable, OracleInconsistency) as e:
         print(f"internal error: {e.stage}: {e}", file=sys.stderr)
         return 3
     print(rendered)

@@ -3,11 +3,18 @@
 This module gives an independent, semantic meaning to "f is mappable over t
 relative to a specification": lift the specification's head over candidate
 functions, push the result through the term constructor by constructor, and
-check that the rebuilt term still typechecks at an instance of the
-specification. Pushing a lifted constructor application through `c args`
-recovers one component function per binder of `c` from the constructor's
-return indices (the semantic inverse of `lift_type`), then maps each argument
-along its instantiated argument type.
+check that the result is a term of the lifted head's codomain, and that this
+codomain is again an instance of the specification. Pushing a lifted
+constructor application through `c args` recovers one component function per
+binder of `c` from the constructor's return indices (the semantic inverse of
+`lift_type`), then maps each argument along its instantiated argument type.
+
+Candidates are checked against the codomain, not rebuilt and re-inferred: the
+codomain is ground, so `Checker` decides each subterm against its expected
+type by one-sided matching, without metavariables, and memoises the verdict
+per subterm, function and type. `map_apply` is the reference semantics: it
+rebuilds the term and types it with `infer`. `agrees` runs it on the identity
+tuple of every call and stops with `OracleInconsistency` when the two differ.
 
 Candidates are built from arbitrary opaque functions, identities, products,
 sums, and maps over data types that are not proper GADTs; what it means to map
@@ -33,10 +40,13 @@ from .funexpr import (
     lift_type,
     normalize,
 )
+from .pretty import pretty_term
 from .syntax import (
+    Ann,
     App,
     Atom,
     Const,
+    ConstructorSig,
     Ctor,
     Inl,
     Inr,
@@ -48,9 +58,17 @@ from .syntax import (
     TypeExpr,
     Var,
     is_closed,
+    subst_type,
 )
-from .typecheck import TypeCheckError, TypedNode, TypedTerm, _Store, infer, spec_instance
+from .typecheck import TypeCheckError, TypedNode, TypedTerm, infer
 from .wellformed import ValidatedProgram
+
+
+class OracleInconsistency(Exception):
+    """The checker and the reference semantics disagree on the identity
+    tuple; indicates a bug in the oracle, not bad input."""
+
+    stage = "oracle"
 
 
 def match_fun(k_expr: TypeExpr, phi: FunExpr, env: dict[str, FunExpr]) -> dict[str, FunExpr] | None:
@@ -96,6 +114,46 @@ def match_fun(k_expr: TypeExpr, phi: FunExpr, env: dict[str, FunExpr]) -> dict[s
     return None
 
 
+def match_type(pattern: TypeExpr, ty: TypeExpr, subst: dict[str, TypeExpr]) -> bool:
+    """One-sided matching: extend `subst` so that `pattern` under it is the
+    ground type `ty`; False when no extension does. Variables of `ty` are
+    constants."""
+    if isinstance(pattern, Var):
+        return subst.setdefault(pattern.name, ty) == ty
+    if isinstance(pattern, (Prod, Sum)):
+        return (
+            type(ty) is type(pattern)
+            and match_type(pattern.left, ty.left, subst)
+            and match_type(pattern.right, ty.right, subst)
+        )
+    if isinstance(pattern, App):
+        return (
+            isinstance(ty, App)
+            and ty.ctor == pattern.ctor
+            and len(ty.args) == len(pattern.args)
+            and all(match_type(p, t, subst) for p, t in zip(pattern.args, ty.args))
+        )
+    return pattern == ty
+
+
+def _binder_functions(
+    sig: ConstructorSig, components: tuple[FunExpr, ...], instance: tuple[TypeExpr, ...]
+) -> dict[str, FunExpr] | None:
+    """The function along each binder of a constructor that a lifted
+    application with these components maps its arguments with, or None when
+    the components do not decompose along the return indices (`match_fun`).
+    Binders absent from every return index carry incidental data, which is
+    preserved unchanged: the identity at the binder's `instance`."""
+    env: dict[str, FunExpr] | None = {}
+    for k_expr, component in zip(sig.ret_indices, components):
+        env = match_fun(k_expr, component, env)
+        if env is None:
+            return None
+    for binder, t in zip(sig.type_vars, instance):
+        env.setdefault(binder, Id(t))
+    return env
+
+
 class _Fail(Exception):
     pass
 
@@ -104,11 +162,11 @@ def map_apply(phi: FunExpr, typed: TypedTerm) -> TypedTerm | None:
     """Apply a function expression to a term and type the result, or None
     when not applicable.
 
-    Identities leave subterms unchanged; opaque functions replace them with
-    fresh constants of the opaque codomain; products and sums distribute
-    componentwise; a lifted constructor application maps through a matching
-    constructor via `match_fun`. The rebuilt term is re-typechecked, with
-    failures reported as None.
+    Identities leave subterms unchanged, at the identity's type; opaque
+    functions replace them with fresh constants of the opaque codomain;
+    products and sums distribute componentwise; a lifted constructor
+    application maps through a matching constructor via `match_fun`. The
+    rebuilt term is re-typechecked, with failures reported as None.
     """
     vp = typed.vp
     counter = itertools.count()
@@ -116,7 +174,9 @@ def map_apply(phi: FunExpr, typed: TypedTerm) -> TypedTerm | None:
     def apply(phi: FunExpr, node: TypedNode) -> Term:
         term = node.term
         if isinstance(phi, Id):
-            return term
+            # The annotation keeps the type the subterm had, which annotations
+            # dropped from the typed tree may have fixed (`(1 : Int)`).
+            return Ann(term, phi.at)
         if isinstance(phi, Opaque):
             return Const(f"c{next(counter)}", phi.codomain)
         if isinstance(phi, ProdF):
@@ -135,16 +195,9 @@ def map_apply(phi: FunExpr, typed: TypedTerm) -> TypedTerm | None:
             decl, sig = vp.ctor(term.name)
             if decl.name != phi.ctor:
                 raise _Fail
-            env: dict[str, FunExpr] | None = {}
-            for k_expr, component in zip(sig.ret_indices, phi.args):
-                env = match_fun(k_expr, component, env)
-                if env is None:
-                    raise _Fail
-            w = typed.instance_of(node)
-            for d, binder in enumerate(sig.type_vars):
-                # Binders absent from every return index carry incidental
-                # data; it is preserved unchanged.
-                env.setdefault(binder, Id(w[d]))
+            env = _binder_functions(sig, phi.args, typed.instance_of(node))
+            if env is None:
+                raise _Fail
             new_args = tuple(
                 apply(lift_type(arg_ty, env), kid)
                 for arg_ty, kid in zip(sig.arg_types, node.kids)
@@ -160,6 +213,93 @@ def map_apply(phi: FunExpr, typed: TypedTerm) -> TypedTerm | None:
         return infer(result, vp, typed.int_literals)
     except TypeCheckError:
         return None
+
+
+class Checker:
+    """Decides, without rebuilding the term, whether pushing a function
+    expression through a subterm of one typed term gives a term of an
+    expected ground type, by the rules `map_apply` rebuilds with.
+
+    The verdicts on proper subterms are memoised per (subterm, function,
+    type), and each constructor's declaration and resolved instance once per
+    subterm, so one checker shared by every candidate tuple of an `agrees`
+    call pushes each sub-candidate through each subterm once. (Each tuple
+    pushes a function of its own through the root, so `check` itself is not
+    memoised.)
+    """
+
+    def __init__(self, typed: TypedTerm) -> None:
+        self.typed = typed
+        self._memo: dict[tuple[int, FunExpr, TypeExpr], bool] = {}
+        self._types: dict[int, TypeExpr] = {}
+        self._ctors: dict[int, tuple] = {}
+
+    def _sub(self, phi: FunExpr, node: TypedNode, ty: TypeExpr) -> bool:
+        key = (id(node), phi, ty)
+        ok = self._memo.get(key)
+        if ok is None:
+            ok = self._memo[key] = self.check(phi, node, ty)
+        return ok
+
+    def check(self, phi: FunExpr, node: TypedNode, ty: TypeExpr) -> bool:
+        if isinstance(phi, Opaque):
+            return ty == phi.codomain
+        if isinstance(phi, Id):
+            # An unchanged subterm checks at its own type.
+            own = self._types.get(id(node))
+            if own is None:
+                own = self._types[id(node)] = self.typed.type_of(node)
+            if ty == own:
+                return True
+            phi = expand_id(phi)
+        term = node.term
+        if isinstance(phi, ProdF):
+            return (
+                isinstance(term, Pair)
+                and isinstance(ty, Prod)
+                and self._sub(phi.left, node.kids[0], ty.left)
+                and self._sub(phi.right, node.kids[1], ty.right)
+            )
+        if isinstance(phi, SumF):
+            if not isinstance(ty, Sum):
+                return False
+            if isinstance(term, Inl):
+                return self._sub(phi.left, node.kids[0], ty.left)
+            if isinstance(term, Inr):
+                return self._sub(phi.right, node.kids[0], ty.right)
+            return False
+        if isinstance(phi, Lift):
+            if not isinstance(term, Ctor):
+                return False
+            decl, sig, inst = self._ctor(node)
+            if decl.name != phi.ctor:
+                return False
+            env = _binder_functions(sig, phi.args, inst)
+            if env is None:
+                return False
+            # Binder instances: from the expected return indices, and for
+            # binders in no return index (incidental data) the node's own.
+            theta: dict[str, TypeExpr] = {}
+            if not match_type(App(decl.name, sig.ret_indices), ty, theta):
+                return False
+            for binder, t in zip(sig.type_vars, inst):
+                theta.setdefault(binder, t)
+            # A loop, not `all` over a generator: two frames per term level,
+            # as in `map_apply`, keep the reachable depth the same.
+            for arg_ty, kid in zip(sig.arg_types, node.kids):
+                if not self._sub(lift_type(arg_ty, env), kid, subst_type(arg_ty, theta)):
+                    return False
+            return True
+        return False
+
+    def _ctor(self, node: TypedNode) -> tuple:
+        """The declaration, signature and resolved binder instance of a
+        constructor node."""
+        info = self._ctors.get(id(node))
+        if info is None:
+            decl, sig = self.typed.vp.ctor(node.term.name)
+            info = self._ctors[id(node)] = (decl, sig, self.typed.instance_of(node))
+        return info
 
 
 def enumerate_candidates(domain: TypeExpr, depth: int, vp: ValidatedProgram) -> list[FunExpr]:
@@ -210,6 +350,11 @@ def is_instance(forms: tuple[FunExpr, ...], candidates: tuple[FunExpr, ...]) -> 
     """Whether the candidate tuple instantiates the most general form: equal
     after identity expansion, once the form's free variables are bound
     (consistently across the whole tuple)."""
+    return _is_normal_instance(tuple(map(normalize, forms)), tuple(map(normalize, candidates)))
+
+
+def _is_normal_instance(forms: tuple[FunExpr, ...], candidates: tuple[FunExpr, ...]) -> bool:
+    """`is_instance` on forms and candidates already normalised."""
     subst: dict[FunVar, FunExpr] = {}
 
     def go(f: FunExpr, c: FunExpr) -> bool:
@@ -229,7 +374,7 @@ def is_instance(forms: tuple[FunExpr, ...], candidates: tuple[FunExpr, ...]) -> 
             return all(go(a, b) for a, b in zip(f.args, c.args))
         return False
 
-    return all(go(normalize(f), normalize(c)) for f, c in zip(forms, candidates))
+    return all(go(f, c) for f, c in zip(forms, candidates))
 
 
 @dataclass
@@ -257,31 +402,30 @@ def head_lift(shape: TypeExpr, candidates: tuple[FunExpr, ...]) -> FunExpr:
     raise ValueError(f"specification {shape} has no analyzable head")
 
 
-def mappable(candidates: tuple[FunExpr, ...], typed: TypedTerm, spec: Spec) -> bool:
+def mappable(
+    candidates: tuple[FunExpr, ...],
+    typed: TypedTerm,
+    spec: Spec,
+    checker: Checker | None = None,
+) -> bool:
     """Whether the candidate tuple is mappable over the term relative to the
     specification.
 
-    Three conditions: the lifted head pushes through the term's structure;
-    the rebuilt term typechecks at the lifted head's codomain (nullary
-    constructors would otherwise re-generalize and hide the codomain); and
-    that codomain is again an instance of the specification, so the mapped
-    result keeps the specified essential shape.
+    Two conditions: the lifted head's codomain is again an instance of the
+    specification, so the mapped result keeps the specified essential shape;
+    and the lifted head pushes through the term's structure to a term of that
+    codomain (checked, not inferred, so nullary constructors cannot
+    re-generalize and hide it). `checker`, when given, must be over `typed`
+    and shares its memo across calls.
     """
     wrapped = head_lift(spec.shape, candidates)
     cod = fun_type(wrapped, codomain=True)
     assert cod is not None  # candidates contain no function variables
-    try:
-        spec_instance(spec, cod, _Store())
-    except TypeCheckError:
+    if not match_type(spec.shape, cod, {}):
         return False
-    rebuilt = map_apply(wrapped, typed)
-    if rebuilt is None:
-        return False
-    try:
-        rebuilt.unify_root(cod)
-    except TypeCheckError:
-        return False
-    return True
+    if checker is None:
+        checker = Checker(typed)
+    return checker.check(wrapped, typed.root, cod)
 
 
 def agrees(
@@ -293,14 +437,41 @@ def agrees(
     """Exhaustively compare the analysis result against the brute-force
     semantics: every candidate tuple must be mappable over the term iff it
     instantiates the most general form. Candidates range over the input
-    functions' domains in the witness `check_call_invariants` recorded."""
-    pools = [enumerate_candidates(d, depth, typed.vp) for d in typed.witness.domains]
+    functions' domains in the witness `check_call_invariants` recorded.
+
+    Raises `OracleInconsistency` when `map_apply` does not rebuild the term
+    from the identity tuple, or the checker's verdict on that tuple is not
+    the verdict of the rebuilt term's typing."""
+    domains = typed.witness.domains
+    identity = tuple(Id(d) for d in domains)
+    rebuilt = map_apply(head_lift(spec.shape, identity), typed)
+    # Compared as text: the renderer is iterative, while `==` on terms
+    # recurses several frames per level and would lower the depth reached.
+    if rebuilt is None or pretty_term(rebuilt.term) != pretty_term(typed.term):
+        raise OracleInconsistency("the identity tuple does not rebuild the term")
+    try:
+        rebuilt.unify_root(typed.type_of(typed.root))
+        reference = True
+    except TypeCheckError:
+        reference = False
+
+    checker = Checker(typed)
+    normal_forms = tuple(map(normalize, forms))
+    pools = [
+        [(c, normalize(c)) for c in enumerate_candidates(d, depth, typed.vp)] for d in domains
+    ]
     disagreements: list[Disagreement] = []
     checked = 0
-    for combo in itertools.product(*pools):
+    for pairs in itertools.product(*pools):
         checked += 1
-        ok = mappable(combo, typed, spec)
-        instance = is_instance(forms, combo)
+        combo = tuple(c for c, _ in pairs)
+        ok = mappable(combo, typed, spec, checker)
+        if ok != reference and combo == identity:
+            raise OracleInconsistency(
+                f"identity tuple: the checker says {'' if ok else 'not '}mappable, "
+                f"the rebuilt term's typing says {'' if reference else 'not '}mappable"
+            )
+        instance = _is_normal_instance(normal_forms, tuple(n for _, n in pairs))
         if ok != instance:
             disagreements.append(Disagreement(combo, ok, instance))
     return AgreementReport(not disagreements, checked, disagreements)

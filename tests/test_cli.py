@@ -342,6 +342,29 @@ class TestInternalError:
         assert out == ""
         assert err == "internal error: solver: head clash in <f1, g1^1>\n"
 
+    def test_identity_tuple_not_rebuilt(self, program_files, capsys, monkeypatch):
+        import gadtmap.oracle
+
+        monkeypatch.setattr(gadtmap.oracle, "map_apply", lambda *a: None)
+        argv = [*self.ARGV, "--verify", "depth=2"]
+        assert main(["analyze", program_files["nested"], *argv]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "internal error: oracle: the identity tuple does not rebuild the term\n"
+
+    def test_checker_disagrees_with_reference(self, program_files, capsys, monkeypatch):
+        import gadtmap.oracle
+
+        monkeypatch.setattr(gadtmap.oracle.Checker, "check", lambda *a: False)
+        argv = [*self.ARGV, "--verify", "depth=2"]
+        assert main(["analyze", program_files["nested"], *argv]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "internal error: oracle: identity tuple: the checker says not mappable, "
+            "the rebuilt term's typing says mappable\n"
+        )
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("key,term,spec,int_lits", CORPUS)

@@ -2,13 +2,19 @@
 enumeration, and agreement with the analysis."""
 from __future__ import annotations
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gadtmap as g
+from gadtmap.funexpr import fun_type
 from gadtmap.oracle import head_lift, mappable
-from gadtmap.syntax import App, Atom, Base, Prod, Var
+from gadtmap.syntax import App, Atom, Base, Prod, Sum, Var
+from gadtmap.typecheck import _Store, spec_instance
 
-from conftest import CORPUS, G_TERM_INJ, LISTS_TERM, NESTED_SRC, run_pipeline
+from conftest import CORPUS, G_TERM_INJ, LISTS_TERM, NESTED_SRC, gen_value, run_pipeline
 
 NAT = Base("Nat")
 LIST_NAT = App("List", (NAT,))
@@ -21,6 +27,62 @@ data S : Set -> Set where
   sr : forall a b. b -> S (a + b) ;
   sw : forall a. S a -> S a
 """
+
+# Shapes the checker handles apart: existential binders (`b` of `mk`, `mkl`),
+# two indices that constructors permute, fix or repeat, and a nested index.
+PROBE_SRC = """
+data E : Set -> Set where
+  mk  : forall a b. b -> a -> E a ;
+  mkl : forall a b. List b -> a -> E a
+
+data T : Set -> Set -> Set where
+  ts : forall a b. T a b -> T b a ;
+  tl : forall a. a -> T a Nat ;
+  tp : forall a. a -> a -> T a a
+
+data H : Set -> Set where
+  hz : forall a. a -> H a ;
+  hl : forall a. H (List a) -> H (List (List a))
+"""
+
+# (term, spec, candidate tuples checked at depths 2 and 3)
+PROBE_TERMS = [
+    # existential binders keep their data
+    ("mk (1, tt) (cons 2 nil)", "E (List b1)", (4, 4)),
+    ("mkl (cons tt nil) (1, 2)", "E (b1 * b2)", (6, 6)),
+    ("mkl (cons 1 nil) (cons (1, 2) nil)", "E (List (b1 * b1))", (8, 8)),
+    # two indices: swapped, one closed, one repeated
+    ("ts (tl 1)", "T b1 b2", (4, 4)),
+    ("ts (ts (tl (1, tt)))", "T (b1 * b2) b3", (12, 12)),
+    ("tl (cons 1 nil)", "T (List b1) b2", (8, 8)),
+    ("tp (1, 2) (3, 4)", "T b1 b1", (36, 36)),
+    ("tp (1, 2) (3, 4)", "T b1 b2", (36, 36)),
+    ("ts (tp (cons 1 nil) nil)", "T b1 b2", (16, 16)),
+    # a nested index
+    ("hz (cons 1 nil)", "H (List b1)", (4, 4)),
+    ("hl (hz (cons nil nil))", "H b1", (6, 8)),
+    ("hl (hz (cons nil nil))", "H (List b1)", (6, 8)),
+    # a sum index under two constructors
+    ("sw (sw (sl 1))", "S (b1 + b2)", (6, 6)),
+    ("sw (sw (sr (cons 1 nil)))", "S (b1 + List b2)", (10, 10)),
+]
+
+SUM_INDEXED_TERMS = [
+    ("sw (sl (cons 1 nil))", "S b1"),
+    ("sr tt", "S b1"),
+    ("sl (inr 2 : Bool + Nat)", "S b1"),
+    ("inr (cons 1 nil)", "b1 + List b2"),
+]
+
+REPEATED_SPEC_VARIABLES = [
+    ("g", "(1, 2)", "b1 * b1"),
+    ("g", "inl 1", "b1 + b1"),
+    ("g", "pairing (inj 1) (inj 2)", "G (b1 * b1)"),
+    ("seq", "pair (const 1) (const 1)", "Seq (b1 * b1)"),
+    ("seq", "const (1, 1)", "Seq (b1 * b1)"),
+    ("seq", "pair (const (1, 2)) (const 1)", "Seq ((b1 * b2) * b1)"),
+    ("nested", "(cons 1 nil, cons 2 nil)", "List b1 * List b1"),
+]
 
 
 def opaque(domain, name="X"):
@@ -174,17 +236,10 @@ class TestAgreement:
         assert report.agrees, report.disagreements
 
     @pytest.mark.parametrize(
-        "term,spec,checked",
-        [
-            ("sw (sl (cons 1 nil))", "S b1", 10),
-            ("sr tt", "S b1", 6),
-            ("sl (inr 2 : Bool + Nat)", "S b1", 14),
-            ("inr (cons 1 nil)", "b1 + List b2", 8),
-        ],
+        "term,spec,checked", [(*case, n) for case, n in zip(SUM_INDEXED_TERMS, (10, 6, 14, 8))]
     )
-    def test_sum_indexed_constructors_agree_at_depth_two(self, term, spec, checked):
-        vp = g.validate(g.parse_program(NESTED_SRC + SUM_INDEXED_SRC))
-        p = run_pipeline(vp, term, spec)
+    def test_sum_indexed_constructors_agree_at_depth_two(self, sum_vp, term, spec, checked):
+        p = run_pipeline(sum_vp, term, spec)
         report = g.agrees(p.form, p.typed, p.spec, 2)
         assert report.agrees, report.disagreements
         assert report.checked == checked
@@ -192,15 +247,7 @@ class TestAgreement:
     @pytest.mark.parametrize("depth", [2, 3])
     @pytest.mark.parametrize(
         "key,term,spec,checked",
-        [
-            ("g", "(1, 2)", "b1 * b1", 4),
-            ("g", "inl 1", "b1 + b1", 4),
-            ("g", "pairing (inj 1) (inj 2)", "G (b1 * b1)", 6),
-            ("seq", "pair (const 1) (const 1)", "Seq (b1 * b1)", 6),
-            ("seq", "const (1, 1)", "Seq (b1 * b1)", 6),
-            ("seq", "pair (const (1, 2)) (const 1)", "Seq ((b1 * b2) * b1)", 14),
-            ("nested", "(cons 1 nil, cons 2 nil)", "List b1 * List b1", 16),
-        ],
+        [(*case, n) for case, n in zip(REPEATED_SPEC_VARIABLES, (4, 4, 6, 6, 6, 14, 16))],
     )
     def test_repeated_spec_variables_agree(self, programs, key, term, spec, checked, depth):
         # A repeated variable makes the codomain check in `mappable` decide:
@@ -209,6 +256,23 @@ class TestAgreement:
         report = g.agrees(p.form, p.typed, p.spec, depth)
         assert report.agrees, report.disagreements
         assert report.checked == checked
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    @pytest.mark.parametrize("term,spec,checked", PROBE_TERMS)
+    def test_probe_shapes_agree(self, probe_vp, term, spec, checked, depth):
+        p = run_pipeline(probe_vp, term, spec)
+        report = g.agrees(p.form, p.typed, p.spec, depth)
+        assert report.agrees, report.disagreements
+        assert report.checked == checked[depth - 2]
+
+    @pytest.mark.parametrize("term", ["cons (1 : Int) nil", "cons 1 (cons (2 : Int) nil)"])
+    def test_annotated_literals_keep_their_type(self, nested_vp, term):
+        # The typed tree drops annotations; the identity must still map the
+        # term to itself at Int, not at a re-defaulted Nat.
+        p = run_pipeline(nested_vp, term, "List b1")
+        report = g.agrees(p.form, p.typed, p.spec, 2)
+        assert report.agrees, report.disagreements
+        assert report.checked == 2
 
     def test_unique_survivor_for_flat_term(self, g_vp):
         from conftest import G_TERM_FLAT
@@ -241,7 +305,87 @@ class TestAgreement:
 
 
 def _combos(p, depth):
-    import itertools
-
     pools = [g.enumerate_candidates(d, depth, p.typed.vp) for d in p.typed.witness.domains]
     return list(itertools.product(*pools))
+
+
+@pytest.fixture(scope="module")
+def sum_vp():
+    return g.validate(g.parse_program(NESTED_SRC + SUM_INDEXED_SRC))
+
+
+@pytest.fixture(scope="module")
+def probe_vp():
+    return g.validate(g.parse_program(NESTED_SRC + SUM_INDEXED_SRC + PROBE_SRC))
+
+
+def reference_mappable(candidates, typed, spec) -> bool:
+    """`mappable` as it was before candidates were checked: unify the
+    codomain with the specification on a fresh store, rebuild the term and
+    infer its type, then unify that with the codomain."""
+    wrapped = head_lift(spec.shape, candidates)
+    cod = fun_type(wrapped, codomain=True)
+    try:
+        spec_instance(spec, cod, _Store())
+    except g.TypeCheckError:
+        return False
+    rebuilt = g.map_apply(wrapped, typed)
+    if rebuilt is None:
+        return False
+    try:
+        rebuilt.unify_root(cod)
+    except g.TypeCheckError:
+        return False
+    return True
+
+
+def assert_same_verdicts(p, depth):
+    combos = _combos(p, depth)
+    assert combos
+    for combo in combos:
+        assert mappable(combo, p.typed, p.spec) == reference_mappable(combo, p.typed, p.spec), [
+            g.pretty(c) for c in combo
+        ]
+
+
+class TestCheckerMatchesReference:
+    """The checker decides every candidate tuple as the rebuilt term's
+    inferred typing does."""
+
+    @pytest.mark.parametrize("key,term,spec,int_lits", CORPUS)
+    def test_corpus(self, programs, key, term, spec, int_lits):
+        assert_same_verdicts(run_pipeline(programs[key], term, spec, int_lits), 3)
+
+    @pytest.mark.parametrize("term,spec", SUM_INDEXED_TERMS)
+    def test_sum_indexed(self, sum_vp, term, spec):
+        assert_same_verdicts(run_pipeline(sum_vp, term, spec), 3)
+
+    @pytest.mark.parametrize("key,term,spec", REPEATED_SPEC_VARIABLES)
+    def test_repeated_spec_variables(self, programs, key, term, spec):
+        assert_same_verdicts(run_pipeline(programs[key], term, spec), 3)
+
+    @pytest.mark.parametrize("term,spec,_checked", PROBE_TERMS)
+    def test_probe_shapes(self, probe_vp, term, spec, _checked):
+        assert_same_verdicts(run_pipeline(probe_vp, term, spec), 3)
+
+    NAT_BOOL = Prod(NAT, Base("Bool"))
+    RANDOM_TYPES = [
+        (App("List", (NAT_BOOL,)), ["List b1", "List (b1 * b2)", "List (b1 * Bool)"]),
+        (App("List", (LIST_NAT,)), ["List b1", "List (List b1)"]),
+        (App("PTree", (Prod(NAT, NAT),)), ["PTree b1", "PTree (b1 * b1)", "PTree (b1 * b2)"]),
+        (App("Bush", (Sum(NAT, Base("Bool")),)), ["Bush b1", "Bush (b1 + b2)"]),
+        (App("Rose", (LIST_NAT,)), ["Rose b1", "Rose (List b1)"]),
+        (Prod(LIST_NAT, App("PTree", (NAT,))), ["List b1 * PTree b2", "List b1 * PTree b1"]),
+    ]
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        rng=st.randoms(use_true_random=False),
+        case=st.sampled_from(RANDOM_TYPES),
+        pick=st.integers(0, 2),
+        depth=st.sampled_from([2, 3]),
+    )
+    def test_random_values(self, nested_vp, rng, case, pick, depth):
+        ty, specs = case
+        term = g.pretty(gen_value(rng, ty, nested_vp, budget=3))
+        assert_same_verdicts(run_pipeline(nested_vp, term, specs[pick % len(specs)]), depth)
