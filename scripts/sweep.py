@@ -8,7 +8,9 @@ For each N, a fresh interpreter parses an N-element `cons` list, runs
 `List b1` (no rendering), and reports the seconds of each stage, the number
 of calls, the peak RSS of the child, and the peak RSS per element above the
 interpreter's baseline. This is repeated in three fresh interpreters; one
-JSON line per N gives each stage's least time and the largest RSS.
+JSON line per N gives each stage's least time and the largest RSS. When a
+child fails, its last line of error output is printed as `{"n", "error"}`
+and the script exits 1.
 
 `--src` points at another source tree; `--big-stack` runs the stages in a
 thread with a 1 GB stack and a raised recursion limit, for code that
@@ -47,7 +49,7 @@ def stages():
     t2 = time.perf_counter()
     cli.check_call_invariants(typed, spec, cli.spec_head_arity(spec, vp))
     t3 = time.perf_counter()
-    run = constraints.run(typed, spec, vp)
+    run = constraints.run(typed, spec)
     t4 = time.perf_counter()
     cli.solve(run.constraints, run.root_funs)
     t5 = time.perf_counter()
@@ -83,8 +85,9 @@ def main() -> None:
                 capture_output=True, text=True,
             )
             if proc.returncode != 0:
-                print(json.dumps({"n": n, "error": proc.stderr.strip().splitlines()[-1]}))
-                return
+                lines = proc.stderr.strip().splitlines() or [f"exit status {proc.returncode}"]
+                print(json.dumps({"n": n, "error": lines[-1]}))
+                sys.exit(1)
             runs.append(json.loads(proc.stdout))
         best = {k: min(r[k] for r in runs) for k in STAGES}
         worst = {k: max(r[k] for r in runs) for k in ("peak_rss_mb", "rss_per_element_kb")}

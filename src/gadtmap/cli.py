@@ -69,7 +69,7 @@ def analyze(
         return AnalysisReport("SpecMismatch", detail=str(e), spec=spec)
     except TypeCheckError as e:
         return AnalysisReport("IllTyped", detail=str(e), spec=spec)
-    run = cgen.run(typed, spec, vp)
+    run = cgen.run(typed, spec)
     solved, form = solve(run.constraints, run.root_funs)
     report = AnalysisReport("Mappable", form=form, solved=solved, run=run, spec=spec, typed=typed)
     if verify_depth is not None:

@@ -26,7 +26,9 @@ The walk runs its calls in preorder from an explicit stack, so the depth of
 a term is bounded by memory, not by the interpreter's recursion limit. Each
 call is named by a `Call` node of constant size; the labels that name calls,
 index variables and constraint origins in output, and the term paths of the
-essential positions, are built only when output asks for them.
+essential positions, are built only when output asks for them. The walk
+reads each subterm's ground type and instance from its typed node, which
+`check_call_invariants` left frozen.
 """
 from __future__ import annotations
 
@@ -117,7 +119,6 @@ class CallTrace:
     funs: tuple[FunExpr, ...]
     spec: TypeExpr
     matching: list[tuple[TypeExpr, TypeExpr]] = field(default_factory=list)
-    assignments: list[Assignment] = field(default_factory=list)
     taus: tuple[TypeExpr, ...] = ()
     rjs: list[TypeExpr] = field(default_factory=list)
     zetas: list[tuple[TypeExpr, ...] | None] = field(default_factory=list)
@@ -126,10 +127,6 @@ class CallTrace:
     @property
     def label(self) -> str:
         return self.call.label
-
-    @property
-    def path(self) -> Path:
-        return self.call.path
 
 
 @dataclass(frozen=True)
@@ -281,8 +278,7 @@ _Pending = tuple[TypedNode, tuple[FunExpr, ...], TypeExpr, dict[VarName, TypeExp
 
 
 class _Run:
-    def __init__(self, typed: TypedTerm, vp: ValidatedProgram):
-        self.typed = typed
+    def __init__(self, vp: ValidatedProgram):
         self.vp = vp
         self._intro = itertools.count()
         self.traces: list[CallTrace] = []
@@ -312,10 +308,10 @@ class _Run:
             raise InternalInvariantViolation(
                 f"call {call.label}: bad call on {spec_te} with {len(funs)} functions"
             )
-        if subst_type(spec_te, cenv) != self.typed.type_of(node):
+        if subst_type(spec_te, cenv) != node.type:
             raise InternalInvariantViolation(
                 f"call {call.label}: instantiated specification {subst_type(spec_te, cenv)} "
-                f"differs from subterm type {self.typed.type_of(node)}"
+                f"differs from subterm type {node.type}"
             )
 
         betas = free_type_vars(spec_te)
@@ -346,7 +342,7 @@ class _Run:
                     continue
                 child_funs = tuple(lift_type(z, g_env) for z in zetas)
                 child_cenv = {v: cenv[v] for v in free_type_vars(comp)}
-                children.append((node.kids[i], child_funs, comp, child_cenv, Call(call, j + 1, i)))
+                children.append((node.kids[i], child_funs, comp, child_cenv, Call(call, j + 1)))
             return children
 
         # Constructor case.
@@ -359,7 +355,7 @@ class _Run:
             raise InternalInvariantViolation(
                 f"call {call.label}: constructor {term.name!r} does not build {spec_te}"
             )
-        w = self.typed.instance_of(node)
+        w = node.instance
         inst = dict(zip(sig.type_vars, w))
         for ell, k_expr in enumerate(sig.ret_indices):
             expected = subst_type(k_expr, inst)
@@ -371,23 +367,23 @@ class _Run:
                 )
 
         gammas = tuple(IndexName(i + 1, call) for i in range(len(sig.type_vars)))
-        gamma_types = dict(zip(gammas, w))
         rename = {a: Var(g) for a, g in zip(sig.type_vars, gammas)}
+        assignments: list[Assignment] = []
         for ell, comp in enumerate(components):
             index_expr = subst_type(sig.ret_indices[ell], rename)
             trace.matching.append((comp, index_expr))
-            trace.assignments.extend(match_spec(comp, index_expr))
+            assignments += match_spec(comp, index_expr)
 
-        taus = compute_taus(trace.assignments, gammas)
+        taus = compute_taus(assignments, gammas)
         trace.taus = taus
         h_env: dict[VarName, FunExpr] = {
             g: self.fresh_fun("h", call, i + 1, w[i]) for i, g in enumerate(gammas)
         }
-        trace.emitted += emit_step_five(trace.assignments, betas, g_env, h_env, "v", call)
-        trace.emitted += emit_step_six(trace.assignments, gammas, g_env, "vi", call)
+        trace.emitted += emit_step_five(assignments, betas, g_env, h_env, "v", call)
+        trace.emitted += emit_step_six(assignments, gammas, g_env, "vi", call)
 
         gh_env = {**g_env, **h_env}
-        child_cenv_all = {**cenv, **gamma_types}
+        child_cenv_all = {**cenv, **dict(zip(gammas, w))}
         for j, arg_type in enumerate(sig.arg_types):
             rj = compute_rj(arg_type, sig.type_vars, taus)
             trace.rjs.append(rj)
@@ -401,7 +397,7 @@ class _Run:
         return children
 
 
-def run(typed: TypedTerm, spec: Spec, vp: ValidatedProgram) -> RunResult:
+def run(typed: TypedTerm, spec: Spec) -> RunResult:
     """Run the analysis on a typed, frozen term.
 
     The caller must have established the entry precondition with
@@ -411,7 +407,7 @@ def run(typed: TypedTerm, spec: Spec, vp: ValidatedProgram) -> RunResult:
     witness = typed.witness
     if witness is None:
         raise InternalInvariantViolation("run requires a frozen typing; check invariants first")
-    r = _Run(typed, vp)
+    r = _Run(typed.vp)
     root_funs = tuple(
         r.fresh_fun("f", None, ell + 1, domain) for ell, domain in enumerate(witness.domains)
     )

@@ -26,21 +26,19 @@ class FunExpr:
 class Call:
     """One call of the constraint walk, named by its place in the call tree:
     its parent call (None for the root call) and its 1-based branch number
-    below that parent. `slot` is the child index of the call's subterm in the
-    parent's subterm; it differs from `branch - 1` only under `inr`.
+    below that parent.
 
     Every call holds a constant amount of data. Its dotted label ("1.2.1")
-    and its term path are built from the parent chain only when output asks
-    for them. Calls are equal when their labels are, so a function variable
-    parsed back from its display name equals the original.
+    is built from the parent chain only when output asks for it. Calls are
+    equal when their labels are, so a function variable parsed back from its
+    display name equals the original.
     """
 
-    __slots__ = ("parent", "branch", "slot", "_key", "_label")
+    __slots__ = ("parent", "branch", "_key", "_label")
 
-    def __init__(self, parent: Call | None, branch: int, slot: int | None = None):
+    def __init__(self, parent: Call | None, branch: int):
         self.parent = parent
         self.branch = branch
-        self.slot = branch - 1 if slot is None else slot
         self._key = hash((0 if parent is None else parent._key, branch))
         self._label: str | None = None
 
@@ -67,16 +65,6 @@ class Call:
             parts += reversed(branches)
             self._label = ".".join(parts)
         return self._label
-
-    @property
-    def path(self) -> tuple[int, ...]:
-        """The child-index path of the call's subterm from the root."""
-        slots = []
-        c = self
-        while c.parent is not None:
-            slots.append(c.slot)
-            c = c.parent
-        return tuple(reversed(slots))
 
     def __hash__(self) -> int:
         return self._key

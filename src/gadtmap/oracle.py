@@ -159,8 +159,8 @@ class _Fail(Exception):
 
 
 def map_apply(phi: FunExpr, typed: TypedTerm) -> TypedTerm | None:
-    """Apply a function expression to a term and type the result, or None
-    when not applicable.
+    """Apply a function expression to a term with a frozen typing and type
+    the result, or None when not applicable.
 
     Identities leave subterms unchanged, at the identity's type; opaque
     functions replace them with fresh constants of the opaque codomain;
@@ -195,7 +195,7 @@ def map_apply(phi: FunExpr, typed: TypedTerm) -> TypedTerm | None:
             decl, sig = vp.ctor(term.name)
             if decl.name != phi.ctor:
                 raise _Fail
-            env = _binder_functions(sig, phi.args, typed.instance_of(node))
+            env = _binder_functions(sig, phi.args, node.instance)
             if env is None:
                 raise _Fail
             new_args = tuple(
@@ -221,18 +221,15 @@ class Checker:
     expected ground type, by the rules `map_apply` rebuilds with.
 
     The verdicts on proper subterms are memoised per (subterm, function,
-    type), and each constructor's declaration and resolved instance once per
-    subterm, so one checker shared by every candidate tuple of an `agrees`
+    type), so one checker shared by every candidate tuple of an `agrees`
     call pushes each sub-candidate through each subterm once. (Each tuple
     pushes a function of its own through the root, so `check` itself is not
     memoised.)
     """
 
     def __init__(self, typed: TypedTerm) -> None:
-        self.typed = typed
+        self.vp = typed.vp
         self._memo: dict[tuple[int, FunExpr, TypeExpr], bool] = {}
-        self._types: dict[int, TypeExpr] = {}
-        self._ctors: dict[int, tuple] = {}
 
     def _sub(self, phi: FunExpr, node: TypedNode, ty: TypeExpr) -> bool:
         key = (id(node), phi, ty)
@@ -246,10 +243,7 @@ class Checker:
             return ty == phi.codomain
         if isinstance(phi, Id):
             # An unchanged subterm checks at its own type.
-            own = self._types.get(id(node))
-            if own is None:
-                own = self._types[id(node)] = self.typed.type_of(node)
-            if ty == own:
+            if ty == node.type:
                 return True
             phi = expand_id(phi)
         term = node.term
@@ -271,10 +265,10 @@ class Checker:
         if isinstance(phi, Lift):
             if not isinstance(term, Ctor):
                 return False
-            decl, sig, inst = self._ctor(node)
+            decl, sig = self.vp.ctor(term.name)
             if decl.name != phi.ctor:
                 return False
-            env = _binder_functions(sig, phi.args, inst)
+            env = _binder_functions(sig, phi.args, node.instance)
             if env is None:
                 return False
             # Binder instances: from the expected return indices, and for
@@ -282,7 +276,7 @@ class Checker:
             theta: dict[str, TypeExpr] = {}
             if not match_type(App(decl.name, sig.ret_indices), ty, theta):
                 return False
-            for binder, t in zip(sig.type_vars, inst):
+            for binder, t in zip(sig.type_vars, node.instance):
                 theta.setdefault(binder, t)
             # A loop, not `all` over a generator: two frames per term level,
             # as in `map_apply`, keep the reachable depth the same.
@@ -291,15 +285,6 @@ class Checker:
                     return False
             return True
         return False
-
-    def _ctor(self, node: TypedNode) -> tuple:
-        """The declaration, signature and resolved binder instance of a
-        constructor node."""
-        info = self._ctors.get(id(node))
-        if info is None:
-            decl, sig = self.typed.vp.ctor(node.term.name)
-            info = self._ctors[id(node)] = (decl, sig, self.typed.instance_of(node))
-        return info
 
 
 def enumerate_candidates(domain: TypeExpr, depth: int, vp: ValidatedProgram) -> list[FunExpr]:
@@ -450,7 +435,7 @@ def agrees(
     if rebuilt is None or pretty_term(rebuilt.term) != pretty_term(typed.term):
         raise OracleInconsistency("the identity tuple does not rebuild the term")
     try:
-        rebuilt.unify_root(typed.type_of(typed.root))
+        rebuilt.unify_root(typed.root.type)
         reference = True
     except TypeCheckError:
         reference = False

@@ -10,7 +10,8 @@ requested), matching both conventions used in practice.
 type must be an instance of the specification. Metavariables that survive
 inference (e.g. the element type of a bare `nil`) may be instantiated by the
 specification here; anything still unsolved afterwards is frozen to a rigid
-atom, so the analysis itself never sees a metavariable. The substitution it
+atom and every node's type is overwritten with its ground type, so the
+analysis itself never sees a metavariable. The substitution it
 finds is recorded on the typing once (`InstanceWitness`), and fixes the domain
 of every input function.
 """
@@ -135,12 +136,15 @@ class _Store:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(eq=False, slots=True)
 class TypedNode:
-    """One subterm occurrence: the annotation-free subterm, its raw type
-    (metavariables unresolved), the instantiation of its binders when it is a
-    constructor application (`()` otherwise), and its typed children in
-    `term_children` order."""
+    """One subterm occurrence: the annotation-free subterm, its type, the
+    instantiation of its binders when it is a constructor application (`()`
+    otherwise), and its typed children in `term_children` order.
+
+    After inference the type and instance are raw (metavariables unresolved;
+    read them through `TypedTerm.type_of`/`instance_of`). Freezing the typing
+    overwrites both with ground types. Nodes compare by identity."""
 
     term: Term
     type: TypeExpr
@@ -150,7 +154,8 @@ class TypedNode:
 
 @dataclass
 class TypedTerm:
-    """A term as a tree of typed nodes, read through the metavariable store."""
+    """A term as a tree of typed nodes and the metavariable store that
+    resolves their raw types; once frozen, the nodes hold ground types."""
 
     root: TypedNode
     vp: ValidatedProgram
@@ -351,8 +356,8 @@ def check_call_invariants(typed: TypedTerm, spec: Spec, fun_arity: int) -> Insta
     Finds a substitution s for the specification variables with
     spec[vars := s] equal to the term's type; the search may instantiate
     metavariables still unsolved in the typing. Afterwards every remaining
-    metavariable is frozen to a fresh rigid atom, and the witness is recorded
-    as `typed.witness`.
+    metavariable is frozen to a fresh rigid atom, every node holds its ground
+    type and instance, and the witness is recorded as `typed.witness`.
     """
     k = spec_head_arity(spec, typed.vp)
     if fun_arity != k:
@@ -372,17 +377,29 @@ def check_call_invariants(typed: TypedTerm, spec: Spec, fun_arity: int) -> Insta
     subst = {v: store.resolve(m) for v, m in mus.items()}
     # The root type is the specification under `subst`, so its head's
     # components are the specification head's components under `subst`.
-    typed.witness = InstanceWitness(subst, type_children(typed.type_of(typed.root)))
+    typed.witness = InstanceWitness(subst, type_children(typed.root.type))
     return typed.witness
 
 
 def _freeze(typed: TypedTerm) -> None:
-    """Bind every metavariable still reachable from the typing to a fresh
-    rigid atom: those of the node types in preorder, then those of the
-    constructor instances in preorder."""
+    """Ground the typing: overwrite every node's type and instance with its
+    resolved type. Each metavariable still unsolved is bound to a fresh rigid
+    atom `?N` where it is first met: node types in preorder, then
+    constructor instances in preorder, by ident within one type."""
     store = typed._store
-    nodes = list(typed.nodes())
     counter = itertools.count()
-    for t in [n.type for n in nodes] + [i for n in nodes for i in n.instance]:
-        for ident in sorted(metas_in(store.resolve(t))):
+
+    def ground(t: TypeExpr) -> TypeExpr:
+        t = store.resolve(t)
+        metas = metas_in(t)
+        if not metas:
+            return t
+        for ident in sorted(metas):
             store.solutions[ident] = Atom(f"?{next(counter)}")
+        return store.resolve(t)
+
+    nodes = list(typed.nodes())
+    for n in nodes:
+        n.type = ground(n.type)
+    for n in nodes:
+        n.instance = tuple(map(ground, n.instance))

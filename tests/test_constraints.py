@@ -319,4 +319,4 @@ class TestInvariants:
         typed = g.infer(g.parse_term("nil", nested_vp), nested_vp)
         spec = g.parse_spec("List b1", nested_vp)
         with pytest.raises(g.InternalInvariantViolation):
-            g.run(typed, spec, nested_vp)
+            g.run(typed, spec)

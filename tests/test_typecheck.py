@@ -116,11 +116,16 @@ class TestCheckCallInvariants:
         assert isinstance(w.subst["b1"], Atom)
 
     def test_freezing_grounds_all_types(self, nested_vp):
-        typed = g.infer(g.parse_term("nil", nested_vp), nested_vp)
-        g.check_call_invariants(typed, g.parse_spec("List b1", nested_vp), 1)
-        assert typed.witness is not None
-        for node in typed.nodes():
-            assert not g.syntax.metas_in(typed.type_of(node))
+        p_vp = g.validate(g.parse_program("data P : Set -> Set where\n  p : forall a b. a -> P a"))
+        for vp, term, spec in [(nested_vp, "nil", "List b1"), (p_vp, "p 1", "P b1")]:
+            typed = g.infer(g.parse_term(term, vp), vp)
+            g.check_call_invariants(typed, g.parse_spec(spec, vp), 1)
+            assert typed.witness is not None
+            for node in typed.nodes():
+                assert not g.syntax.metas_in(node.type)
+                assert not any(g.syntax.metas_in(t) for t in node.instance)
+                assert node.type == typed.type_of(node)
+                assert node.instance == typed.instance_of(node)
 
     def test_spec_with_closed_component(self, nested_vp):
         typed = g.infer(g.parse_term("nil", nested_vp), nested_vp)
