@@ -78,9 +78,10 @@ def corpus_rates(trees: dict[str, Path]) -> dict:
     return rates
 
 
-def bench_run(tree: Path, seed: int, seconds: float, trace: int) -> dict:
+def bench_run(tree: Path, seed: int, seconds: float, trace: int,
+              workload: str = "oracle-verify") -> dict:
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "oracle-verify", "--seed", str(seed),
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True, check=True,
     )

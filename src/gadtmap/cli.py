@@ -13,10 +13,11 @@ internal error (a fault of the analysis, reported on one line as
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import re
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import constraints as cgen
 from .funexpr import Constraint, FunExpr, FunVar, Id, Lift, Opaque, ProdF, SumF, fun_vars
@@ -174,6 +175,100 @@ def _free_var_names(form: tuple[FunExpr, ...]) -> list[str]:
     return list(dict.fromkeys(v.display for f in form for v in fun_vars(f)))
 
 
+_LITERALS = {None: "null", True: "true", False: "false"}
+# The encoder of each scalar kind, by exact type; each runs in C.
+_SCALARS = {
+    str: _quote,
+    int: int.__repr__,
+    bool: _LITERALS.__getitem__,
+    type(None): _LITERALS.__getitem__,
+}
+
+
+def json_text(value: object) -> str:
+    """What `json.dumps` writes with an indent of two spaces, byte for byte,
+    for a tree of dicts with `str` keys, lists, `str`, `int`, `bool` and
+    `None` (exact types).
+
+    Any other value, a float or a tuple included, raises `TypeError`, so a
+    report field of a new kind fails instead of being rendered differently
+    from the standard library. A cycle raises `ValueError` as `json.dumps`
+    does. With an indent the standard library runs its pure-Python encoder,
+    which costs about twice as much on reports.
+    """
+    enc = _SCALARS.get(type(value))
+    if enc is not None:
+        return enc(value)
+    out: list[str] = []
+    _write_json(value, 0, out, [("\n", ",\n")], set())
+    return "".join(out)
+
+
+def _write_json(
+    o: list | dict, depth: int, out: list[str], levels: list[tuple[str, str]], active: set[int]
+) -> None:
+    """Append the text of the list or dict `o`, nested `depth` deep, to `out`.
+
+    `levels[d]` is the line break that indents level `d` and the item
+    separator there, each built once. `active` holds the ids of the
+    containers being written. A list of scalars of one type is written with
+    one `join`; otherwise there is one frame per level of nesting.
+    """
+    t = type(o)
+    if t is list:
+        if not o:
+            out.append("[]")
+            return
+        kinds = set(map(type, o))
+        enc = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+    elif t is dict:
+        if not o:
+            out.append("{}")
+            return
+        enc = None
+    else:
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+    close = levels[depth][0]
+    depth += 1
+    if depth == len(levels):
+        nl = close + "  "
+        levels.append((nl, "," + nl))
+    nl, sep = levels[depth]
+    if enc is not None:
+        out.append("[" + nl + sep.join(map(enc, o)) + close + "]")
+        return
+    key = id(o)
+    if key in active:
+        raise ValueError("Circular reference detected")
+    active.add(key)
+    append = out.append
+    if t is list:
+        prefix = "[" + nl
+        for v in o:
+            enc = _SCALARS.get(type(v))
+            if enc is None:
+                append(prefix)
+                _write_json(v, depth, out, levels, active)
+            else:
+                append(prefix + enc(v))
+            prefix = sep
+        append(close + "]")
+    else:
+        prefix = "{" + nl
+        for k, v in o.items():
+            if type(k) is not str:
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            enc = _SCALARS.get(type(v))
+            if enc is None:
+                append(prefix + _quote(k) + ": ")
+                _write_json(v, depth, out, levels, active)
+            else:
+                append(prefix + _quote(k) + ": " + enc(v))
+            prefix = sep
+        append(close + "}")
+    active.discard(key)
+
+
 # ---------------------------------------------------------------------------
 # Text rendering
 
@@ -278,7 +373,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
             "properFlags": vp.proper_flags if vp else None,
             "errors": [{"code": e.code, "message": e.message} for e in errors],
         }
-        print(json.dumps(out, indent=2))
+        print(json_text(out))
     else:
         if vp:
             flags = ", ".join(f"{n}={'proper' if p else 'plain'}" for n, p in vp.proper_flags.items())
@@ -308,7 +403,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         spec = parse_spec(args.spec, vp)
         report = analyze(vp, term, spec, args.int_literals, verify_depth)
         if args.json:
-            rendered = json.dumps(report_to_json(report), indent=2)
+            rendered = json_text(report_to_json(report))
         else:
             rendered = render_report(report, trace=args.trace, annotate=args.annotate)
     except ParseError as e:
@@ -332,7 +427,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    `main` call of the process."""
     ap = argparse.ArgumentParser(prog="gadtmap", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
     v = sub.add_parser("validate", help="check a program file")

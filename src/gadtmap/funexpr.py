@@ -122,18 +122,41 @@ class Id(FunExpr):
     """The identity function at a closed type."""
 
     at: TypeExpr
+    # The generated `__hash__`'s value, stored when first asked for: the
+    # expressions key the oracle's memo, and the generated `__hash__` would
+    # re-walk the whole expression on every lookup. Most expressions the walk
+    # and the solver build are never hashed, so construction does not hash.
+    # ProdF, SumF, Lift and Opaque do the same.
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.at,)))
+        return self._hash
 
 
 @dataclass(frozen=True, slots=True)
 class ProdF(FunExpr):
     left: FunExpr
     right: FunExpr
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.left, self.right)))
+        return self._hash
 
 
 @dataclass(frozen=True, slots=True)
 class SumF(FunExpr):
     left: FunExpr
     right: FunExpr
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.left, self.right)))
+        return self._hash
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,6 +165,12 @@ class Lift(FunExpr):
 
     ctor: str
     args: tuple[FunExpr, ...]
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.ctor, self.args)))
+        return self._hash
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,6 +179,12 @@ class Opaque(FunExpr):
 
     domain: TypeExpr
     codomain: TypeExpr
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.domain, self.codomain)))
+        return self._hash
 
 
 @dataclass(frozen=True, slots=True)

@@ -377,3 +377,38 @@ class TestDeterminism:
         assert main(argv) == 0
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestParserReuse:
+    """`main` builds its argument parser once per process."""
+
+    def test_main_reuses_one_parser(self, program_files, capsys, monkeypatch):
+        import argparse
+
+        parsers = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def spy(self, *args, **kwargs):
+            parsers.append(self)
+            return parse_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+        assert main(["validate", program_files["g"]]) == 0
+        assert main(["analyze", program_files["nested"], "--term", "nil", "--spec", "List b1"]) == 0
+        assert len(parsers) == 2 and parsers[0] is parsers[1]
+
+    def test_back_to_back_calls_keep_exit_codes_and_stderr(self, program_files, capsys):
+        bad = ["analyze", program_files["nested"], "--term", "nil"]  # no --spec
+        good = ["analyze", program_files["nested"], "--term", "nil", "--spec", "List b1"]
+        results = []
+        for argv in (bad, good, bad, ["--help"], ["--help"]):
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+            results.append((code, capsys.readouterr()))
+        (c1, r1), (c2, r2), (c3, r3), (c4, r4), (c5, r5) = results
+        assert (c1, c2, c3, c4, c5) == (2, 0, 2, 0, 0)
+        assert r1.err == r3.err and "the following arguments are required: --spec" in r1.err
+        assert r2.err == "" and "status: Mappable" in r2.out
+        assert r4.out == r5.out and r4.out.startswith("usage: gadtmap")

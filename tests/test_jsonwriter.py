@@ -1,0 +1,107 @@
+"""`cli.json_text` writes exactly what `json.dumps(value, indent=2)` writes,
+for the value kinds reports are made of, and rejects every other kind."""
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gadtmap import cli
+from gadtmap.cli import json_text, main
+
+from conftest import CORPUS, PROGRAMS_DIR
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Characters JSON must escape or that `ensure_ascii` writes as \u escapes:
+# quotes, backslashes, control characters, non-ASCII, lone surrogates and
+# a character outside the basic plane.
+_AWKWARD = '"\\/\x00\x01\b\t\n\f\r\x1f\x7f é 𐏿\U0001f600'
+_texts = st.text(st.one_of(st.sampled_from(_AWKWARD), st.characters(exclude_categories=())), max_size=8)
+_ints = st.one_of(st.integers(), st.integers(min_value=-(2**200), max_value=2**200))
+_scalars = st.one_of(st.none(), st.booleans(), _ints, _texts)
+_trees = st.recursive(
+    _scalars,
+    lambda kids: st.one_of(
+        st.lists(kids),
+        st.dictionaries(_texts, kids),
+        # lists of one scalar kind take a shorter path; bools are not ints
+        st.lists(st.one_of(_ints, st.booleans())),
+        st.lists(_texts),
+    ),
+    max_leaves=20,
+)
+
+
+@given(_trees)
+@settings(max_examples=200)
+def test_equals_stdlib(value):
+    assert json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [[], {}, [[]], [{}], {"a": []}, {"a": {}}, [[[1, 2], []], {"b": [None]}], [True, 1, False, 0],
+     ["x", 1], [None, None], [[True], [1]]],
+)
+def test_edge_shapes_equal_stdlib(value):
+    assert json_text(value) == json.dumps(value, indent=2)
+
+
+class _Thing:
+    pass
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, (1, 2), {1: "a"}, {("a",): 1}, _Thing(), [0, 1.0], {"a": (1,)}, [[_Thing()]]],
+    ids=["float", "tuple", "int key", "tuple key", "object", "float in list",
+         "tuple in dict", "nested object"],
+)
+def test_other_kinds_raise_type_error(value):
+    with pytest.raises(TypeError):
+        json_text(value)
+
+
+def test_cycle_raises_value_error():
+    loop: list = []
+    loop.append(loop)
+    with pytest.raises(ValueError, match="Circular reference"):
+        json_text(loop)
+
+
+@pytest.fixture()
+def spy(monkeypatch):
+    """Record every value `cli` hands to `json_text`."""
+    seen = []
+
+    def record(value):
+        seen.append(value)
+        return json_text(value)
+
+    monkeypatch.setattr(cli, "json_text", record)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(str(p.relative_to(ROOT)) for p in (ROOT / "programs").glob("*.gadt"))
+    + ["bench/seqlist.gadt"],
+)
+def test_validate_json_equals_stdlib(path, spy, capsys):
+    assert main(["validate", str(ROOT / path), "--json"]) == 0
+    (value,) = spy
+    assert capsys.readouterr().out == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("key,term,spec,int_lits", CORPUS)
+def test_analyze_json_equals_stdlib(key, term, spec, int_lits, spy, capsys):
+    argv = ["analyze", str(PROGRAMS_DIR / f"{key}.gadt"), "--term", term, "--spec", spec, "--json"]
+    if int_lits:
+        argv.append("--int-literals")
+    main(argv)
+    (value,) = spy
+    assert capsys.readouterr().out == json.dumps(value, indent=2) + "\n"

@@ -253,7 +253,32 @@ def _funexpr_strategy():
 @given(_funexpr_strategy())
 @settings(max_examples=200)
 def test_funexpr_round_trip(e):
-    assert g.parse_funexpr(g.pretty(e)) == e
+    copy = g.parse_funexpr(g.pretty(e))
+    assert copy == e and hash(copy) == hash(e)
+
+
+_NAT, _BOOL = Base("Nat"), Base("Bool")
+_FUNEXPR_BUILDERS = {
+    "FunVar": lambda: g.FunVar("g", "1.2", 1, intro=7, domain=_NAT),
+    "Id": lambda: g.Id(App("List", (_NAT,))),
+    "ProdF": lambda: g.ProdF(g.FunVar("f", None, 1), g.Id(_NAT)),
+    "SumF": lambda: g.SumF(g.Id(_BOOL), g.FunVar("h", "3", 2, prime=True)),
+    "Lift": lambda: g.Lift("G", (g.ProdF(g.FunVar("f", None, 1), g.Id(_NAT)),)),
+    "Opaque": lambda: g.Opaque(_NAT, Prod(_NAT, _BOOL)),
+}
+
+
+@pytest.mark.parametrize("cls", sorted(_FUNEXPR_BUILDERS))
+def test_funexpr_hash_is_stored_and_stable(cls):
+    """Every function expression class stores its hash; equal expressions
+    built apart hash alike, and bookkeeping fields that equality ignores do
+    not move the hash."""
+    a, b = _FUNEXPR_BUILDERS[cls](), _FUNEXPR_BUILDERS[cls]()
+    assert type(a).__name__ == cls and a is not b
+    assert a == b and hash(a) == hash(b) == a._hash
+    if cls == "FunVar":
+        c = g.FunVar("g", "1.2", 1)
+        assert c == a and hash(c) == hash(a)
 
 
 @pytest.mark.parametrize("key,term_text,spec_text,int_lits", CORPUS)
