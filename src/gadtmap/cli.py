@@ -121,7 +121,10 @@ def report_to_json(report: AnalysisReport) -> dict:
     if report.status == "Mappable" and run is not None and report.form is not None:
         out["form"] = [fun_to_json(f) for f in report.form]
         out["freeVars"] = _free_var_names(report.form)
-        out["constraints"] = [_constraint_json(c) for c in run.constraints]
+        # `run.constraints` is the traces' `emitted` lists end to end, so each
+        # constraint's dict is built once and appears in both places.
+        emitted = [[_constraint_json(c) for c in t.emitted] for t in run.traces]
+        out["constraints"] = [d for ds in emitted for d in ds]
         shown = _call_terms(run)
         out["calls"] = [
             {
@@ -137,9 +140,9 @@ def report_to_json(report: AnalysisReport) -> dict:
                 "zetas": [
                     None if z is None else [pretty_type(x) for x in z] for z in t.zetas
                 ],
-                "emitted": [_constraint_json(c) for c in t.emitted],
+                "emitted": ds,
             }
-            for t in run.traces
+            for t, ds in zip(run.traces, emitted)
         ]
         out["annotation"] = {
             "term": shown[id(run.annotation.term)],

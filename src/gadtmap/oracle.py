@@ -9,10 +9,11 @@ constructor application through `c args` recovers one component function per
 binder of `c` from the constructor's return indices (the semantic inverse of
 `lift_type`), then maps each argument along its instantiated argument type.
 
-Candidates are checked against the codomain, not rebuilt and re-inferred: the
-codomain is ground, so `Checker` decides each subterm against its expected
-type by one-sided matching, without metavariables, and memoises the verdict
-per subterm, function and type. `map_apply` is the reference semantics: it
+Candidates are checked against the codomain, not rebuilt and re-inferred.
+The type expected of each subterm is the codomain of the function pushed
+through it, so `Checker` needs no types beyond the subterms' own: it
+memoises the verdict per subterm and function, and derives each candidate's
+codomain and normal form once. `map_apply` is the reference semantics: it
 rebuilds the term and types it with `infer`. `agrees` runs it on the identity
 tuple of every call and stops with `OracleInconsistency` when the two differ.
 
@@ -36,7 +37,6 @@ from .funexpr import (
     ProdF,
     SumF,
     expand_id,
-    fun_type,
     lift_type,
     normalize,
 )
@@ -58,7 +58,6 @@ from .syntax import (
     TypeExpr,
     Var,
     is_closed,
-    subst_type,
 )
 from .typecheck import TypeCheckError, TypedNode, TypedTerm, infer
 from .wellformed import ValidatedProgram
@@ -217,50 +216,97 @@ def map_apply(phi: FunExpr, typed: TypedTerm) -> TypedTerm | None:
 
 class Checker:
     """Decides, without rebuilding the term, whether pushing a function
-    expression through a subterm of one typed term gives a term of an
-    expected ground type, by the rules `map_apply` rebuilds with.
+    expression through a subterm of one typed term gives a term of the
+    function's codomain, by the rules `map_apply` rebuilds with.
 
-    The verdicts on proper subterms are memoised per (subterm, function,
-    type), so one checker shared by every candidate tuple of an `agrees`
-    call pushes each sub-candidate through each subterm once. (Each tuple
-    pushes a function of its own through the root, so `check` itself is not
-    memoised.)
+    The expected type is never passed: it is always the codomain of the
+    function pushed through. At the root it is the lifted head's codomain.
+    Below a constructor, an argument's expected type is its argument type
+    with the binders instantiated from the return indices, and the
+    argument's function lifts the same type with the components recovered
+    along the same indices: identity expansion keeps codomains, a closed
+    index forces the identity at it, a repeated index forces normal-equal
+    functions, and a binder in no return index gets the identity at its
+    instance. So an opaque function always checks, an identity checks at
+    the subterm's own type, and a constructor needs only its components to
+    decompose.
+
+    The verdicts on proper subterms are memoised per (subterm, function),
+    so one checker shared by every candidate tuple of an `agrees` call pushes
+    each sub-candidate through each subterm once. (Each tuple pushes a
+    function of its own through the root, so `check` itself is not
+    memoised.) Candidates share their sub-expressions, so codomains and
+    normal forms are memoised per distinct sub-expression.
     """
 
     def __init__(self, typed: TypedTerm) -> None:
         self.vp = typed.vp
-        self._memo: dict[tuple[int, FunExpr, TypeExpr], bool] = {}
+        self._memo: dict[tuple[int, FunExpr], bool] = {}
+        self._codomains: dict[FunExpr, TypeExpr] = {}
+        self._normals: dict[FunExpr, FunExpr] = {}
 
-    def _sub(self, phi: FunExpr, node: TypedNode, ty: TypeExpr) -> bool:
-        key = (id(node), phi, ty)
+    def codomain(self, phi: FunExpr) -> TypeExpr:
+        """`fun_type(phi, codomain=True)`, for an expression without
+        function variables, memoised per distinct sub-expression."""
+        cod = self._codomains.get(phi)
+        if cod is None:
+            if isinstance(phi, Id):
+                cod = phi.at
+            elif isinstance(phi, Opaque):
+                cod = phi.codomain
+            elif isinstance(phi, ProdF):
+                cod = Prod(self.codomain(phi.left), self.codomain(phi.right))
+            elif isinstance(phi, SumF):
+                cod = Sum(self.codomain(phi.left), self.codomain(phi.right))
+            elif isinstance(phi, Lift):
+                cod = App(phi.ctor, tuple(map(self.codomain, phi.args)))
+            else:
+                raise ValueError(f"{phi!r} has no derivable codomain")
+            self._codomains[phi] = cod
+        return cod
+
+    def normal(self, phi: FunExpr) -> FunExpr:
+        """`normalize(phi)`, memoised per distinct sub-expression."""
+        n = self._normals.get(phi)
+        if n is None:
+            if isinstance(phi, ProdF):
+                n = ProdF(self.normal(phi.left), self.normal(phi.right))
+            elif isinstance(phi, SumF):
+                n = SumF(self.normal(phi.left), self.normal(phi.right))
+            elif isinstance(phi, Lift):
+                n = Lift(phi.ctor, tuple(map(self.normal, phi.args)))
+            else:
+                n = normalize(phi)
+            self._normals[phi] = n
+        return n
+
+    def _sub(self, phi: FunExpr, node: TypedNode) -> bool:
+        key = (id(node), phi)
         ok = self._memo.get(key)
         if ok is None:
-            ok = self._memo[key] = self.check(phi, node, ty)
+            ok = self._memo[key] = self.check(phi, node)
         return ok
 
-    def check(self, phi: FunExpr, node: TypedNode, ty: TypeExpr) -> bool:
+    def check(self, phi: FunExpr, node: TypedNode) -> bool:
         if isinstance(phi, Opaque):
-            return ty == phi.codomain
+            return True
         if isinstance(phi, Id):
             # An unchanged subterm checks at its own type.
-            if ty == node.type:
+            if phi.at == node.type:
                 return True
             phi = expand_id(phi)
         term = node.term
         if isinstance(phi, ProdF):
             return (
                 isinstance(term, Pair)
-                and isinstance(ty, Prod)
-                and self._sub(phi.left, node.kids[0], ty.left)
-                and self._sub(phi.right, node.kids[1], ty.right)
+                and self._sub(phi.left, node.kids[0])
+                and self._sub(phi.right, node.kids[1])
             )
         if isinstance(phi, SumF):
-            if not isinstance(ty, Sum):
-                return False
             if isinstance(term, Inl):
-                return self._sub(phi.left, node.kids[0], ty.left)
+                return self._sub(phi.left, node.kids[0])
             if isinstance(term, Inr):
-                return self._sub(phi.right, node.kids[0], ty.right)
+                return self._sub(phi.right, node.kids[0])
             return False
         if isinstance(phi, Lift):
             if not isinstance(term, Ctor):
@@ -271,17 +317,10 @@ class Checker:
             env = _binder_functions(sig, phi.args, node.instance)
             if env is None:
                 return False
-            # Binder instances: from the expected return indices, and for
-            # binders in no return index (incidental data) the node's own.
-            theta: dict[str, TypeExpr] = {}
-            if not match_type(App(decl.name, sig.ret_indices), ty, theta):
-                return False
-            for binder, t in zip(sig.type_vars, node.instance):
-                theta.setdefault(binder, t)
             # A loop, not `all` over a generator: two frames per term level,
             # as in `map_apply`, keep the reachable depth the same.
             for arg_ty, kid in zip(sig.arg_types, node.kids):
-                if not self._sub(lift_type(arg_ty, env), kid, subst_type(arg_ty, theta)):
+                if not self._sub(lift_type(arg_ty, env), kid):
                     return False
             return True
         return False
@@ -403,14 +442,12 @@ def mappable(
     re-generalize and hide it). `checker`, when given, must be over `typed`
     and shares its memo across calls.
     """
-    wrapped = head_lift(spec.shape, candidates)
-    cod = fun_type(wrapped, codomain=True)
-    assert cod is not None  # candidates contain no function variables
-    if not match_type(spec.shape, cod, {}):
-        return False
     if checker is None:
         checker = Checker(typed)
-    return checker.check(wrapped, typed.root, cod)
+    wrapped = head_lift(spec.shape, candidates)
+    if not match_type(spec.shape, checker.codomain(wrapped), {}):
+        return False
+    return checker.check(wrapped, typed.root)
 
 
 def agrees(
@@ -441,9 +478,10 @@ def agrees(
         reference = False
 
     checker = Checker(typed)
-    normal_forms = tuple(map(normalize, forms))
+    normal_forms = tuple(map(checker.normal, forms))
     pools = [
-        [(c, normalize(c)) for c in enumerate_candidates(d, depth, typed.vp)] for d in domains
+        [(c, checker.normal(c)) for c in enumerate_candidates(d, depth, typed.vp)]
+        for d in domains
     ]
     disagreements: list[Disagreement] = []
     checked = 0

@@ -302,6 +302,19 @@ class TestDeepInput:
         assert out["status"] == "Mappable"
         assert len(out["calls"]) == n + 1
 
+    def test_deep_term_verifies(self, program_files):
+        # The oracle's checker and its `map_apply` reference recurse over the
+        # term: at the default recursion limit they reach ~490 elements on
+        # CPython 3.10-3.12, so one more frame per term level fails here.
+        n = 400
+        proc = self.run_cli(
+            program_files["nested"], self.cons_list(n), "List b1", "--json", "--verify", "depth=1"
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["verify"]["agrees"] is True
+        assert out["verify"]["checked"] == 2
+
     def test_deep_type_fails_with_one_line(self, program_files):
         n = 1000
         nest = "(0, " * (n - 1) + "0" + ")" * (n - 1)

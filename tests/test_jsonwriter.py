@@ -105,3 +105,11 @@ def test_analyze_json_equals_stdlib(key, term, spec, int_lits, spy, capsys):
     main(argv)
     (value,) = spy
     assert capsys.readouterr().out == json.dumps(value, indent=2) + "\n"
+
+
+def test_shared_subtree_is_not_a_cycle():
+    # Reports share each constraint's dict between `constraints` and
+    # `calls[].emitted`, at different depths.
+    leaf = {"lhs": {"t": "id", "at": "Nat"}, "origin": "1:i", "tags": [1, "a"]}
+    value = {"constraints": [leaf, leaf], "calls": [{"emitted": [leaf]}, [[leaf], []]]}
+    assert json_text(value) == json.dumps(value, indent=2)

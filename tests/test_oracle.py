@@ -3,15 +3,16 @@ enumeration, and agreement with the analysis."""
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gadtmap as g
-from gadtmap.funexpr import fun_type
-from gadtmap.oracle import head_lift, mappable
-from gadtmap.syntax import App, Atom, Base, Prod, Sum, Var
+from gadtmap.funexpr import expand_id, fun_type, lift_type, normalize
+from gadtmap.oracle import Checker, _binder_functions, head_lift, mappable, match_type
+from gadtmap.syntax import App, Atom, Base, Prod, Sum, Var, subst_type
 from gadtmap.typecheck import _Store, spec_instance
 
 from conftest import CORPUS, G_TERM_INJ, LISTS_TERM, NESTED_SRC, gen_value, run_pipeline
@@ -205,6 +206,71 @@ class TestEnumerate:
             assert len(set(map(g.pretty, cands))) == len(cands)
 
 
+class TestCheckerDerivations:
+    """The checker's memoised codomains and normal forms are `fun_type` and
+    `normalize` of every candidate, and the enumeration they are derived
+    over keeps its order and its atom names."""
+
+    DOMAINS = [
+        ("nested", NAT),
+        ("nested", Prod(LIST_NAT, NAT)),
+        ("nested", Sum(NAT, Base("Bool"))),
+        ("nested", App("PTree", (Prod(NAT, NAT),))),
+        ("seq", App("Seq", (NAT,))),
+    ]
+
+    def test_codomain_and_normal_form(self, programs):
+        for key, domain in self.DOMAINS:
+            vp = programs[key]
+            for depth in range(4):
+                checker = Checker(g.infer(g.parse_term("1", vp), vp))
+                cands = g.enumerate_candidates(domain, depth, vp)
+                # twice: the second pass reads the memo
+                for c in cands + cands:
+                    assert checker.codomain(c) == fun_type(c, codomain=True), g.pretty(c)
+                    assert checker.normal(c) == normalize(c), g.pretty(c)
+
+    def test_enumeration_order_and_atom_names(self, programs):
+        rendered = {
+            str(domain): [g.pretty(c) for c in g.enumerate_candidates(domain, 3, programs[key])]
+            for key, domain in self.DOMAINS
+        }
+        assert rendered == {
+            "Nat": ["?(Nat -> X0)", "id@Nat"],
+            "List Nat * Nat": [
+                "?(List Nat * Nat -> X0)",
+                "id@(List Nat * Nat)",
+                "?(List Nat -> X1) * ?(Nat -> X3)",
+                "?(List Nat -> X1) * id@Nat",
+                "id@(List Nat) * ?(Nat -> X4)",
+                "id@(List Nat) * id@Nat",
+                "List (?(Nat -> X2)) * ?(Nat -> X5)",
+                "List (?(Nat -> X2)) * id@Nat",
+                "List (id@Nat) * ?(Nat -> X6)",
+                "List (id@Nat) * id@Nat",
+            ],
+            "Nat + Bool": [
+                "?(Nat + Bool -> X0)",
+                "id@(Nat + Bool)",
+                "?(Nat -> X1) + ?(Bool -> X2)",
+                "?(Nat -> X1) + id@Bool",
+                "id@Nat + ?(Bool -> X3)",
+                "id@Nat + id@Bool",
+            ],
+            "PTree (Nat * Nat)": [
+                "?(PTree (Nat * Nat) -> X0)",
+                "id@(PTree (Nat * Nat))",
+                "PTree (?(Nat * Nat -> X1))",
+                "PTree (id@(Nat * Nat))",
+                "PTree (?(Nat -> X2) * ?(Nat -> X3))",
+                "PTree (?(Nat -> X2) * id@Nat)",
+                "PTree (id@Nat * ?(Nat -> X4))",
+                "PTree (id@Nat * id@Nat)",
+            ],
+            "Seq Nat": ["?(Seq Nat -> X0)", "id@(Seq Nat)"],
+        }
+
+
 class TestIsInstance:
     def test_free_variable_matches_anything(self):
         form = (g.FunVar("f", "", 1, prime=True),)
@@ -378,7 +444,7 @@ class TestCheckerMatchesReference:
         (Prod(LIST_NAT, App("PTree", (NAT,))), ["List b1 * PTree b2", "List b1 * PTree b1"]),
     ]
 
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
         rng=st.randoms(use_true_random=False),
         case=st.sampled_from(RANDOM_TYPES),
@@ -389,3 +455,115 @@ class TestCheckerMatchesReference:
         ty, specs = case
         term = g.pretty(gen_value(rng, ty, nested_vp, budget=3))
         assert_same_verdicts(run_pipeline(nested_vp, term, specs[pick % len(specs)]), depth)
+
+
+class ThreeArgumentChecker:
+    """A checker that threads the expected type through every call, taking
+    binder instances from matching the return indices against it. Every call
+    asserts that the expected type is the codomain of the function pushed
+    through, the invariant that lets `Checker` carry no type."""
+
+    def __init__(self, typed):
+        self.vp = typed.vp
+        self._memo = {}
+
+    def _sub(self, phi, node, ty):
+        key = (id(node), phi, ty)
+        ok = self._memo.get(key)
+        if ok is None:
+            ok = self._memo[key] = self.check(phi, node, ty)
+        return ok
+
+    def check(self, phi, node, ty):
+        assert ty == fun_type(phi, codomain=True), (g.pretty(phi), ty)
+        if isinstance(phi, g.Opaque):
+            return ty == phi.codomain
+        if isinstance(phi, g.Id):
+            if ty == node.type:
+                return True
+            phi = expand_id(phi)
+        term = node.term
+        if isinstance(phi, g.ProdF):
+            return (
+                isinstance(term, g.Pair)
+                and isinstance(ty, Prod)
+                and self._sub(phi.left, node.kids[0], ty.left)
+                and self._sub(phi.right, node.kids[1], ty.right)
+            )
+        if isinstance(phi, g.SumF):
+            if not isinstance(ty, Sum):
+                return False
+            if isinstance(term, g.Inl):
+                return self._sub(phi.left, node.kids[0], ty.left)
+            if isinstance(term, g.Inr):
+                return self._sub(phi.right, node.kids[0], ty.right)
+            return False
+        if isinstance(phi, g.Lift):
+            if not isinstance(term, g.Ctor):
+                return False
+            decl, sig = self.vp.ctor(term.name)
+            if decl.name != phi.ctor:
+                return False
+            env = _binder_functions(sig, phi.args, node.instance)
+            if env is None:
+                return False
+            theta = {}
+            if not match_type(App(decl.name, sig.ret_indices), ty, theta):
+                return False
+            for binder, t in zip(sig.type_vars, node.instance):
+                theta.setdefault(binder, t)
+            return all(
+                self._sub(lift_type(arg_ty, env), kid, subst_type(arg_ty, theta))
+                for arg_ty, kid in zip(sig.arg_types, node.kids)
+            )
+        return False
+
+
+def three_argument_mappable(candidates, typed, spec, checker) -> bool:
+    wrapped = head_lift(spec.shape, candidates)
+    cod = fun_type(wrapped, codomain=True)
+    return match_type(spec.shape, cod, {}) and checker.check(wrapped, typed.root, cod)
+
+
+def assert_same_as_three_argument_checker(vp, term_text, spec_text, int_literals=False):
+    """Type the term and instantiate the specification (the analysis itself
+    is not needed). Then, on every candidate tuple at depth 3, each sharing
+    one checker of either kind as `agrees` does, the expected type is always
+    the codomain and the two checkers give the same verdict."""
+    typed = g.infer(g.parse_term(term_text, vp), vp, int_literals)
+    spec = g.parse_spec(spec_text, vp)
+    g.check_call_invariants(typed, spec, g.spec_head_arity(spec, vp))
+    checker, reference = Checker(typed), ThreeArgumentChecker(typed)
+    pools = [g.enumerate_candidates(d, 3, vp) for d in typed.witness.domains]
+    for combo in itertools.product(*pools):
+        assert mappable(combo, typed, spec, checker) == three_argument_mappable(
+            combo, typed, spec, reference
+        ), (term_text, spec_text, [g.pretty(c) for c in combo])
+
+
+class TestCheckerNeedsNoExpectedType:
+    # One test per case list, each looping over its cases: the checks are
+    # cheap, and one test item per case would cost more than the checks.
+
+    def test_corpus(self, programs):
+        for key, term, spec, int_lits in CORPUS:
+            assert_same_as_three_argument_checker(programs[key], term, spec, int_lits)
+
+    def test_sum_indexed(self, sum_vp):
+        for term, spec in SUM_INDEXED_TERMS:
+            assert_same_as_three_argument_checker(sum_vp, term, spec)
+
+    def test_repeated_spec_variables(self, programs):
+        for key, term, spec in REPEATED_SPEC_VARIABLES:
+            assert_same_as_three_argument_checker(programs[key], term, spec)
+
+    def test_probe_shapes(self, probe_vp):
+        for term, spec, _checked in PROBE_TERMS:
+            assert_same_as_three_argument_checker(probe_vp, term, spec)
+
+    def test_random_values(self, nested_vp):
+        rng = random.Random(0)
+        for ty, specs in TestCheckerMatchesReference.RANDOM_TYPES:
+            for spec in specs:
+                term = g.pretty(gen_value(rng, ty, nested_vp, budget=3))
+                assert_same_as_three_argument_checker(nested_vp, term, spec)
