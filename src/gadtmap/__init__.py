@@ -23,7 +23,6 @@ from .constraints import (
     match_spec,
     recursion_target,
     run,
-    spec_components,
 )
 from .funexpr import (
     Call,
@@ -41,6 +40,7 @@ from .funexpr import (
 )
 from .oracle import (
     AgreementReport,
+    CandidateSpaceTooLarge,
     OracleInconsistency,
     agrees,
     count_candidates,

@@ -5,10 +5,11 @@
             [--trace] [--json] [--annotate] [--verify depth=N] [--int-literals]
 
 Exit codes: 0 success, 1 analysis-level rejection (invalid program, ill-typed
-term, or specification mismatch), 2 I/O or parse error or a type nested too
-deeply for the interpreter's recursion limit, 3 verification failure or an
-internal error (a fault of the analysis, reported on one line as
-`internal error: <stage>: <message>`).
+term, or specification mismatch), 2 I/O or parse error, a type nested too
+deeply for the interpreter's recursion limit, or a `--verify` depth with more
+than a million candidate tuples, 3 verification failure or an internal error
+(a fault of the analysis, reported on one line as `internal error: <stage>:
+<message>`).
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from . import constraints as cgen
 from .funexpr import Constraint, FunExpr, FunVar, Id, Lift, Opaque, ProdF, SumF, fun_vars
-from .oracle import AgreementReport, OracleInconsistency, agrees
+from .oracle import AgreementReport, CandidateSpaceTooLarge, OracleInconsistency, agrees
 from .parser import ParseError, parse_program, parse_spec, parse_term
 from .pretty import pretty_annotated, pretty_constraint, pretty_fun, pretty_subterms, pretty_type
 from .solver import SolvedSystem, SpecUnsatisfiable, solve
@@ -121,7 +122,7 @@ def report_to_json(report: AnalysisReport) -> dict:
     if report.status == "Mappable" and run is not None and report.form is not None:
         out["form"] = [fun_to_json(f) for f in report.form]
         out["freeVars"] = _free_var_names(report.form)
-        # `run.constraints` is the traces' `emitted` lists end to end, so each
+        # `run.constraints` is the traces' `emitted` blocks end to end, so each
         # constraint's dict is built once and appears in both places.
         emitted = [[_constraint_json(c) for c in t.emitted] for t in run.traces]
         out["constraints"] = [d for ds in emitted for d in ds]
@@ -418,6 +419,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return 1
     except RecursionError:
         print("error: input nested too deeply", file=sys.stderr)
+        return 2
+    except CandidateSpaceTooLarge as e:
+        print(f"error: --verify: {e}", file=sys.stderr)
         return 2
     except (cgen.InternalInvariantViolation, SpecUnsatisfiable, OracleInconsistency) as e:
         print(f"internal error: {e.stage}: {e}", file=sys.stderr)

@@ -33,7 +33,7 @@ reads each subterm's ground type and instance from its typed node, which
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .funexpr import Call, Constraint, FunExpr, FunVar, fun_type, lift_type
 from .syntax import (
@@ -118,11 +118,11 @@ class CallTrace:
     term: Term
     funs: tuple[FunExpr, ...]
     spec: TypeExpr
-    matching: list[tuple[TypeExpr, TypeExpr]] = field(default_factory=list)
+    emitted: tuple[Constraint, ...]
+    matching: tuple[tuple[TypeExpr, TypeExpr], ...] = ()
     taus: tuple[TypeExpr, ...] = ()
-    rjs: list[TypeExpr] = field(default_factory=list)
-    zetas: list[tuple[TypeExpr, ...] | None] = field(default_factory=list)
-    emitted: list[Constraint] = field(default_factory=list)
+    rjs: tuple[TypeExpr, ...] = ()
+    zetas: tuple[tuple[TypeExpr, ...] | None, ...] = ()
 
     @property
     def label(self) -> str:
@@ -158,16 +158,6 @@ class RunResult:
     root_funs: tuple[FunVar, ...]
 
 
-def spec_components(shape: TypeExpr) -> tuple[TypeExpr, ...] | None:
-    """Split a specification head into its argument expressions, or None when
-    the expression is not headed by a constructor, product, or sum."""
-    if isinstance(shape, App):
-        return shape.args
-    if isinstance(shape, (Prod, Sum)):
-        return (shape.left, shape.right)
-    return None
-
-
 def recursion_target(arg_type: TypeExpr) -> tuple[TypeExpr, ...] | None:
     """Decide whether an instantiated argument type needs a recursive call.
 
@@ -175,9 +165,9 @@ def recursion_target(arg_type: TypeExpr) -> tuple[TypeExpr, ...] | None:
     the subterm is skipped. Anything else is headed by a constructor, product,
     or sum and returns its component expressions for the child call.
     """
-    if is_closed(arg_type) or isinstance(arg_type, Var):
+    if is_closed(arg_type) or not isinstance(arg_type, (App, Prod, Sum)):
         return None
-    return spec_components(arg_type)
+    return type_children(arg_type)
 
 
 def match_spec(sigma: TypeExpr, index_expr: TypeExpr) -> list[Assignment]:
@@ -303,8 +293,8 @@ class _Run:
     ) -> list[_Pending]:
         """Run one call; returns its child calls in order."""
         term = node.term
-        components = spec_components(spec_te)
-        if components is None or len(components) != len(funs):
+        components = type_children(spec_te)
+        if not isinstance(spec_te, (App, Prod, Sum)) or len(components) != len(funs):
             raise InternalInvariantViolation(
                 f"call {call.label}: bad call on {spec_te} with {len(funs)} functions"
             )
@@ -315,87 +305,84 @@ class _Run:
             )
 
         betas = free_type_vars(spec_te)
-        g_env: dict[VarName, FunExpr] = {
+        # The g variables, then (constructor case) the h variables: spec
+        # variable names and index names never clash.
+        env: dict[VarName, FunExpr] = {
             b: self.fresh_fun("g", call, i + 1, cenv[b]) for i, b in enumerate(betas)
         }
-        trace = CallTrace(call, term, funs, spec_te)
-        self.traces.append(trace)
-
+        emitted = []
         for ell, comp in enumerate(components):
-            trace.emitted.append(Constraint(lift_type(comp, g_env), funs[ell], "i", call))
+            emitted.append(Constraint(lift_type(comp, env), funs[ell], "i", call))
 
-        children: list[_Pending] = []
+        # Each target of a child call: (branch, typed kid, instantiated type,
+        # zetas); the call is made when zetas is not None.
         if isinstance(spec_te, (Prod, Sum)):
             if isinstance(spec_te, Prod):
                 if not isinstance(term, Pair):
                     raise InternalInvariantViolation(f"call {call.label}: expected a pair")
-                branches = [(0, 0, components[0]), (1, 1, components[1])]
+                branches = ((0, 0), (1, 1))
             elif isinstance(term, Inl):
-                branches = [(0, 0, components[0])]
+                branches = ((0, 0),)
             elif isinstance(term, Inr):
-                branches = [(1, 0, components[1])]
+                branches = ((1, 0),)
             else:
                 raise InternalInvariantViolation(f"call {call.label}: expected an injection")
-            for j, i, comp in branches:
-                zetas = recursion_target(comp)
-                if zetas is None:
-                    continue
-                child_funs = tuple(lift_type(z, g_env) for z in zetas)
-                child_cenv = {v: cenv[v] for v in free_type_vars(comp)}
-                children.append((node.kids[i], child_funs, comp, child_cenv, Call(call, j + 1)))
-            return children
-
-        # Constructor case.
-        if not isinstance(term, Ctor):
-            raise InternalInvariantViolation(
-                f"call {call.label}: expected a constructor application"
-            )
-        decl, sig = self.vp.ctor(term.name)
-        if not isinstance(spec_te, App) or spec_te.ctor != decl.name:
-            raise InternalInvariantViolation(
-                f"call {call.label}: constructor {term.name!r} does not build {spec_te}"
-            )
-        w = node.instance
-        inst = dict(zip(sig.type_vars, w))
-        for ell, k_expr in enumerate(sig.ret_indices):
-            expected = subst_type(k_expr, inst)
-            got = fun_type(funs[ell], codomain=False)
-            if got is not None and got != expected:
+            targets = [
+                (j, node.kids[i], components[j], recursion_target(components[j]))
+                for j, i in branches
+            ]
+            self.traces.append(CallTrace(call, term, funs, spec_te, tuple(emitted)))
+        else:
+            if not isinstance(term, Ctor):
                 raise InternalInvariantViolation(
-                    f"call {call.label}: input function {ell + 1} has domain {got}, "
-                    f"expected {expected}"
+                    f"call {call.label}: expected a constructor application"
                 )
+            decl, sig = self.vp.ctor(term.name)
+            if spec_te.ctor != decl.name:
+                raise InternalInvariantViolation(
+                    f"call {call.label}: constructor {term.name!r} does not build {spec_te}"
+                )
+            w = node.instance
+            inst = dict(zip(sig.type_vars, w))
+            for ell, k_expr in enumerate(sig.ret_indices):
+                expected = subst_type(k_expr, inst)
+                got = fun_type(funs[ell], codomain=False)
+                if got is not None and got != expected:
+                    raise InternalInvariantViolation(
+                        f"call {call.label}: input function {ell + 1} has domain {got}, "
+                        f"expected {expected}"
+                    )
 
-        gammas = tuple(IndexName(i + 1, call) for i in range(len(sig.type_vars)))
-        rename = {a: Var(g) for a, g in zip(sig.type_vars, gammas)}
-        assignments: list[Assignment] = []
-        for ell, comp in enumerate(components):
-            index_expr = subst_type(sig.ret_indices[ell], rename)
-            trace.matching.append((comp, index_expr))
-            assignments += match_spec(comp, index_expr)
+            gammas = tuple(IndexName(i + 1, call) for i in range(len(sig.type_vars)))
+            rename = {a: Var(g) for a, g in zip(sig.type_vars, gammas)}
+            matching = []
+            assignments: list[Assignment] = []
+            for comp, k_expr in zip(components, sig.ret_indices):
+                index_expr = subst_type(k_expr, rename)
+                matching.append((comp, index_expr))
+                assignments += match_spec(comp, index_expr)
+            taus = compute_taus(assignments, gammas)
+            for i, g in enumerate(gammas):
+                env[g] = self.fresh_fun("h", call, i + 1, w[i])
+            emitted += emit_step_five(assignments, betas, env, env, "v", call)
+            emitted += emit_step_six(assignments, gammas, env, "vi", call)
 
-        taus = compute_taus(assignments, gammas)
-        trace.taus = taus
-        h_env: dict[VarName, FunExpr] = {
-            g: self.fresh_fun("h", call, i + 1, w[i]) for i, g in enumerate(gammas)
-        }
-        trace.emitted += emit_step_five(assignments, betas, g_env, h_env, "v", call)
-        trace.emitted += emit_step_six(assignments, gammas, g_env, "vi", call)
+            rjs, zetas = [], []
+            for arg_type in sig.arg_types:
+                rjs.append(compute_rj(arg_type, sig.type_vars, taus))
+                zetas.append(recursion_target(rjs[-1]))
+            targets = zip(itertools.count(), node.kids, rjs, zetas)
+            cenv = {**cenv, **dict(zip(gammas, w))}
+            self.traces.append(CallTrace(call, term, funs, spec_te, tuple(emitted),
+                                         tuple(matching), taus, tuple(rjs), tuple(zetas)))
 
-        gh_env = {**g_env, **h_env}
-        child_cenv_all = {**cenv, **dict(zip(gammas, w))}
-        for j, arg_type in enumerate(sig.arg_types):
-            rj = compute_rj(arg_type, sig.type_vars, taus)
-            trace.rjs.append(rj)
-            zetas = recursion_target(rj)
-            trace.zetas.append(zetas)
-            if zetas is None:
-                continue
-            child_funs = tuple(lift_type(z, gh_env) for z in zetas)
-            child_cenv = {v: child_cenv_all[v] for v in free_type_vars(rj)}
-            children.append((node.kids[j], child_funs, rj, child_cenv, Call(call, j + 1)))
+        children: list[_Pending] = []
+        for j, kid, rj, zs in targets:
+            if zs is not None:
+                child_funs = tuple(lift_type(z, env) for z in zs)
+                child_cenv = {v: cenv[v] for v in free_type_vars(rj)}
+                children.append((kid, child_funs, rj, child_cenv, Call(call, j + 1)))
         return children
-
 
 def run(typed: TypedTerm, spec: Spec) -> RunResult:
     """Run the analysis on a typed, frozen term.

@@ -26,6 +26,7 @@ bound, not a general decision procedure.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .funexpr import (
@@ -68,6 +69,16 @@ class OracleInconsistency(Exception):
     tuple; indicates a bug in the oracle, not bad input."""
 
     stage = "oracle"
+
+
+# The most candidate tuples `agrees` checks. A pool's size is doubly
+# exponential in the depth of its domain type, so one more level of pairs
+# can turn a second's check into hours.
+MAX_TUPLES = 1_000_000
+
+
+class CandidateSpaceTooLarge(ValueError):
+    """The candidate tuples at the requested depth exceed MAX_TUPLES."""
 
 
 def match_fun(k_expr: TypeExpr, phi: FunExpr, env: dict[str, FunExpr]) -> dict[str, FunExpr] | None:
@@ -463,8 +474,14 @@ def agrees(
 
     Raises `OracleInconsistency` when `map_apply` does not rebuild the term
     from the identity tuple, or the checker's verdict on that tuple is not
-    the verdict of the rebuilt term's typing."""
+    the verdict of the rebuilt term's typing, and `CandidateSpaceTooLarge`,
+    before enumerating, when there are more than MAX_TUPLES tuples."""
     domains = typed.witness.domains
+    tuples = math.prod(count_candidates(d, depth, typed.vp) for d in domains)
+    if tuples > MAX_TUPLES:
+        raise CandidateSpaceTooLarge(
+            f"{tuples} candidate tuples at depth {depth}, more than the {MAX_TUPLES} checked"
+        )
     identity = tuple(Id(d) for d in domains)
     rebuilt = map_apply(head_lift(spec.shape, identity), typed)
     # Compared as text: the renderer is iterative, while `==` on terms

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -137,6 +138,22 @@ class TestAnalyzeCommand:
             ]
         )
         assert code == 2
+
+    def test_verify_candidate_space_is_bounded(self, program_files, capsys):
+        # Pools grow doubly exponentially with the domain's depth: 1444 tuples
+        # at depth 2, 2090916 at depth 3, which are refused before enumerating.
+        q = "(((1,2),(3,4)),((5,6),(7,8)))"
+        argv = ["analyze", program_files["nested"], "--term", f"({q}, {q})", "--spec", "b1 * b2"]
+        assert main([*argv, "--verify", "depth=2"]) == 0
+        assert "agrees on 1444 candidate tuple(s)" in capsys.readouterr().out
+        start = time.perf_counter()
+        assert main([*argv, "--verify", "depth=3"]) == 2
+        assert time.perf_counter() - start < 10
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: --verify: 2090916 candidate tuples at depth 3, more than the 1000000 checked\n"
+        )
 
     def test_json_schema(self, program_files, capsys):
         code = main(

@@ -444,16 +444,19 @@ class TestCheckerMatchesReference:
         (Prod(LIST_NAT, App("PTree", (NAT,))), ["List b1 * PTree b2", "List b1 * PTree b1"]),
     ]
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    # One seed drawn from hypothesis, not `st.randoms`: every call on a
+    # hypothesis-backed `Random` is a recorded draw, which cost more than the
+    # checker under test.
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(
-        rng=st.randoms(use_true_random=False),
+        seed=st.integers(0, 2**32 - 1),
         case=st.sampled_from(RANDOM_TYPES),
         pick=st.integers(0, 2),
         depth=st.sampled_from([2, 3]),
     )
-    def test_random_values(self, nested_vp, rng, case, pick, depth):
+    def test_random_values(self, nested_vp, seed, case, pick, depth):
         ty, specs = case
-        term = g.pretty(gen_value(rng, ty, nested_vp, budget=3))
+        term = g.pretty(gen_value(random.Random(seed), ty, nested_vp, budget=3))
         assert_same_verdicts(run_pipeline(nested_vp, term, specs[pick % len(specs)]), depth)
 
 
