@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
-"""Per-stage cost of the library pipeline on long `cons` lists.
+"""Per-stage cost of the library pipeline on deep terms.
 
-    python3 scripts/sweep.py [--src DIR] [--big-stack] N...
+    python3 scripts/sweep.py [--src DIR] [--big-stack] [--shape list|seq] N...
 
-For each N, a fresh interpreter parses an N-element `cons` list, runs
-`infer`, `check_call_invariants`, `constraints.run` and `solve` on it under
-`List b1` (no rendering), and reports the seconds of each stage, the number
-of calls, the peak RSS of the child, and the peak RSS per element above the
-interpreter's baseline. This is repeated in three fresh interpreters; one
-JSON line per N gives each stage's least time and the largest RSS. When a
-child fails, its last line of error output is printed as `{"n", "error"}`
-and the script exits 1.
+For each N, a fresh interpreter parses a term of N levels, runs `infer`,
+`check_call_invariants`, `constraints.run` and `solve` on it (no rendering),
+and reports the seconds of each stage, the number of calls, the peak RSS of
+the child, and the peak RSS per level above the interpreter's baseline. The
+shape `list` (the default) is an N-element `cons` list under `List b1`
+(`programs/nested.gadt`). The shape `seq` is a left-nested chain of N `pair`s
+under `Seq b1` (`programs/seq.gadt`), whose type is as deep as the term.
+This is repeated in three fresh interpreters; one JSON line per N gives each
+stage's least time and the largest RSS. When a child fails, its last line
+of error output is printed as `{"n", "error"}` and the script exits 1.
 
 `--src` points at another source tree; `--big-stack` runs the stages in a
 thread with a 1 GB stack and a raised recursion limit, for code that
@@ -25,25 +27,30 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# shape: (program under programs/, specification)
+SHAPES = {"list": ("nested.gadt", "List b1"), "seq": ("seq.gadt", "Seq b1")}
 STAGES = ("parse", "infer", "check", "run", "solve")
 REPEAT = 3
 
 CHILD = r"""
 import json, resource, sys, threading, time
-src, n, big = sys.argv[1], int(sys.argv[2]), sys.argv[3] == "1"
+src, n, big, program, shape, spec_text = sys.argv[1:]
+n, big = int(n), big == "1"
 sys.path.insert(0, src)
 import gadtmap as g
 from gadtmap import cli, constraints
-program = open(sys.argv[4], encoding="utf-8").read()
-vp = g.validate(g.parse_program(program))
-text = "cons 0 (" * (n - 1) + "cons 0 nil" + ")" * (n - 1)
+vp = g.validate(g.parse_program(open(program, encoding="utf-8").read()))
+if shape == "seq":
+    text = "pair (" * (n - 1) + "pair (const 0) (const 0)" + ") (const 0)" * (n - 1)
+else:
+    text = "cons 0 (" * (n - 1) + "cons 0 nil" + ")" * (n - 1)
 base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 out = {"n": n}
 
 def stages():
     t0 = time.perf_counter()
     term = cli.parse_term(text, vp)
-    spec = cli.parse_spec("List b1", vp)
+    spec = cli.parse_spec(spec_text, vp)
     t1 = time.perf_counter()
     typed = cli.infer(term, vp)
     t2 = time.perf_counter()
@@ -74,14 +81,16 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=str(ROOT / "src"))
     ap.add_argument("--big-stack", action="store_true")
+    ap.add_argument("--shape", choices=SHAPES, default="list")
     ap.add_argument("n", type=int, nargs="+")
     args = ap.parse_args()
+    program, spec = SHAPES[args.shape]
     for n in args.n:
         runs = []
         for _ in range(REPEAT):
             proc = subprocess.run(
                 [sys.executable, "-c", CHILD, args.src, str(n), "1" if args.big_stack else "0",
-                 str(ROOT / "programs" / "nested.gadt")],
+                 str(ROOT / "programs" / program), args.shape, spec],
                 capture_output=True, text=True,
             )
             if proc.returncode != 0:

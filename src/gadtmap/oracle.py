@@ -261,20 +261,24 @@ class Checker:
         function variables, memoised per distinct sub-expression."""
         cod = self._codomains.get(phi)
         if cod is None:
-            if isinstance(phi, Id):
-                cod = phi.at
-            elif isinstance(phi, Opaque):
-                cod = phi.codomain
-            elif isinstance(phi, ProdF):
-                cod = Prod(self.codomain(phi.left), self.codomain(phi.right))
-            elif isinstance(phi, SumF):
-                cod = Sum(self.codomain(phi.left), self.codomain(phi.right))
-            elif isinstance(phi, Lift):
-                cod = App(phi.ctor, tuple(map(self.codomain, phi.args)))
-            else:
-                raise ValueError(f"{phi!r} has no derivable codomain")
-            self._codomains[phi] = cod
+            cod = self._codomains[phi] = self.head_codomain(phi)
         return cod
+
+    def head_codomain(self, phi: FunExpr) -> TypeExpr:
+        """`codomain(phi)` from the memoised codomains of `phi`'s children,
+        without memoising `phi`'s own: each candidate tuple lifts the head
+        over its components anew, so a head lift is never met twice."""
+        if isinstance(phi, Id):
+            return phi.at
+        if isinstance(phi, Opaque):
+            return phi.codomain
+        if isinstance(phi, ProdF):
+            return Prod(self.codomain(phi.left), self.codomain(phi.right))
+        if isinstance(phi, SumF):
+            return Sum(self.codomain(phi.left), self.codomain(phi.right))
+        if isinstance(phi, Lift):
+            return App(phi.ctor, tuple(map(self.codomain, phi.args)))
+        raise ValueError(f"{phi!r} has no derivable codomain")
 
     def normal(self, phi: FunExpr) -> FunExpr:
         """`normalize(phi)`, memoised per distinct sub-expression."""
@@ -456,7 +460,7 @@ def mappable(
     if checker is None:
         checker = Checker(typed)
     wrapped = head_lift(spec.shape, candidates)
-    if not match_type(spec.shape, checker.codomain(wrapped), {}):
+    if not match_type(spec.shape, checker.head_codomain(wrapped), {}):
         return False
     return checker.check(wrapped, typed.root)
 

@@ -28,7 +28,6 @@ from .funexpr import (
     canonical_rename,
     expand_id,
     fun_children,
-    fun_vars,
 )
 
 
@@ -88,7 +87,10 @@ def decompose(c: Constraint) -> list[AtomicConstraint]:
 class SolvedSystem:
     """An idempotent triangular substitution. Keys are ordered by creation;
     every binding is fully substituted, so applying the system to any of its
-    own values is a fixpoint."""
+    own values is a fixpoint. Bindings are shared structure: a variable's
+    resolution is one object, held by every binding that mentions it.
+    `free_vars` lists the unbound variables of the bindings in order of
+    first occurrence."""
 
     bindings: dict[FunVar, FunExpr]
     free_vars: tuple[FunVar, ...]
@@ -147,21 +149,48 @@ def unify_all(atomics: list[AtomicConstraint]) -> SolvedSystem:
     for ac in atomics:
         unite(ac.lhs, ac.rhs)
 
+    # Each variable is resolved once, and its resolution is one object shared
+    # by every binding that mentions it.
+    resolved: dict[FunVar, FunExpr] = {}
+
     def resolve(e: FunExpr) -> FunExpr:
-        e = walk(e)
+        if isinstance(e, FunVar):
+            r = resolved.get(e)
+            if r is None:
+                nxt = raw.get(e)
+                r = resolved[e] = e if nxt is None else resolve(nxt)
+            return r
         if isinstance(e, ProdF):
             return ProdF(resolve(e.left), resolve(e.right))
         if isinstance(e, SumF):
             return SumF(resolve(e.left), resolve(e.right))
         if isinstance(e, Lift):
-            return Lift(e.ctor, tuple(resolve(a) for a in e.args))
+            return Lift(e.ctor, tuple(map(resolve, e.args)))
         return e
 
     ordered = sorted(raw, key=lambda v: v.intro)
-    bindings = {v: resolve(raw[v]) for v in ordered}
-    free = dict.fromkeys(
-        v for value in bindings.values() for v in fun_vars(value) if v not in bindings
-    )
+    # Latest first: a later variable's resolution is met by earlier ones, so
+    # resolving it first keeps the recursion shallow.
+    for v in reversed(ordered):
+        resolve(v)
+    bindings = {v: resolved[v] for v in ordered}
+
+    # The variables of resolutions are unbound. They are listed in order of
+    # first occurrence, scanning each shared sub-expression once: a repeat
+    # holds no variable not already met.
+    free: dict[FunVar, None] = {}
+    scanned: set[int] = set()
+
+    def scan(e: FunExpr) -> None:
+        if isinstance(e, FunVar):
+            free[e] = None
+        elif id(e) not in scanned:
+            scanned.add(id(e))
+            for c in fun_children(e):
+                scan(c)
+
+    for value in bindings.values():
+        scan(value)
     return SolvedSystem(bindings, tuple(free))
 
 

@@ -11,7 +11,9 @@ type must be an instance of the specification. Metavariables that survive
 inference (e.g. the element type of a bare `nil`) may be instantiated by the
 specification here; anything still unsolved afterwards is frozen to a rigid
 atom and every node's type is overwritten with its ground type, so the
-analysis itself never sees a metavariable. The substitution it
+analysis itself never sees a metavariable. Each metavariable is resolved
+once and its ground type shared, so grounding is linear in the raw typing
+even where types are as deep as the term. The substitution it
 finds is recorded on the typing once (`InstanceWitness`), and fixes the domain
 of every input function.
 """
@@ -60,12 +62,18 @@ class FunArityMismatch(Exception):
 
 
 class _Store:
-    """Metavariable store: solutions plus the numeric-literal constraint set."""
+    """Metavariable store: solutions plus the numeric-literal constraint set.
+
+    A solution, once added, is never changed or removed."""
 
     def __init__(self) -> None:
         self.solutions: dict[int, TypeExpr] = {}
         self.numeric: set[int] = set()
         self._next = 0
+        # Each metavariable's resolution, valid while the solutions number
+        # `_resolved_at`: an added solution can only refine a resolution.
+        self._resolved: dict[int, TypeExpr] = {}
+        self._resolved_at = 0
 
     def fresh(self, numeric: bool = False) -> Meta:
         m = Meta(self._next)
@@ -80,11 +88,27 @@ class _Store:
         return t
 
     def resolve(self, t: TypeExpr) -> TypeExpr:
-        t = self.walk(t)
+        """`t` with every solved metavariable replaced by its resolution.
+
+        Each metavariable is resolved once, and its resolution is one object
+        shared by every type that reaches it, so resolving many types that
+        share metavariables costs their raw size, not their resolved size."""
+        if self._resolved_at != len(self.solutions):
+            self._resolved.clear()
+            self._resolved_at = len(self.solutions)
+        return self._resolve(t)
+
+    def _resolve(self, t: TypeExpr) -> TypeExpr:
+        if isinstance(t, Meta):
+            r = self._resolved.get(t.ident)
+            if r is None:
+                s = self.solutions.get(t.ident)
+                r = self._resolved[t.ident] = t if s is None else self._resolve(s)
+            return r
         if isinstance(t, (Prod, Sum)):
-            return type(t)(self.resolve(t.left), self.resolve(t.right))
+            return type(t)(self._resolve(t.left), self._resolve(t.right))
         if isinstance(t, App):
-            return App(t.ctor, tuple(self.resolve(a) for a in t.args))
+            return App(t.ctor, tuple(map(self._resolve, t.args)))
         return t
 
     def _occurs(self, ident: int, t: TypeExpr) -> bool:
@@ -144,7 +168,9 @@ class TypedNode:
 
     After inference the type and instance are raw (metavariables unresolved;
     read them through `TypedTerm.type_of`/`instance_of`). Freezing the typing
-    overwrites both with ground types. Nodes compare by identity."""
+    overwrites both with ground types, which are shared structure: nodes
+    whose types reach one metavariable hold one object for its resolution,
+    so treat them as immutable. Nodes compare by identity."""
 
     term: Term
     type: TypeExpr
@@ -383,23 +409,33 @@ def check_call_invariants(typed: TypedTerm, spec: Spec, fun_arity: int) -> Insta
 
 def _freeze(typed: TypedTerm) -> None:
     """Ground the typing: overwrite every node's type and instance with its
-    resolved type. Each metavariable still unsolved is bound to a fresh rigid
-    atom `?N` where it is first met: node types in preorder, then
-    constructor instances in preorder, by ident within one type."""
+    resolved type. Ground types are shared structure: each metavariable is
+    resolved once, and every node type, constructor instance and witness
+    entry that reaches it holds that one object.
+
+    When some metavariable is still unsolved, each unsolved one is first
+    bound to a fresh rigid atom `?N`, numbered where it is first met: node
+    types in preorder, then constructor instances in preorder, by ident
+    within one type. When every metavariable is solved, this pass is
+    skipped."""
     store = typed._store
-    counter = itertools.count()
-
-    def ground(t: TypeExpr) -> TypeExpr:
-        t = store.resolve(t)
-        metas = metas_in(t)
-        if not metas:
-            return t
-        for ident in sorted(metas):
-            store.solutions[ident] = Atom(f"?{next(counter)}")
-        return store.resolve(t)
-
     nodes = list(typed.nodes())
+    raw = [n.type for n in nodes] + [t for n in nodes for t in n.instance]
+    if len(store.solutions) < store._next:
+        numbered: dict[int, None] = {}
+        for t in _resolve_all(store, raw):
+            numbered.update(dict.fromkeys(sorted(metas_in(t) - numbered.keys())))
+        for k, ident in enumerate(numbered):
+            store.solutions[ident] = Atom(f"?{k}")
+    ground = iter(_resolve_all(store, raw))
     for n in nodes:
-        n.type = ground(n.type)
+        n.type = next(ground)
     for n in nodes:
-        n.instance = tuple(map(ground, n.instance))
+        n.instance = tuple(itertools.islice(ground, len(n.instance)))
+
+
+def _resolve_all(store: _Store, types: list[TypeExpr]) -> list[TypeExpr]:
+    """`store.resolve` of each type. The types of a preorder are resolved
+    last to first, so a node's metavariables are resolved before its
+    ancestors reach them and the recursion stays shallow."""
+    return [store.resolve(t) for t in reversed(types)][::-1]

@@ -120,3 +120,26 @@ def gen_value(rng: random.Random, ty, vp: g.ValidatedProgram, budget: int) -> g.
             ),
         )
     raise AssertionError(f"cannot generate a value of type {ty}")
+
+
+# Ground types of random values, each with a specification it instantiates.
+RANDOM_VALUE_SPECS = [
+    (g.App("List", (g.Prod(g.Base("Nat"), g.Base("Bool")),)), "List (b1 * b2)"),
+    (g.App("List", (g.App("List", (g.Base("Nat"),)),)), "List (List b1)"),
+    (g.App("PTree", (g.Prod(g.Base("Nat"), g.Base("Nat")),)), "PTree (b1 * b1)"),
+    (g.App("Bush", (g.Sum(g.Base("Nat"), g.Base("Bool")),)), "Bush (b1 + b2)"),
+    (g.App("Rose", (g.App("List", (g.Base("Nat"),)),)), "Rose b1"),
+    (
+        g.Prod(g.App("List", (g.Base("Nat"),)), g.App("PTree", (g.Base("Nat"),))),
+        "List b1 * PTree b1",
+    ),
+]
+
+
+def random_values(vp: g.ValidatedProgram, count: int):
+    """`count` (term, specification text) pairs over the nested-types
+    program, one per seed 0, 1, ..."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        ty, spec = rng.choice(RANDOM_VALUE_SPECS)
+        yield gen_value(rng, ty, vp, budget=3), spec

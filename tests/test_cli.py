@@ -94,6 +94,23 @@ class TestAnalyzeCommand:
         assert code == 1
         assert "IllTyped" in capsys.readouterr().out
 
+    def test_occurs_check_in_inference_exit_one(self, tmp_path, capsys):
+        # `e` needs `U b (List b)` and `d` gives `U a a`, so inference must
+        # solve a metavariable by a type containing it; without the occurs
+        # check the solution would be cyclic.
+        src = tmp_path / "occurs.gadt"
+        src.write_text(
+            "data List : Set -> Set where nil : forall a. List a ;"
+            " cons : forall a. a -> List a -> List a\n"
+            "data T : Set -> Set where t : forall a. a -> T a\n"
+            "data U : Set -> Set -> Set where d : forall a. T a -> U a a\n"
+            "data V : Set where e : forall b. U b (List b) -> V"
+        )
+        assert main(["analyze", str(src), "--term", "e (d (t nil))", "--spec", "V"]) == 1
+        assert capsys.readouterr().out == (
+            "status: IllTyped\ndetail: occurs check failed binding ?m3 to List ?m3\n"
+        )
+
     def test_parse_error_exit_two(self, program_files, capsys):
         code = main(
             ["analyze", program_files["nested"], "--term", "snoc 1", "--spec", "List b1"]

@@ -228,7 +228,25 @@ class TestCheckerDerivations:
                 # twice: the second pass reads the memo
                 for c in cands + cands:
                     assert checker.codomain(c) == fun_type(c, codomain=True), g.pretty(c)
+                    assert checker.head_codomain(c) == checker.codomain(c), g.pretty(c)
                     assert checker.normal(c) == normalize(c), g.pretty(c)
+
+    def test_head_codomains_are_not_kept(self, nested_vp):
+        # One head lift per candidate tuple: the codomain memo must hold
+        # only the candidates' own sub-expressions, however many tuples.
+        report = run_pipeline(nested_vp, "((1, 2), (3, tt))", "b1 * b2")
+        typed, checker = report.typed, Checker(report.typed)
+        pools = [g.enumerate_candidates(d, 2, nested_vp) for d in typed.witness.domains]
+        subexpressions, stack = set(), [c for pool in pools for c in pool]
+        while stack:
+            phi = stack.pop()
+            subexpressions.add(phi)
+            stack.extend(g.funexpr.fun_children(phi))
+        tuples = list(itertools.product(*pools))
+        for combo in tuples:
+            mappable(combo, typed, report.spec, checker)
+        assert set(checker._codomains) <= subexpressions
+        assert len(subexpressions) < len(tuples)
 
     def test_enumeration_order_and_atom_names(self, programs):
         rendered = {

@@ -6,14 +6,17 @@ import random
 import pytest
 
 import gadtmap as g
-from gadtmap.funexpr import fun_vars
+from gadtmap.funexpr import fun_children, fun_vars
+from gadtmap.solver import _peel
 from gadtmap.syntax import App, Base, Prod
 
 from conftest import (
+    CORPUS,
     G_TERM_FLAT,
     G_TERM_INJ,
     LISTS_TERM,
     SEQ_TERM,
+    random_values,
     run_pipeline,
 )
 
@@ -203,3 +206,123 @@ class TestSolvedSystems:
         assert [g.pretty(v) for v in a.solved.bindings.values()] == [
             g.pretty(v) for v in b.solved.bindings.values()
         ]
+
+
+def reference_unify_all(atomics):
+    """`unify_all` as it was before bindings shared structure: every binding
+    is resolved on its own, and `fun_vars` re-walks each resolved value."""
+    raw = {}
+
+    def walk(e):
+        passed = []
+        while isinstance(e, g.FunVar):
+            nxt = raw.get(e)
+            if nxt is None:
+                break
+            passed.append(e)
+            e = nxt
+        for v in passed:
+            raw[v] = e
+        return e
+
+    def occurs(v, e):
+        e = walk(e)
+        if isinstance(e, g.FunVar):
+            return e == v
+        return any(occurs(v, c) for c in fun_children(e))
+
+    def unite(a, b):
+        a, b = walk(a), walk(b)
+        if isinstance(a, g.FunVar) and isinstance(b, g.FunVar):
+            if a != b:
+                lo, hi = (a, b) if a.intro < b.intro else (b, a)
+                raw[lo] = hi
+        elif isinstance(a, g.FunVar) or isinstance(b, g.FunVar):
+            v, e = (a, b) if isinstance(a, g.FunVar) else (b, a)
+            if occurs(v, e):
+                raise g.SpecUnsatisfiable(f"occurs check failed binding {v} to {e}")
+            raw[v] = e
+        else:
+            for x, y in _peel(a, b):
+                unite(x, y)
+
+    for ac in atomics:
+        unite(ac.lhs, ac.rhs)
+
+    def resolve(e):
+        e = walk(e)
+        if isinstance(e, g.ProdF):
+            return g.ProdF(resolve(e.left), resolve(e.right))
+        if isinstance(e, g.SumF):
+            return g.SumF(resolve(e.left), resolve(e.right))
+        if isinstance(e, g.Lift):
+            return g.Lift(e.ctor, tuple(resolve(a) for a in e.args))
+        return e
+
+    ordered = sorted(raw, key=lambda v: v.intro)
+    bindings = {v: resolve(raw[v]) for v in ordered}
+    free = dict.fromkeys(
+        v for value in bindings.values() for v in fun_vars(value) if v not in bindings
+    )
+    return g.SolvedSystem(bindings, tuple(free))
+
+
+SEQ_CHAIN = "pair (" * 59 + "pair (const 0) (const tt)" + ") (const 0)" * 59
+
+
+def atomics_of(report):
+    return [a for c in report.run.constraints for a in g.decompose(c)]
+
+
+class TestSharedBindings:
+    """Bindings share each variable's resolution; they must equal, in key
+    order, the bindings and free variables that resolving every binding on
+    its own gives."""
+
+    @staticmethod
+    def assert_same_solution(atomics):
+        try:
+            reference = reference_unify_all(atomics)
+        except g.SpecUnsatisfiable:
+            with pytest.raises(g.SpecUnsatisfiable):
+                g.unify_all(atomics)
+            return
+        solved = g.unify_all(atomics)
+        assert list(solved.bindings.items()) == list(reference.bindings.items())
+        assert solved.free_vars == reference.free_vars
+
+    @pytest.mark.parametrize("key,term,spec,int_lits", CORPUS)
+    def test_corpus(self, programs, key, term, spec, int_lits):
+        self.assert_same_solution(atomics_of(run_pipeline(programs[key], term, spec, int_lits)))
+
+    @pytest.mark.parametrize(
+        "key,term,spec",
+        [
+            ("nested", "(nil, nil)", "b1 * b2"),
+            ("nested", "(cons 1 nil, nil)", "List b1 * List b1"),
+            ("seq", SEQ_CHAIN, "Seq b1"),
+            ("nested", LONG_LIST_OF_LISTS, "List (List b1)"),
+        ],
+    )
+    def test_unsolved_and_deep(self, programs, key, term, spec):
+        self.assert_same_solution(atomics_of(run_pipeline(programs[key], term, spec)))
+
+    def test_random_values(self, nested_vp):
+        for term, spec in random_values(nested_vp, 40):
+            report = run_pipeline(nested_vp, g.pretty(term), spec)
+            self.assert_same_solution(atomics_of(report))
+
+    def test_shuffled_atomics(self):
+        # Hand-built systems: some variables bound, some twice, some free,
+        # met in any order.
+        vs = [fv("g", str(i), 1, i) for i in range(14)]
+        rng = random.Random(3)
+        for _ in range(60):
+            atomics = []
+            for i, v in enumerate(vs[:-2]):
+                for _ in range(rng.choice([0, 1, 1, 1, 2])):
+                    a, b = rng.sample(vs[i + 1:], 2)
+                    lhs = rng.choice([a, a, g.ProdF(a, b), g.ProdF(b, a)])
+                    atomics.append(g.AtomicConstraint(lhs, v))
+            rng.shuffle(atomics)
+            self.assert_same_solution(atomics)

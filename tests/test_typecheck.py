@@ -1,12 +1,16 @@
 """Type inference, literal defaulting, and the analysis entry precondition."""
 from __future__ import annotations
 
+import itertools
 import re
 
 import pytest
 
 import gadtmap as g
-from gadtmap.syntax import App, Atom, Base, Meta, Prod
+from gadtmap.syntax import App, Atom, Base, Meta, Prod, Sum, metas_in, type_children
+from gadtmap.typecheck import InstanceWitness, spec_instance
+
+from conftest import CORPUS, NESTED_SRC, SEQ_SRC, random_values
 
 
 class TestInfer:
@@ -157,3 +161,101 @@ class TestCheckCallInvariants:
         assert typed.type_of(typed.root) == Prod(
             App("List", (Atom("?0"),)), App("List", (Atom("?1"),))
         )
+
+
+P_SRC = "data P : Set -> Set where\n  p : forall a b. a -> P a"
+
+# Inputs that leave metavariables unsolved until grounding numbers them.
+UNSOLVED = [
+    ("nested", "nil", "List b1"),
+    ("nested", "nil", "List (List b1)"),
+    ("both", "p 1", "P b1"),
+    # A binder in no type, met before a type's metavariable in preorder.
+    ("both", "(p 1, nil)", "b1 * b2"),
+    ("nested", "(nil, nil)", "b1 * b2"),
+    ("nested", "inl (cons 1 nil)", "List b1 + b2"),
+    ("both", "pair (pair (const nil) (const 2)) (const (cons nil nil))", "Seq b1"),
+    ("both", "pair (const (nil, inr nil)) (pair (const nil) (const (inl 1)))", "Seq (b1 * b2)"),
+]
+
+def reference_resolve(store, t):
+    """Resolution as grounding did it before it was shared: every call
+    rebuilds the whole resolved type."""
+    t = store.walk(t)
+    if isinstance(t, (Prod, Sum)):
+        return type(t)(reference_resolve(store, t.left), reference_resolve(store, t.right))
+    if isinstance(t, App):
+        return App(t.ctor, tuple(reference_resolve(store, a) for a in t.args))
+    return t
+
+
+def reference_check_call_invariants(typed, spec):
+    """`check_call_invariants` as it was before grounding shared structure:
+    resolve and scan every type on its own, binding the unsolved
+    metavariables of each type to atoms before resolving the next."""
+    store = typed._store
+    mus = spec_instance(spec, typed.root.type, store)
+    counter = itertools.count()
+
+    def ground(t):
+        t = reference_resolve(store, t)
+        metas = metas_in(t)
+        if not metas:
+            return t
+        for ident in sorted(metas):
+            store.solutions[ident] = Atom(f"?{next(counter)}")
+        return reference_resolve(store, t)
+
+    nodes = list(typed.nodes())
+    for n in nodes:
+        n.type = ground(n.type)
+    for n in nodes:
+        n.instance = tuple(map(ground, n.instance))
+    subst = {v: reference_resolve(store, m) for v, m in mus.items()}
+    typed.witness = InstanceWitness(subst, type_children(typed.root.type))
+    return typed.witness
+
+
+class TestSharedGrounding:
+    """Grounding resolves each metavariable once and shares the result; it
+    must give the types, instances, atom names and witness that resolving
+    every type separately gives."""
+
+    @pytest.fixture(scope="class")
+    def vps(self, programs):
+        both = g.validate(g.parse_program("\n".join([SEQ_SRC, NESTED_SRC, P_SRC])))
+        return {**programs, "both": both}
+
+    @staticmethod
+    def assert_same_grounding(vp, term, spec_text, int_literals=False):
+        spec = g.parse_spec(spec_text, vp)
+        typed = g.infer(term, vp, int_literals)
+        reference = g.infer(term, vp, int_literals)
+        witness = g.check_call_invariants(typed, spec, g.spec_head_arity(spec, vp))
+        assert witness == reference_check_call_invariants(reference, spec)
+        pairs = list(zip(typed.nodes(), reference.nodes(), strict=True))
+        assert [(a.type, a.instance) for a, _ in pairs] == [(b.type, b.instance) for _, b in pairs]
+
+    @pytest.mark.parametrize("key,term,spec,int_lits", CORPUS)
+    def test_corpus(self, vps, key, term, spec, int_lits):
+        vp = vps[key]
+        self.assert_same_grounding(vp, g.parse_term(term, vp), spec, int_lits)
+
+    @pytest.mark.parametrize("key,term,spec", UNSOLVED)
+    def test_unsolved_metavariables(self, vps, key, term, spec):
+        vp = vps[key]
+        self.assert_same_grounding(vp, g.parse_term(term, vp), spec)
+
+    def test_random_values(self, nested_vp):
+        for term, spec in random_values(nested_vp, 40):
+            self.assert_same_grounding(nested_vp, term, spec)
+
+    def test_one_metavariable_is_one_object(self, seq_vp):
+        typed = g.infer(g.parse_term("pair (pair (const tt) (const 2)) (const 5)", seq_vp), seq_vp)
+        w = g.check_call_invariants(typed, g.parse_spec("Seq b1", seq_vp), 1)
+        inner = typed.root.kids[0]
+        # The root's first binder is solved by the inner pair's type index,
+        # whose components are the inner pair's binders.
+        assert typed.root.instance[0].left is inner.instance[0]
+        assert w.subst["b1"].left is typed.root.instance[0]
+        assert inner.instance[0] is inner.kids[0].instance[0]
