@@ -5,13 +5,17 @@
 
 For each N, a fresh interpreter parses a term of N levels, runs `infer`,
 `check_call_invariants`, `constraints.run` and `solve` on it (no rendering),
-and reports the seconds of each stage, the number of calls, the peak RSS of
+and reports the seconds of each stage, the seconds of full (generation 2)
+garbage collections inside each stage, the number of calls, the peak RSS of
 the child, and the peak RSS per level above the interpreter's baseline. The
 shape `list` (the default) is an N-element `cons` list under `List b1`
 (`programs/nested.gadt`). The shape `seq` is a left-nested chain of N `pair`s
 under `Seq b1` (`programs/seq.gadt`), whose type is as deep as the term.
 This is repeated in three fresh interpreters; one JSON line per N gives each
-stage's least time and the largest RSS. When a child fails, its last line
+stage's least time, as `gc` the collection seconds of the run that gave it,
+and the largest RSS. A full collection runs in whichever stage's allocations
+trigger it, so `gc` shows how much of a stage's time, and of a jump in its
+exponent, is the collector's. When a child fails, its last line
 of error output is printed as `{"n", "error"}` and the script exits 1.
 
 `--src` points at another source tree; `--big-stack` runs the stages in a
@@ -33,7 +37,7 @@ STAGES = ("parse", "infer", "check", "run", "solve")
 REPEAT = 3
 
 CHILD = r"""
-import json, resource, sys, threading, time
+import gc, json, resource, sys, threading, time
 src, n, big, program, shape, spec_text = sys.argv[1:]
 n, big = int(n), big == "1"
 sys.path.insert(0, src)
@@ -45,23 +49,35 @@ if shape == "seq":
 else:
     text = "cons 0 (" * (n - 1) + "cons 0 nil" + ")" * (n - 1)
 base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-out = {"n": n}
+out = {"n": n, "gc": {}}
+clock = {"stage": None, "start": 0.0}
+
+def collected(phase, info):
+    if info["generation"] == 2 and clock["stage"] is not None:
+        now = time.perf_counter()
+        if phase == "start":
+            clock["start"] = now
+        else:
+            out["gc"][clock["stage"]] += now - clock["start"]
+
+gc.callbacks.append(collected)
+
+def timed(stage, fn, *args):
+    clock["stage"] = stage
+    out["gc"][stage] = 0.0
+    t0 = time.perf_counter()
+    value = fn(*args)
+    out[stage] = time.perf_counter() - t0
+    clock["stage"] = None
+    return value
 
 def stages():
-    t0 = time.perf_counter()
-    term = cli.parse_term(text, vp)
-    spec = cli.parse_spec(spec_text, vp)
-    t1 = time.perf_counter()
-    typed = cli.infer(term, vp)
-    t2 = time.perf_counter()
-    cli.check_call_invariants(typed, spec, cli.spec_head_arity(spec, vp))
-    t3 = time.perf_counter()
-    run = constraints.run(typed, spec)
-    t4 = time.perf_counter()
-    cli.solve(run.constraints, run.root_funs)
-    t5 = time.perf_counter()
-    out.update(parse=t1 - t0, infer=t2 - t1, check=t3 - t2, run=t4 - t3, solve=t5 - t4,
-               calls=len(run.traces))
+    term, spec = timed("parse", lambda: (cli.parse_term(text, vp), cli.parse_spec(spec_text, vp)))
+    typed = timed("infer", cli.infer, term, vp)
+    timed("check", lambda: cli.check_call_invariants(typed, spec, cli.spec_head_arity(spec, vp)))
+    run = timed("run", constraints.run, typed, spec)
+    timed("solve", cli.solve, run.constraints, run.root_funs)
+    out["calls"] = len(run.traces)
 
 if big:
     sys.setrecursionlimit(10 ** 7)
@@ -98,9 +114,12 @@ def main() -> None:
                 print(json.dumps({"n": n, "error": lines[-1]}))
                 sys.exit(1)
             runs.append(json.loads(proc.stdout))
-        best = {k: min(r[k] for r in runs) for k in STAGES}
+        fastest = {k: min(runs, key=lambda r: r[k]) for k in STAGES}
+        best = {k: r[k] for k, r in fastest.items()}
+        gc = {k: r["gc"][k] for k, r in fastest.items()}
         worst = {k: max(r[k] for r in runs) for k in ("peak_rss_mb", "rss_per_element_kb")}
-        print(json.dumps({"n": n, **best, "calls": runs[0]["calls"], **worst}), flush=True)
+        print(json.dumps({"n": n, **best, "gc": gc, "calls": runs[0]["calls"], **worst}),
+              flush=True)
 
 
 if __name__ == "__main__":

@@ -147,7 +147,7 @@ def report_to_json(report: AnalysisReport) -> dict:
         ]
         out["annotation"] = {
             "term": shown[id(run.annotation.term)],
-            "essentialPaths": sorted(list(p) for p in run.annotation.essential),
+            "essentialPaths": [list(p) for p in run.annotation.essential],
         }
     if report.verify is not None:
         out["verify"] = {
@@ -167,10 +167,9 @@ def report_to_json(report: AnalysisReport) -> dict:
 
 
 def _call_terms(run: cgen.RunResult) -> dict[int, str]:
-    """The rendering of every call's subterm and of the whole term, keyed by
-    `id`: the call subterms are subterm objects of the annotation term."""
-    term = run.annotation.term
-    return pretty_subterms(term, [term] + [t.term for t in run.traces])
+    """The rendering of every call's subterm, the whole term among them, keyed
+    by `id`: the call subterms are the annotation's heads."""
+    return pretty_subterms(run.annotation.term, run.annotation.heads)
 
 
 def _free_var_names(form: tuple[FunExpr, ...]) -> list[str]:
@@ -292,7 +291,7 @@ def render_report(report: AnalysisReport, trace: bool = False, annotate: bool = 
         if annotate:
             lines.append(
                 "essential structure: "
-                + pretty_annotated(run.annotation.term, run.annotation.essential)
+                + pretty_annotated(run.annotation.term, run.annotation.heads)
             )
         if trace:
             lines.append("calls:")

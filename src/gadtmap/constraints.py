@@ -20,15 +20,16 @@ function variables:
     closed type or a single variable are skipped entirely, which is what
     makes them incidental rather than essential.
 
-The head former of every call is recorded as essential structure.
+The subterm of every call is recorded by identity as an essential head
+(`AnnotatedTerm.heads`); the renderers read the heads, and only
+`AnnotatedTerm.essential` builds term paths, for the JSON `essentialPaths`.
 
 The walk runs its calls in preorder from an explicit stack, so the depth of
 a term is bounded by memory, not by the interpreter's recursion limit. Each
 call is named by a `Call` node of constant size; the labels that name calls,
-index variables and constraint origins in output, and the term paths of the
-essential positions, are built only when output asks for them. The walk
-reads each subterm's ground type and instance from its typed node, which
-`check_call_invariants` left frozen.
+index variables and constraint origins in output are built only when output
+asks for them. The walk reads each subterm's ground type and instance from
+its typed node, which `check_call_invariants` left frozen.
 """
 from __future__ import annotations
 
@@ -132,22 +133,23 @@ class CallTrace:
 @dataclass(frozen=True)
 class AnnotatedTerm:
     """A term with its essential positions: the subterms that head a call of
-    the walk, held by identity (`id`) as subterm objects of `term`."""
+    the walk, the root always among them, held by `id` as subterm objects."""
 
     term: Term
     heads: frozenset[int]
 
     @property
-    def essential(self) -> frozenset[Path]:
-        """The essential positions as child-index paths from the root."""
+    def essential(self) -> tuple[Path, ...]:
+        """The essential positions as child-index paths from the root, in
+        preorder with children in index order, which is also sorted order."""
         out = []
         stack: list[tuple[Term, Path]] = [(self.term, ())]
         while stack:
             t, path = stack.pop()
             if id(t) in self.heads:
                 out.append(path)
-                stack.extend((c, path + (i,)) for i, c in enumerate(term_children(t)))
-        return frozenset(out)
+                stack += reversed([(c, path + (i,)) for i, c in enumerate(term_children(t))])
+        return tuple(out)
 
 
 @dataclass

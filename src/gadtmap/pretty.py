@@ -121,20 +121,19 @@ def pretty_term(t: Term) -> str:
     return _render(t, {})
 
 
-def pretty_subterms(t: Term, wanted: list[Term]) -> dict[int, str]:
-    """The rendering of each `wanted` subterm object of `t`, keyed by `id`.
+def pretty_subterms(t: Term, heads: frozenset[int] | set[int]) -> dict[int, str]:
+    """The rendering of each subterm object of `t` whose `id` is in `heads`.
 
-    Wanted subterms are rendered bottom-up, each from the strings of the
-    wanted subterms below it, so every node is walked once and the cost is
-    the size of the tree plus the length of the strings returned.
+    They are rendered bottom-up, each from the strings of the ones below it,
+    so every node is walked once and the cost is the size of the tree plus
+    the length of the strings returned.
     """
-    ids = {id(w) for w in wanted}
     nodes = [t]
     for x in nodes:  # breadth-first: ancestors before descendants
         nodes.extend(term_children(x))
     done: dict[int, str] = {}
     for x in reversed(nodes):
-        if id(x) in ids and id(x) not in done:
+        if id(x) in heads and id(x) not in done:
             done[id(x)] = _render(x, done)
     return done
 
@@ -186,38 +185,33 @@ def pretty(x: TypeExpr | Term | FunExpr | Constraint | Spec) -> str:
     raise TypeError(f"cannot pretty-print {x!r}")
 
 
-def pretty_annotated(t: Term, essential: frozenset[tuple[int, ...]] | set[tuple[int, ...]]) -> str:
+def pretty_annotated(t: Term, heads: frozenset[int] | set[int]) -> str:
     """Render a term with its incidental structure bracketed.
 
-    Heads of essential positions print normally; each maximal incidental
-    subtree is wrapped in [...]. Essential positions are upward closed, so
-    bracketed regions never nest.
+    `heads` holds the `id`s of the essential subterm objects, those that head
+    a call of the walk; the root is always one. Heads print normally, and
+    each child outside `heads` is wrapped whole in [...] and never in
+    parentheses, so bracketed regions never nest.
     """
     out: list[str] = []
-    stack: list[str | tuple[Term, tuple[int, ...]]] = [(t, ())]
+    stack: list[str | Term] = [t]
     while stack:
         x = stack.pop()
         if isinstance(x, str):
             out.append(x)
             continue
-        node, path = x
-        if path not in essential:
-            out += ("[", pretty_term(node), "]")
+        if not isinstance(x, (Ctor, Pair, Inl, Inr)):
+            out.append(pretty_term(x))
             continue
-        if not isinstance(node, (Ctor, Pair, Inl, Inr)):
-            out.append(pretty_term(node))
-            continue
-        items: list[str | tuple[Term, tuple[int, ...]]] = []
-        slot = 0
-        for part in _parts(node):
+        for part in reversed(_parts(x)):
             if isinstance(part, str):
-                items.append(part)
+                stack.append(part)
                 continue
-            (child, atom), child_path = part, path + (slot,)
-            slot += 1
-            if atom and child_path in essential and not _is_atomic(child):
-                items += ("(", (child, child_path), ")")
+            child, atom = part
+            if id(child) not in heads:
+                stack += ("]", pretty_term(child), "[")
+            elif atom and not _is_atomic(child):
+                stack += (")", child, "(")
             else:
-                items.append((child, child_path))
-        stack.extend(reversed(items))
+                stack.append(child)
     return "".join(out)

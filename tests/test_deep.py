@@ -48,6 +48,7 @@ print(json.dumps({{
     "form": [str(f) for f in report.form],
     "traces": len(run.traces),
     "heads": len(run.annotation.heads),
+    "annotated": g.pretty_annotated(run.annotation.term, run.annotation.heads),
     "constraints": len(run.constraints),
     "last": run.traces[-1].label.count("."),
 }}))
@@ -61,6 +62,7 @@ def test_long_list_analyses():
     assert out["form"] == ["f'1"]
     assert out["traces"] == out["heads"] == out["constraints"] == n + 1
     assert out["last"] == n  # the `nil` call sits n branches below the root
+    assert out["annotated"] == "cons [0] (" * (n - 1) + "cons [0] nil" + ")" * (n - 1)
 
 
 def test_long_list_of_lists_analyses():
@@ -71,6 +73,8 @@ def test_long_list_of_lists_analyses():
     assert out["status"] == "Mappable"
     assert out["form"] == ["List f'1"]
     assert out["traces"] == out["heads"] == out["constraints"] == calls
+    # Only the inner lists' elements are incidental.
+    assert out["annotated"].count("[") == sum(i % 3 for i in range(n))
 
 
 # Messages recorded with the recursive parser, under a raised recursion

@@ -193,7 +193,7 @@ class TestExoticGadts:
 
     def test_existential_data_is_incidental(self, exotic_vp):
         p = run_pipeline(exotic_vp, "hide (5, tt)", "E b1")
-        assert p.run.annotation.essential == frozenset({()})
+        assert frozenset(p.run.annotation.essential) == frozenset({()})
 
     def test_permuted_indices_cross_wire(self, exotic_vp):
         p = run_pipeline(exotic_vp, "swap (wmk 1 tt)", "W b1 b2")

@@ -1,16 +1,18 @@
 """Parsing and printing: grammar coverage, error positions, round trips."""
 from __future__ import annotations
 
-import sys
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gadtmap as g
-from gadtmap.pretty import pretty_annotated, pretty_subterms
-from gadtmap.syntax import App, Base, Prod, Sum, Var, subterm_at, term_children
+from gadtmap.constraints import AnnotatedTerm
+from gadtmap.pretty import _is_atomic, _parts, pretty_annotated, pretty_subterms
+from gadtmap.syntax import App, Base, Prod, Sum, Var, term_children
 
-from conftest import CORPUS, PROGRAM_SOURCES, run_pipeline
+from conftest import CORPUS, NESTED_SRC, PROGRAM_SOURCES, run_pipeline
+from test_oracle import PROBE_SRC, PROBE_TERMS, SUM_INDEXED_SRC
 
 
 class TestParseProgram:
@@ -316,7 +318,7 @@ def _subterms(term):
 @settings(max_examples=200)
 def test_shared_table_matches_standalone_rendering(term):
     subs = _subterms(term)
-    table = pretty_subterms(term, subs)
+    table = pretty_subterms(term, {id(t) for t in subs})
     for t in subs:
         assert table[id(t)] == g.pretty(t)
 
@@ -324,11 +326,15 @@ def test_shared_table_matches_standalone_rendering(term):
 @given(_terms_strategy())
 @settings(max_examples=100)
 def test_annotated_rendering_brackets_exactly_the_incidental_subtrees(term):
-    paths = [()]
-    for path in paths:
-        paths.extend(path + (i,) for i in range(len(term_children(subterm_at(term, path)))))
-    assert pretty_annotated(term, set(paths)) == g.pretty(term)
-    assert pretty_annotated(term, set()) == f"[{g.pretty(term)}]"
+    assert pretty_annotated(term, {id(t) for t in _subterms(term)}) == g.pretty(term)
+    # Only the root is a head: each of its children is bracketed whole.
+    if isinstance(term, (g.Ctor, g.Pair, g.Inl, g.Inr)):
+        only_root = "".join(
+            p if isinstance(p, str) else f"[{g.pretty(p[0])}]" for p in _parts(term)
+        )
+    else:
+        only_root = g.pretty(term)
+    assert pretty_annotated(term, {id(term)}) == only_root
 
 
 DEEP = 50_000
@@ -341,23 +347,29 @@ def _deep_cons(n):
     return t
 
 
+def _spine(t, n):
+    """The ids of the first `n` nodes down the tail spine of a `cons` chain."""
+    heads = set()
+    for _ in range(n):
+        heads.add(id(t))
+        t = t.args[1] if t.args else None
+    return heads
+
+
 def test_deep_cons_chain_renders_without_recursion():
     t = _deep_cons(DEEP)
     chain = "cons 0 (" * (DEEP - 1) + "cons 0 nil" + ")" * (DEEP - 1)
     assert g.pretty(t) == chain
     # Three essential spine positions, then one incidental bracket.
     rest = "cons 0 (" * (DEEP - 4) + "cons 0 nil" + ")" * (DEEP - 4)
-    assert (
-        pretty_annotated(t, {(), (1,), (1, 1)})
-        == f"cons [0] (cons [0] (cons [0] [{rest}]))"
-    )
+    assert pretty_annotated(t, _spine(t, 3)) == f"cons [0] (cons [0] (cons [0] [{rest}]))"
 
 
 def test_long_essential_spine_renders_without_recursion():
-    n = 3 * sys.getrecursionlimit()
-    t = _deep_cons(n)
-    spine = {(1,) * k for k in range(n + 1)}
-    assert pretty_annotated(t, spine) == "cons [0] (" * (n - 1) + "cons [0] nil" + ")" * (n - 1)
+    # As term paths this spine would hold about 1.25e9 entries.
+    t = _deep_cons(DEEP)
+    expected = "cons [0] (" * (DEEP - 1) + "cons [0] nil" + ")" * (DEEP - 1)
+    assert pretty_annotated(t, _spine(t, DEEP + 1)) == expected
 
 
 def test_deep_pair_injection_nest_renders_without_recursion():
@@ -374,6 +386,94 @@ def test_deep_pair_injection_nest_renders_without_recursion():
             closes.append(", tt)")
     text = "".join(reversed(opens)) + "0" + "".join(closes)
     assert g.pretty(t) == text
-    assert pretty_annotated(t, set()) == f"[{text}]"
-    # The root injection is essential; its pair payload is bracketed whole.
-    assert pretty_annotated(t, {()}) == f"inl [{text[len('inl '):]}]"
+    assert pretty_annotated(t, {id(x) for x in _subterms(t)}) == text
+    # Only the root injection is a head; its pair payload is bracketed whole.
+    assert pretty_annotated(t, {id(t)}) == f"inl [{text[len('inl '):]}]"
+
+
+# ---------------------------------------------------------------------------
+# The annotated rendering from head ids against the path-based one it replaced
+
+
+def _reference_essential(term, heads):
+    """The essential positions as the path-based renderer took them: the set
+    of child-index paths from the root that pass through heads only."""
+    out = set()
+    stack = [(term, ())]
+    while stack:
+        t, path = stack.pop()
+        if id(t) in heads:
+            out.add(path)
+            stack.extend((c, path + (i,)) for i, c in enumerate(term_children(t)))
+    return frozenset(out)
+
+
+def _reference_annotated(t, essential):
+    """The path-based `pretty_annotated`, kept as the reference for the one
+    that reads head ids."""
+    out = []
+    stack = [(t, ())]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, str):
+            out.append(x)
+            continue
+        node, path = x
+        if path not in essential:
+            out += ("[", g.pretty(node), "]")
+            continue
+        if not isinstance(node, (g.Ctor, g.Pair, g.Inl, g.Inr)):
+            out.append(g.pretty(node))
+            continue
+        items = []
+        slot = 0
+        for part in _parts(node):
+            if isinstance(part, str):
+                items.append(part)
+                continue
+            (child, atom), child_path = part, path + (slot,)
+            slot += 1
+            if atom and child_path in essential and not _is_atomic(child):
+                items += ("(", (child, child_path), ")")
+            else:
+                items.append((child, child_path))
+        stack.extend(reversed(items))
+    return "".join(out)
+
+
+def _assert_matches_reference(term, heads):
+    old = _reference_essential(term, heads)
+    assert AnnotatedTerm(term, frozenset(heads)).essential == tuple(sorted(old))
+    assert pretty_annotated(term, heads) == _reference_annotated(term, old)
+
+
+@pytest.mark.parametrize("key,term_text,spec_text,int_lits", CORPUS)
+def test_annotation_matches_path_reference_on_corpus(
+    programs, key, term_text, spec_text, int_lits
+):
+    ann = run_pipeline(programs[key], term_text, spec_text, int_lits).run.annotation
+    _assert_matches_reference(ann.term, ann.heads)
+
+
+_PROBE_VP = g.validate(g.parse_program(NESTED_SRC + SUM_INDEXED_SRC + PROBE_SRC))
+
+
+@pytest.mark.parametrize("term,spec,_checked", PROBE_TERMS)
+def test_annotation_matches_path_reference_on_probes(term, spec, _checked):
+    ann = run_pipeline(_PROBE_VP, term, spec).run.annotation
+    _assert_matches_reference(ann.term, ann.heads)
+
+
+@given(_terms_strategy(), st.integers(0, 2**32 - 1))
+@settings(max_examples=200)
+def test_annotation_matches_path_reference_on_random_heads(term, seed):
+    # An upward-closed head set: the root, then each child of a head with
+    # probability one half.
+    rng = random.Random(seed)
+    heads, stack = {id(term)}, [term]
+    while stack:
+        for c in term_children(stack.pop()):
+            if rng.random() < 0.5:
+                heads.add(id(c))
+                stack.append(c)
+    _assert_matches_reference(term, heads)
