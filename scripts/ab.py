@@ -15,7 +15,9 @@ make the parent with `git archive <commit> | tar -x -C DIR`. Output:
   bound of the parent's. `traced`: one `--trace 1` run per checkout.
 * `corpus` (with oracle-verify): per checkout and depth 2 and 3, candidate
   tuples per second of `oracle.agrees`, 20 times over the CORPUS entries of
-  `tests/conftest.py`; the fastest of 7 passes in 3 fresh interpreters.
+  `tests/conftest.py`; the fastest of 7 passes in 3 fresh interpreters, and
+  under `runs` the rate of each interpreter's fastest pass, so that the
+  spread shows.
 * `encode` (per workload with `--json` requests): ms per request to encode
   the change's report dicts with `json.dumps(value, indent=2)` and with
   `cli.json_text`, after checking both give the same bytes; fastest of 15.
@@ -128,14 +130,16 @@ def summarise(pairs: list[dict], metric: dict) -> dict:
 
 
 def corpus_rates(trees: dict[str, Path]) -> dict:
-    """Candidate tuples per second over the CORPUS, per checkout and depth."""
+    """Candidate tuples per second over the CORPUS, per checkout and depth:
+    the fastest of three interpreters, with all three rates as `runs`."""
     runs: dict = {(side, d): [] for d in (2, 3) for side in trees}
     for _ in range(3):
         for (side, d), found in runs.items():
             found.append(child(CORPUS_CHILD, trees[side] / "src", ROOT / "tests", d))
     rates: dict = {side: {} for side in trees}
     for (side, d), found in runs.items():
-        rates[side][str(d)] = min(found, key=lambda r: r["seconds"])
+        rates[side][str(d)] = {**min(found, key=lambda r: r["seconds"]),
+                               "runs": [r["candidates_per_s"] for r in found]}
     return rates
 
 

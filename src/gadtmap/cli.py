@@ -126,7 +126,7 @@ def report_to_json(report: AnalysisReport) -> dict:
         # constraint's dict is built once and appears in both places.
         emitted = [[_constraint_json(c) for c in t.emitted] for t in run.traces]
         out["constraints"] = [d for ds in emitted for d in ds]
-        shown = _call_terms(run)
+        shown = pretty_subterms(run.annotation.term, run.annotation.heads)
         out["calls"] = [
             {
                 "label": t.label,
@@ -164,12 +164,6 @@ def report_to_json(report: AnalysisReport) -> dict:
             ],
         }
     return out
-
-
-def _call_terms(run: cgen.RunResult) -> dict[int, str]:
-    """The rendering of every call's subterm, the whole term among them, keyed
-    by `id`: the call subterms are the annotation's heads."""
-    return pretty_subterms(run.annotation.term, run.annotation.heads)
 
 
 def _free_var_names(form: tuple[FunExpr, ...]) -> list[str]:
@@ -295,7 +289,7 @@ def render_report(report: AnalysisReport, trace: bool = False, annotate: bool = 
             )
         if trace:
             lines.append("calls:")
-            shown = _call_terms(run)
+            shown = pretty_subterms(run.annotation.term, run.annotation.heads)
             for t in run.traces:
                 lines.append(
                     f"  call {t.label}: {shown[id(t.term)]}"

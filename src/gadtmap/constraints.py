@@ -225,24 +225,24 @@ def compute_taus(assignments: list[Assignment], gammas: tuple[str, ...]) -> tupl
 def emit_step_five(
     assignments: list[Assignment],
     betas: tuple[str, ...],
-    g_env: dict[str, FunExpr],
-    h_env: dict[str, FunExpr],
+    env: dict[str, FunExpr],
     step: str,
     call: Call | None = None,
 ) -> list[Constraint]:
-    """One constraint <psi h.., g_i> per defining assignment, in variable order."""
+    """One constraint <psi h.., g_i> per defining assignment, in variable order;
+    `env` holds both the g and the h variables."""
     out = []
     for b in betas:
         for a in assignments:
             if isinstance(a, BetaAssign) and a.var == b:
-                out.append(Constraint(lift_type(a.psi, h_env), g_env[b], step, call))
+                out.append(Constraint(lift_type(a.psi, env), env[b], step, call))
     return out
 
 
 def emit_step_six(
     assignments: list[Assignment],
     gammas: tuple[str, ...],
-    g_env: dict[str, FunExpr],
+    env: dict[str, FunExpr],
     step: str,
     call: Call | None = None,
 ) -> list[Constraint]:
@@ -252,9 +252,7 @@ def emit_step_six(
         sigmas = [a.sigma for a in assignments if isinstance(a, SigmaAssign) and a.gamma == g]
         for q in range(1, len(sigmas)):
             out.append(
-                Constraint(
-                    lift_type(sigmas[q], g_env), lift_type(sigmas[0], g_env), step, call
-                )
+                Constraint(lift_type(sigmas[q], env), lift_type(sigmas[0], env), step, call)
             )
     return out
 
@@ -366,7 +364,7 @@ class _Run:
             taus = compute_taus(assignments, gammas)
             for i, g in enumerate(gammas):
                 env[g] = self.fresh_fun("h", call, i + 1, w[i])
-            emitted += emit_step_five(assignments, betas, env, env, "v", call)
+            emitted += emit_step_five(assignments, betas, env, "v", call)
             emitted += emit_step_six(assignments, gammas, env, "vi", call)
 
             rjs, zetas = [], []

@@ -101,10 +101,10 @@ def tokenize(text: str) -> list[Token]:
 
 
 class _Cursor:
-    def __init__(self, tokens: list[Token], end_line: int):
+    def __init__(self, tokens: list[Token], end: tuple[int, int]):
         self.tokens = tokens
         self.pos = 0
-        self.end_line = end_line
+        self.end = end  # (line, column) just past the last character
 
     def peek(self) -> Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -112,7 +112,7 @@ class _Cursor:
     def next(self) -> Token:
         tok = self.peek()
         if tok is None:
-            raise ParseError("unexpected end of input", self.end_line, 1)
+            raise ParseError("unexpected end of input", *self.end)
         self.pos += 1
         return tok
 
@@ -131,12 +131,12 @@ class _Cursor:
     def error(self, message: str) -> ParseError:
         tok = self.peek()
         if tok is None:
-            return ParseError(message, self.end_line, 1)
+            return ParseError(message, *self.end)
         return ParseError(message, tok.line, tok.col)
 
 
 def _cursor(text: str) -> _Cursor:
-    return _Cursor(tokenize(text), text.count("\n") + 1)
+    return _Cursor(tokenize(text), (text.count("\n") + 1, len(text) - text.rfind("\n")))
 
 
 # ---------------------------------------------------------------------------

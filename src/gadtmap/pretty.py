@@ -3,8 +3,10 @@
 The output re-parses to an equal value for everything expressible in the
 surface grammar (see GRAMMAR.md). Internal-only nodes (metavariables, rigid
 atoms, opaque functions) render readably but are not part of the grammar.
-Terms render with explicit stacks, so their depth is bounded by memory, not
-by the interpreter's recursion limit.
+Each syntax class has one renderer. Terms render from one explicit stack,
+`_render`, so their depth is bounded by memory, not by the interpreter's
+recursion limit. Types and function expressions recurse, one frame per level
+of nesting: each renderer parenthesises its children in its own frame.
 """
 from __future__ import annotations
 
@@ -31,38 +33,34 @@ from .syntax import (
 )
 
 
-def _type_atom(t: TypeExpr) -> str:
-    s = pretty_type(t)
-    if isinstance(t, (Var, Base, Atom, Meta)) or (isinstance(t, App) and not t.args):
-        return s
-    return f"({s})"
+def _bare_type(t: TypeExpr) -> bool:
+    """Whether `t` prints without parentheses as an argument of a type
+    application or of `id@`."""
+    return isinstance(t, (Var, Base, Atom, Meta)) or (isinstance(t, App) and not t.args)
 
 
 def pretty_type(t: TypeExpr) -> str:
     if isinstance(t, Var):
         return str(t.name)
-    if isinstance(t, Base):
-        return t.name
-    if isinstance(t, Atom):
+    if isinstance(t, (Base, Atom)):
         return t.name
     if isinstance(t, Meta):
         return f"?m{t.ident}"
-    if isinstance(t, Prod):
-        return f"{_infix_child(t.left)} * {_infix_child(t.right)}"
-    if isinstance(t, Sum):
-        return f"{_infix_child(t.left)} + {_infix_child(t.right)}"
+    if isinstance(t, (Prod, Sum)):
+        # Products and sums are parenthesized as children of * / + so that
+        # nesting is always explicit in the output.
+        left, right = pretty_type(t.left), pretty_type(t.right)
+        if isinstance(t.left, (Prod, Sum)):
+            left = f"({left})"
+        if isinstance(t.right, (Prod, Sum)):
+            right = f"({right})"
+        return f"{left} * {right}" if isinstance(t, Prod) else f"{left} + {right}"
     if isinstance(t, App):
-        if not t.args:
-            return t.ctor
-        return t.ctor + " " + " ".join(_type_atom(a) for a in t.args)
+        s = t.ctor
+        for a in t.args:
+            s += f" {pretty_type(a)}" if _bare_type(a) else f" ({pretty_type(a)})"
+        return s
     raise TypeError(f"not a type expression: {t!r}")
-
-
-def _infix_child(t: TypeExpr) -> str:
-    # Products and sums are parenthesized as children of * / + so that nesting
-    # is always explicit in the output.
-    s = pretty_type(t)
-    return f"({s})" if isinstance(t, (Prod, Sum)) else s
 
 
 def _is_atomic(t: Term) -> bool:
@@ -94,9 +92,13 @@ def _parts(t: Term) -> list[str | tuple[Term, bool]]:
     raise TypeError(f"not a term: {t!r}")
 
 
-def _render(t: Term, done: dict[int, str]) -> str:
+def _render(t: Term, done: dict[int, str], heads: frozenset[int] | set[int] | None) -> str:
     """Render `t` with an explicit stack, taking the string of every subterm
-    object found in `done` (keyed by `id`) instead of descending into it."""
+    object found in `done` (keyed by `id`) instead of descending into it.
+
+    Given `heads`, a set of subterm `id`s, every child outside it is rendered
+    whole in [...] and never in parentheses; `t` itself is rendered normally.
+    """
     out: list[str] = []
     stack: list[str | Term] = [t]
     while stack:
@@ -113,12 +115,17 @@ def _render(t: Term, done: dict[int, str]) -> str:
                 stack.append(part)
                 continue
             child, atom = part
-            stack += (")", child, "(") if atom and not _is_atomic(child) else (child,)
+            if heads is not None and id(child) not in heads:
+                stack += ("]", _render(child, done, None), "[")
+            elif atom and not _is_atomic(child):
+                stack += (")", child, "(")
+            else:
+                stack.append(child)
     return "".join(out)
 
 
 def pretty_term(t: Term) -> str:
-    return _render(t, {})
+    return _render(t, {}, None)
 
 
 def pretty_subterms(t: Term, heads: frozenset[int] | set[int]) -> dict[int, str]:
@@ -134,37 +141,32 @@ def pretty_subterms(t: Term, heads: frozenset[int] | set[int]) -> dict[int, str]
     done: dict[int, str] = {}
     for x in reversed(nodes):
         if id(x) in heads and id(x) not in done:
-            done[id(x)] = _render(x, done)
+            done[id(x)] = _render(x, done, None)
     return done
-
-
-def _fun_atom(e: FunExpr) -> str:
-    # Inside a lifted constructor application, only variables appear bare.
-    s = pretty_fun(e)
-    return s if isinstance(e, FunVar) else f"({s})"
 
 
 def pretty_fun(e: FunExpr) -> str:
     if isinstance(e, FunVar):
         return e.display
     if isinstance(e, Id):
-        return f"id@{_type_atom(e.at)}"
-    if isinstance(e, ProdF):
-        return f"{_fun_infix_child(e.left)} * {_fun_infix_child(e.right)}"
-    if isinstance(e, SumF):
-        return f"{_fun_infix_child(e.left)} + {_fun_infix_child(e.right)}"
+        s = pretty_type(e.at)
+        return f"id@{s}" if _bare_type(e.at) else f"id@({s})"
+    if isinstance(e, (ProdF, SumF)):
+        left, right = pretty_fun(e.left), pretty_fun(e.right)
+        if isinstance(e.left, (ProdF, SumF)):
+            left = f"({left})"
+        if isinstance(e.right, (ProdF, SumF)):
+            right = f"({right})"
+        return f"{left} * {right}" if isinstance(e, ProdF) else f"{left} + {right}"
     if isinstance(e, Lift):
-        if not e.args:
-            return e.ctor
-        return e.ctor + " " + " ".join(_fun_atom(a) for a in e.args)
+        # Inside a lifted constructor application, only variables appear bare.
+        s = e.ctor
+        for a in e.args:
+            s += f" {a.display}" if isinstance(a, FunVar) else f" ({pretty_fun(a)})"
+        return s
     if isinstance(e, Opaque):
         return f"?({pretty_type(e.domain)} -> {pretty_type(e.codomain)})"
     raise TypeError(f"not a function expression: {e!r}")
-
-
-def _fun_infix_child(e: FunExpr) -> str:
-    s = pretty_fun(e)
-    return f"({s})" if isinstance(e, (ProdF, SumF)) else s
 
 
 def pretty_constraint(c: Constraint) -> str:
@@ -193,25 +195,4 @@ def pretty_annotated(t: Term, heads: frozenset[int] | set[int]) -> str:
     each child outside `heads` is wrapped whole in [...] and never in
     parentheses, so bracketed regions never nest.
     """
-    out: list[str] = []
-    stack: list[str | Term] = [t]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, str):
-            out.append(x)
-            continue
-        if not isinstance(x, (Ctor, Pair, Inl, Inr)):
-            out.append(pretty_term(x))
-            continue
-        for part in reversed(_parts(x)):
-            if isinstance(part, str):
-                stack.append(part)
-                continue
-            child, atom = part
-            if id(child) not in heads:
-                stack += ("]", pretty_term(child), "[")
-            elif atom and not _is_atomic(child):
-                stack += (")", child, "(")
-            else:
-                stack.append(child)
-    return "".join(out)
+    return _render(t, {}, heads)

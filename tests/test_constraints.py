@@ -102,8 +102,7 @@ class TestEmitSteps:
         out = emit_step_five(
             [BetaAssign("b1", Prod(Var("y1"), Var("y2")))],
             ("b1",),
-            {"b1": g1},
-            {"y1": h1, "y2": h2},
+            {"b1": g1, "y1": h1, "y2": h2},
             "1:v",
         )
         assert [(c.lhs, c.rhs) for c in out] == [(g.ProdF(h1, h2), g1)]
@@ -111,12 +110,12 @@ class TestEmitSteps:
     def test_step_five_closed(self):
         g1 = fv("g", "1", 1)
         out = emit_step_five(
-            [BetaAssign("b1", Base("Nat"))], ("b1",), {"b1": g1}, {}, "1:v"
+            [BetaAssign("b1", Base("Nat"))], ("b1",), {"b1": g1}, "1:v"
         )
         assert [(c.lhs, c.rhs) for c in out] == [(g.Id(Base("Nat")), g1)]
 
     def test_step_five_empty(self):
-        assert emit_step_five([SigmaAssign(Var("b1"), "y1")], ("b1",), {}, {}, "o") == []
+        assert emit_step_five([SigmaAssign(Var("b1"), "y1")], ("b1",), {}, "o") == []
 
     def test_step_six_two_pins_on_one_index(self):
         g1, g2 = fv("g", "1", 1), fv("g", "1", 2)

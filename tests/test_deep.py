@@ -2,7 +2,8 @@
 
 Every case runs in a fresh interpreter, where the stack depth of the test
 process does not matter: the parser, `infer`, `check_call_invariants`, the
-constraint walk and `solve` must not recurse once per nesting level.
+constraint walk and `solve` must not recurse once per nesting level of a
+term, and the report's renderers take one frame per nesting level of a type.
 """
 from __future__ import annotations
 
@@ -12,8 +13,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 NESTED = ROOT / "programs" / "nested.gadt"
+SEQ = ROOT / "programs" / "seq.gadt"
 
 PRELUDE = f"""
 import json, sys
@@ -77,10 +81,34 @@ def test_long_list_of_lists_analyses():
     assert out["annotated"].count("[") == sum(i % 3 for i in range(n))
 
 
+@pytest.mark.parametrize("flags", [[], ["--trace", "--annotate"], ["--json"]])
+def test_deep_seq_chain_analyses_from_the_command_line(flags):
+    # A left-nested `pair` chain, whose type is as deep as the term: every
+    # renderer of the report takes one frame per level of the type. 980
+    # levels pass on CPython 3.11; 900 leaves a margin for other versions.
+    n = 900
+    term = "pair (" * (n - 1) + "pair (const 0) (const 0)" + ") (const 0)" * (n - 1)
+    proc = subprocess.run(
+        [sys.executable, "-m", "gadtmap", "analyze", str(SEQ), "--term", term,
+         "--spec", "Seq b1", *flags],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    if "--json" in flags:
+        out = json.loads(proc.stdout)
+        assert out["status"] == "Mappable" and len(out["calls"]) == 2 * n + 1
+    else:
+        assert proc.stdout.startswith("status: Mappable\n")
+
+
 # Messages recorded with the recursive parser, under a raised recursion
-# limit, before it was replaced by the explicit-stack one.
+# limit, before it was replaced by the explicit-stack one; end of input is
+# reported just past the last character.
 MALFORMED = {
-    "unclosed paren": ("cons 0 (" * 900 + "nil" + ")" * 899, "1:1: unexpected end of input"),
+    "unclosed paren": ("cons 0 (" * 900 + "nil" + ")" * 899, "1:8103: unexpected end of input"),
     "wrong arity": (
         "cons 0 (" * 700 + "cons 0" + ")" * 700,
         "1:5601: constructor 'cons' expects 2 argument(s), got 1",

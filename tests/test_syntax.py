@@ -7,9 +7,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gadtmap as g
-from gadtmap.constraints import AnnotatedTerm
-from gadtmap.pretty import _is_atomic, _parts, pretty_annotated, pretty_subterms
-from gadtmap.syntax import App, Base, Prod, Sum, Var, term_children
+from gadtmap.constraints import AnnotatedTerm, IndexName
+from gadtmap.funexpr import Call
+from gadtmap.pretty import (
+    _is_atomic,
+    _parts,
+    pretty_annotated,
+    pretty_fun,
+    pretty_subterms,
+    pretty_term,
+    pretty_type,
+)
+from gadtmap.syntax import App, Atom, Base, Meta, Prod, Sum, Var, term_children
 
 from conftest import CORPUS, NESTED_SRC, PROGRAM_SOURCES, run_pipeline
 from test_oracle import PROBE_SRC, PROBE_TERMS, SUM_INDEXED_SRC
@@ -109,6 +118,21 @@ class TestParseTerm:
     def test_annotation_must_be_closed(self, nested_vp):
         with pytest.raises(g.ParseError, match="closed"):
             g.parse_term("(2 : a)", nested_vp)
+
+    @pytest.mark.parametrize(
+        "text,line,col",
+        [("(1, 2", 1, 6), ("cons 1 (\n  cons 2 nil", 2, 13), ("(1, 2\n", 2, 1)],
+    )
+    def test_end_of_input_is_past_the_last_character(self, nested_vp, text, line, col):
+        with pytest.raises(g.ParseError) as ei:
+            g.parse_term(text, nested_vp)
+        assert str(ei.value) == f"{line}:{col}: unexpected end of input"
+        assert (ei.value.line, ei.value.col) == (line, col)
+
+    def test_end_of_program_is_past_the_last_character(self):
+        with pytest.raises(g.ParseError) as ei:
+            g.parse_program("data A : Set where\n  c :")
+        assert str(ei.value) == "2:6: unexpected end of input"
 
 
 class TestParseSpec:
@@ -441,10 +465,38 @@ def _reference_annotated(t, essential):
     return "".join(out)
 
 
+def _reference_annotated_loop(t, heads):
+    """`pretty_annotated` as its own stack loop over head ids, kept as the
+    reference for the one that goes through the term renderer."""
+    out = []
+    stack = [t]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, str):
+            out.append(x)
+            continue
+        if not isinstance(x, (g.Ctor, g.Pair, g.Inl, g.Inr)):
+            out.append(pretty_term(x))
+            continue
+        for part in reversed(_parts(x)):
+            if isinstance(part, str):
+                stack.append(part)
+                continue
+            child, atom = part
+            if id(child) not in heads:
+                stack += ("]", pretty_term(child), "[")
+            elif atom and not _is_atomic(child):
+                stack += (")", child, "(")
+            else:
+                stack.append(child)
+    return "".join(out)
+
+
 def _assert_matches_reference(term, heads):
     old = _reference_essential(term, heads)
     assert AnnotatedTerm(term, frozenset(heads)).essential == tuple(sorted(old))
     assert pretty_annotated(term, heads) == _reference_annotated(term, old)
+    assert pretty_annotated(term, heads) == _reference_annotated_loop(term, heads)
 
 
 @pytest.mark.parametrize("key,term_text,spec_text,int_lits", CORPUS)
@@ -477,3 +529,141 @@ def test_annotation_matches_path_reference_on_random_heads(term, seed):
                 heads.add(id(c))
                 stack.append(c)
     _assert_matches_reference(term, heads)
+
+
+# ---------------------------------------------------------------------------
+# The type and function renderers against the two-frames-per-level ones they
+# replaced
+
+
+def _reference_type_atom(t):
+    s = _reference_pretty_type(t)
+    if isinstance(t, (Var, Base, Atom, Meta)) or (isinstance(t, App) and not t.args):
+        return s
+    return f"({s})"
+
+
+def _reference_infix_child(t):
+    s = _reference_pretty_type(t)
+    return f"({s})" if isinstance(t, (Prod, Sum)) else s
+
+
+def _reference_pretty_type(t):
+    if isinstance(t, Var):
+        return str(t.name)
+    if isinstance(t, (Base, Atom)):
+        return t.name
+    if isinstance(t, Meta):
+        return f"?m{t.ident}"
+    if isinstance(t, Prod):
+        return f"{_reference_infix_child(t.left)} * {_reference_infix_child(t.right)}"
+    if isinstance(t, Sum):
+        return f"{_reference_infix_child(t.left)} + {_reference_infix_child(t.right)}"
+    if not t.args:
+        return t.ctor
+    return t.ctor + " " + " ".join(_reference_type_atom(a) for a in t.args)
+
+
+def _reference_fun_atom(e):
+    s = _reference_pretty_fun(e)
+    return s if isinstance(e, g.FunVar) else f"({s})"
+
+
+def _reference_fun_infix_child(e):
+    s = _reference_pretty_fun(e)
+    return f"({s})" if isinstance(e, (g.ProdF, g.SumF)) else s
+
+
+def _reference_pretty_fun(e):
+    if isinstance(e, g.FunVar):
+        return e.display
+    if isinstance(e, g.Id):
+        return f"id@{_reference_type_atom(e.at)}"
+    if isinstance(e, g.ProdF):
+        return f"{_reference_fun_infix_child(e.left)} * {_reference_fun_infix_child(e.right)}"
+    if isinstance(e, g.SumF):
+        return f"{_reference_fun_infix_child(e.left)} + {_reference_fun_infix_child(e.right)}"
+    if isinstance(e, g.Lift):
+        if not e.args:
+            return e.ctor
+        return e.ctor + " " + " ".join(_reference_fun_atom(a) for a in e.args)
+    return f"?({_reference_pretty_type(e.domain)} -> {_reference_pretty_type(e.codomain)})"
+
+
+# Every type node kind: named, index-name and metavariable leaves, rigid
+# atoms, nullary and n-ary applications, products and sums.
+_all_types = st.recursive(
+    st.sampled_from(
+        [
+            Var("a"),
+            Var(IndexName(2, Call(Call(None, 1), 2))),
+            Base("Nat"),
+            Atom("?0"),
+            Meta(3),
+            App("E", ()),
+        ]
+    ),
+    lambda inner: st.one_of(
+        st.builds(Prod, inner, inner),
+        st.builds(Sum, inner, inner),
+        st.builds(lambda a: App("List", (a,)), inner),
+        st.builds(lambda a, b: App("D2", (a, b)), inner, inner),
+    ),
+    max_leaves=12,
+)
+
+# Every function node kind, with the identity at any type, composite ones
+# included, and opaque functions between any types.
+_all_funs = st.recursive(
+    st.one_of(
+        st.sampled_from(
+            [
+                g.FunVar("f", None, 1),
+                g.FunVar("f", None, 2, prime=True),
+                g.FunVar("g", "1.2", 1),
+                g.FunVar("h", "3", 2),
+                g.Lift("E", ()),
+            ]
+        ),
+        st.builds(g.Id, _all_types),
+        st.builds(g.Opaque, _all_types, _all_types),
+    ),
+    lambda inner: st.one_of(
+        st.builds(g.ProdF, inner, inner),
+        st.builds(g.SumF, inner, inner),
+        st.builds(lambda a: g.Lift("List", (a,)), inner),
+        st.builds(lambda a, b: g.Lift("D2", (a, b)), inner, inner),
+    ),
+    max_leaves=8,
+)
+
+
+@given(_all_types)
+@settings(max_examples=200)
+def test_type_renderer_matches_reference(ty):
+    assert pretty_type(ty) == _reference_pretty_type(ty)
+
+
+@given(_all_funs)
+@settings(max_examples=200)
+def test_fun_renderer_matches_reference(e):
+    assert pretty_fun(e) == _reference_pretty_fun(e)
+
+
+@pytest.mark.parametrize("key,term_text,spec_text,int_lits", CORPUS)
+def test_renderers_match_reference_on_corpus(programs, key, term_text, spec_text, int_lits):
+    report = run_pipeline(programs[key], term_text, spec_text, int_lits)
+    funs = list(report.form)
+    types = []
+    for c in report.run.constraints:
+        funs += (c.lhs, c.rhs)
+    for t in report.run.traces:
+        funs += t.funs
+        types += (t.spec, *t.taus, *t.rjs)
+        types += (x for pair in t.matching for x in pair)
+        types += (x for z in t.zetas if z is not None for x in z)
+    assert funs and types
+    for e in funs:
+        assert pretty_fun(e) == _reference_pretty_fun(e)
+    for ty in types:
+        assert pretty_type(ty) == _reference_pretty_type(ty)
