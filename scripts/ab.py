@@ -13,11 +13,14 @@ make the parent with `git archive <commit> | tar -x -C DIR`. Output:
   each side's median and quartiles, the pairs the change won in the metric's
   better direction, and whether the change's median is within the metric's
   bound of the parent's. `traced`: one `--trace 1` run per checkout.
-* `corpus` (with oracle-verify): per checkout and depth 2 and 3, candidate
+* `corpus.<depth>` (with oracle-verify): for depths 2 and 3, candidate
   tuples per second of `oracle.agrees`, 20 times over the CORPUS entries of
-  `tests/conftest.py`; the fastest of 7 passes in 3 fresh interpreters, and
-  under `runs` the rate of each interpreter's fastest pass, so that the
-  spread shows.
+  `tests/conftest.py`. Each pass's time is scaled by `bench/run.py`'s
+  reference kernel, timed right before and after the pass as its `Loop`
+  does. An interpreter reports the median of 7 scaled passes, not the
+  fastest: a pass whose kernel timing caught a stall reads too fast. N
+  pairs of interpreters, one per checkout, alternate which runs first;
+  `pairs` and `summary` are as for the runs, without a bound.
 * `encode` (per workload with `--json` requests): ms per request to encode
   the change's report dicts with `json.dumps(value, indent=2)` and with
   `cli.json_text`, after checking both give the same bytes; fastest of 15.
@@ -40,20 +43,26 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 END_TO_END = {m["name"]: m for m in BENCHMARK["end_to_end"]}
 
 CORPUS_CHILD = r"""
-import json, sys, time
-sys.path[:0] = sys.argv[1:3]
+import json, statistics, sys, time
+sys.path[:0] = sys.argv[1:4]
 import gadtmap as g
 from conftest import CORPUS, PROGRAM_SOURCES
+from run import REFERENCE_MS, kernel_ms
 vps = {k: g.validate(g.parse_program(s)) for k, s in PROGRAM_SOURCES.items()}
 reports = [g.analyze(vps[k], g.parse_term(t, vps[k]), g.parse_spec(s, vps[k]), lits)
            for k, t, s, lits in CORPUS]
-def timed():
+def scaled(depth):
+    before = kernel_ms()
     t0 = time.perf_counter()
-    n = sum(g.agrees(r.form, r.typed, r.spec, int(sys.argv[3])).checked
-            for _ in range(20) for r in reports)
-    return time.perf_counter() - t0, n
-seconds, tuples = min(timed() for _ in range(7))
-print(json.dumps({"tuples": tuples, "seconds": seconds, "candidates_per_s": tuples / seconds}))
+    n = sum(g.agrees(r.form, r.typed, r.spec, depth).checked for _ in range(20) for r in reports)
+    seconds = time.perf_counter() - t0
+    return seconds * 2 * REFERENCE_MS / (before + kernel_ms()), n
+out = {}
+for depth in (2, 3):
+    passes = [scaled(depth) for _ in range(7)]
+    seconds, tuples = statistics.median(s for s, _ in passes), passes[0][1]
+    out[depth] = {"tuples": tuples, "seconds": seconds, "candidates_per_s": tuples / seconds}
+print(json.dumps(out))
 """
 
 ENCODE_CHILD = r"""
@@ -124,23 +133,37 @@ def summarise(pairs: list[dict], metric: dict) -> dict:
                       if len(values) > 1 else values * 3)
         out[side] = {"median": q2, "q1": q1, "q3": q3}
     out["change_wins"] = sum(sign * p["change"][name] < sign * p["parent"][name] for p in pairs)
-    parent, change = out["parent"]["median"], out["change"]["median"]
-    out["within_bound"] = sign * (change - parent) <= metric["bound"] * abs(parent)
+    if "bound" in metric:
+        parent, change = out["parent"]["median"], out["change"]["median"]
+        out["within_bound"] = sign * (change - parent) <= metric["bound"] * abs(parent)
     return out
 
 
-def corpus_rates(trees: dict[str, Path]) -> dict:
-    """Candidate tuples per second over the CORPUS, per checkout and depth:
-    the fastest of three interpreters, with all three rates as `runs`."""
-    runs: dict = {(side, d): [] for d in (2, 3) for side in trees}
-    for _ in range(3):
-        for (side, d), found in runs.items():
-            found.append(child(CORPUS_CHILD, trees[side] / "src", ROOT / "tests", d))
-    rates: dict = {side: {} for side in trees}
-    for (side, d), found in runs.items():
-        rates[side][str(d)] = {**min(found, key=lambda r: r["seconds"]),
-                               "runs": [r["candidates_per_s"] for r in found]}
-    return rates
+def paired(n: int, label: str, measure) -> list[dict]:
+    """n pairs of `measure(side)`, the checkouts alternating which runs first;
+    each pair is echoed to stderr under `label` as it completes."""
+    pairs = []
+    for i in range(n):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {"first": order[0]}
+        for side in order:
+            pair[side] = measure(side)
+        pairs.append(pair)
+        print(json.dumps({label: pair}), file=sys.stderr, flush=True)
+    return pairs
+
+
+def corpus_rates(trees: dict[str, Path], n: int) -> dict:
+    """Candidate tuples per second over the CORPUS, per depth, from n pairs
+    of interpreters."""
+    runs = paired(n, "corpus", lambda side: child(
+        CORPUS_CHILD, trees[side] / "src", ROOT / "tests", ROOT / "bench"))
+    rate = {"name": "candidates_per_s", "better": "higher"}
+    out = {}
+    for depth in ("2", "3"):
+        pairs = [{"first": r["first"], **{side: r[side][depth] for side in trees}} for r in runs]
+        out[depth] = {"pairs": pairs, "summary": summarise(pairs, rate)}
+    return out
 
 
 def main() -> None:
@@ -159,14 +182,8 @@ def main() -> None:
     doc: dict = {"python": platform.python_version(), "machine": platform.machine(),
                  "seed": args.seed, "seconds": args.seconds, "runs": {}}
     for workload in args.workloads:
-        pairs = []
-        for i in range(args.pairs):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            pair = {"first": order[0]}
-            for side in order:
-                pair[side] = bench_run(trees[side], workload, args.seed, args.seconds, 0)
-            pairs.append(pair)
-            print(json.dumps({workload: pair}), file=sys.stderr, flush=True)
+        pairs = paired(args.pairs, workload, lambda side: bench_run(
+            trees[side], workload, args.seed, args.seconds, 0))
         doc["runs"][workload] = {
             "pairs": pairs,
             "summary": {name: summarise(pairs, m) for name, m in END_TO_END.items()},
@@ -175,7 +192,7 @@ def main() -> None:
                        for side, tree in trees.items()},
         }
     if "oracle-verify" in args.workloads:
-        doc["corpus"] = corpus_rates(trees)
+        doc["corpus"] = corpus_rates(trees, args.pairs)
     doc["encode"] = child(ENCODE_CHILD, trees["change"], args.seed, *args.workloads)
 
     text = json.dumps(doc, indent=2)

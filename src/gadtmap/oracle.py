@@ -13,9 +13,11 @@ Candidates are checked against the codomain, not rebuilt and re-inferred.
 The type expected of each subterm is the codomain of the function pushed
 through it, so `Checker` needs no types beyond the subterms' own: it
 memoises the verdict per subterm and function, and derives each candidate's
-codomain and normal form once. `map_apply` is the reference semantics: it
-rebuilds the term and types it with `infer`. `agrees` runs it on the identity
-tuple of every call and stops with `OracleInconsistency` when the two differ.
+codomain and normal form once. Candidates share their sub-candidates (one
+pool per sub-domain), so those memos hit across candidate tuples. `map_apply`
+is the reference semantics: it rebuilds the term and types it with `infer`.
+`agrees` runs it on the identity tuple of every call and stops with
+`OracleInconsistency` when the two differ.
 
 Candidates are built from arbitrary opaque functions, identities, products,
 sums, and maps over data types that are not proper GADTs; what it means to map
@@ -27,6 +29,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .funexpr import (
@@ -81,7 +85,12 @@ class CandidateSpaceTooLarge(ValueError):
     """The candidate tuples at the requested depth exceed MAX_TUPLES."""
 
 
-def match_fun(k_expr: TypeExpr, phi: FunExpr, env: dict[str, FunExpr]) -> dict[str, FunExpr] | None:
+def match_fun(
+    k_expr: TypeExpr,
+    phi: FunExpr,
+    env: dict[str, FunExpr],
+    normal: Callable[[FunExpr], FunExpr] = normalize,
+) -> dict[str, FunExpr] | None:
     """Recover component functions from a function expression along a return
     index expression; None when the expression does not decompose.
 
@@ -89,15 +98,16 @@ def match_fun(k_expr: TypeExpr, phi: FunExpr, env: dict[str, FunExpr]) -> dict[s
     to identity expansion); a closed index requires the identity; products,
     sums, and applications require the matching composite form, expanding
     identities as needed. Return indices never mention proper GADTs, so every
-    composite case has forced semantics.
+    composite case has forced semantics. `normal` is `normalize` or a
+    memoised equivalent.
     """
     if isinstance(k_expr, Var):
         prev = env.get(k_expr.name)
         if prev is None:
             return {**env, k_expr.name: phi}
-        return env if normalize(prev) == normalize(phi) else None
+        return env if normal(prev) == normal(phi) else None
     if is_closed(k_expr):
-        return env if normalize(phi) == normalize(Id(k_expr)) else None
+        return env if normal(phi) == normal(Id(k_expr)) else None
     if isinstance(phi, Id):
         expanded = expand_id(phi)
         if expanded is None:
@@ -106,18 +116,18 @@ def match_fun(k_expr: TypeExpr, phi: FunExpr, env: dict[str, FunExpr]) -> dict[s
     if isinstance(k_expr, Prod):
         if not isinstance(phi, ProdF):
             return None
-        env2 = match_fun(k_expr.left, phi.left, env)
-        return None if env2 is None else match_fun(k_expr.right, phi.right, env2)
+        env2 = match_fun(k_expr.left, phi.left, env, normal)
+        return None if env2 is None else match_fun(k_expr.right, phi.right, env2, normal)
     if isinstance(k_expr, Sum):
         if not isinstance(phi, SumF):
             return None
-        env2 = match_fun(k_expr.left, phi.left, env)
-        return None if env2 is None else match_fun(k_expr.right, phi.right, env2)
+        env2 = match_fun(k_expr.left, phi.left, env, normal)
+        return None if env2 is None else match_fun(k_expr.right, phi.right, env2, normal)
     if isinstance(k_expr, App):
         if not (isinstance(phi, Lift) and phi.ctor == k_expr.ctor):
             return None
         for sub_k, sub_phi in zip(k_expr.args, phi.args):
-            env = match_fun(sub_k, sub_phi, env)
+            env = match_fun(sub_k, sub_phi, env, normal)
             if env is None:
                 return None
         return env
@@ -147,21 +157,49 @@ def match_type(pattern: TypeExpr, ty: TypeExpr, subst: dict[str, TypeExpr]) -> b
 
 
 def _binder_functions(
-    sig: ConstructorSig, components: tuple[FunExpr, ...], instance: tuple[TypeExpr, ...]
+    sig: ConstructorSig,
+    components: tuple[FunExpr, ...],
+    instance: tuple[TypeExpr, ...],
+    normal: Callable[[FunExpr], FunExpr] = normalize,
+    identity: Callable[[TypeExpr], FunExpr] = Id,
 ) -> dict[str, FunExpr] | None:
     """The function along each binder of a constructor that a lifted
     application with these components maps its arguments with, or None when
-    the components do not decompose along the return indices (`match_fun`).
-    Binders absent from every return index carry incidental data, which is
-    preserved unchanged: the identity at the binder's `instance`."""
+    the components do not decompose along the return indices (`match_fun`,
+    comparing with `normal`). Binders absent from every return index carry
+    incidental data, which is preserved unchanged: `identity` at the binder's
+    `instance`."""
     env: dict[str, FunExpr] | None = {}
     for k_expr, component in zip(sig.ret_indices, components):
-        env = match_fun(k_expr, component, env)
+        env = match_fun(k_expr, component, env, normal)
         if env is None:
             return None
     for binder, t in zip(sig.type_vars, instance):
-        env.setdefault(binder, Id(t))
+        if binder not in env:
+            env[binder] = identity(t)
     return env
+
+
+Lifter = Callable[[dict[str, FunExpr]], FunExpr]
+
+
+def _lifter(t: TypeExpr) -> Lifter:
+    """`lift_type(t, env)` as a function of `env`, with `t` walked once:
+    closed parts are identities built here, so each keeps its hash, and
+    variables read `env`."""
+    if isinstance(t, Var):
+        return operator.itemgetter(t.name)
+    if is_closed(t):
+        ident = Id(t)
+        return lambda env: ident
+    if isinstance(t, (Prod, Sum)):
+        node = ProdF if isinstance(t, Prod) else SumF
+        left, right = _lifter(t.left), _lifter(t.right)
+        return lambda env: node(left(env), right(env))
+    if isinstance(t, App):
+        ctor, args = t.ctor, tuple(map(_lifter, t.args))
+        return lambda env: Lift(ctor, tuple([arg(env) for arg in args]))
+    raise ValueError(f"cannot lift type expression {t!r}")
 
 
 class _Fail(Exception):
@@ -247,7 +285,11 @@ class Checker:
     each sub-candidate through each subterm once. (Each tuple pushes a
     function of its own through the root, so `check` itself is not
     memoised.) Candidates share their sub-expressions, so codomains and
-    normal forms are memoised per distinct sub-expression.
+    normal forms are memoised per distinct sub-expression, and component
+    recovery compares memoised normal forms. The first push through a
+    constructor stores its plan: the declaration's name, the signature and
+    each argument type compiled into a lifter (`_lifter`), so a push neither
+    looks the constructor up nor re-walks its argument types.
     """
 
     def __init__(self, typed: TypedTerm) -> None:
@@ -255,6 +297,8 @@ class Checker:
         self._memo: dict[tuple[int, FunExpr], bool] = {}
         self._codomains: dict[FunExpr, TypeExpr] = {}
         self._normals: dict[FunExpr, FunExpr] = {}
+        self._plans: dict[str, tuple[str, ConstructorSig, tuple[Lifter, ...]]] = {}
+        self._identities: dict[int, Id] = {}
 
     def codomain(self, phi: FunExpr) -> TypeExpr:
         """`fun_type(phi, codomain=True)`, for an expression without
@@ -326,19 +370,36 @@ class Checker:
         if isinstance(phi, Lift):
             if not isinstance(term, Ctor):
                 return False
-            decl, sig = self.vp.ctor(term.name)
-            if decl.name != phi.ctor:
+            plan = self._plans.get(term.name)
+            if plan is None:
+                plan = self._plans[term.name] = self._plan(term.name)
+            decl_name, sig, lifters = plan
+            if decl_name != phi.ctor:
                 return False
-            env = _binder_functions(sig, phi.args, node.instance)
+            env = _binder_functions(sig, phi.args, node.instance, self.normal, self._identity)
             if env is None:
                 return False
             # A loop, not `all` over a generator: two frames per term level,
             # as in `map_apply`, keep the reachable depth the same.
-            for arg_ty, kid in zip(sig.arg_types, node.kids):
-                if not self._sub(lift_type(arg_ty, env), kid):
+            for lifter, kid in zip(lifters, node.kids):
+                if not self._sub(lifter(env), kid):
                     return False
             return True
         return False
+
+    def _plan(self, ctor: str) -> tuple[str, ConstructorSig, tuple[Lifter, ...]]:
+        """How to push a lifted application through constructor `ctor`: its
+        declaration's name, its signature, and a lifter per argument type."""
+        decl, sig = self.vp.ctor(ctor)
+        return decl.name, sig, tuple(map(_lifter, sig.arg_types))
+
+    def _identity(self, t: TypeExpr) -> Id:
+        """`Id(t)`, one per instance type object, so its hash is computed
+        once. The identity keeps `t` alive, and with it its `id`."""
+        ident = self._identities.get(id(t))
+        if ident is None:
+            ident = self._identities[id(t)] = Id(t)
+        return ident
 
 
 def enumerate_candidates(domain: TypeExpr, depth: int, vp: ValidatedProgram) -> list[FunExpr]:
@@ -347,7 +408,22 @@ def enumerate_candidates(domain: TypeExpr, depth: int, vp: ValidatedProgram) -> 
     Leaves (an opaque function with a fresh codomain, and the identity) cost
     nothing; each product, sum, or map node costs one level of depth. Maps are
     offered only at data types that are not proper GADTs.
+
+    Each sub-domain's candidates are enumerated once, and every candidate
+    built over them holds the same sub-candidate objects, so a checker's memo
+    sees each sub-candidate once. So an opaque leaf's codomain atom is fresh
+    per position of the domain and per call (numbered from X0), not per
+    candidate: the opaque leaves of one candidate are pairwise distinct,
+    while candidates share theirs.
     """
+    return candidate_pools((domain,), depth, vp)[0]
+
+
+def candidate_pools(
+    domains: tuple[TypeExpr, ...], depth: int, vp: ValidatedProgram
+) -> list[list[FunExpr]]:
+    """`enumerate_candidates` of each domain, with the atoms numbered once
+    across all of them, so that no two pools share an opaque function."""
     counter = itertools.count()
 
     def enum(domain: TypeExpr, depth: int) -> list[FunExpr]:
@@ -355,9 +431,10 @@ def enumerate_candidates(domain: TypeExpr, depth: int, vp: ValidatedProgram) -> 
         if depth >= 1:
             if isinstance(domain, (Prod, Sum)):
                 node = ProdF if isinstance(domain, Prod) else SumF
-                for l in enum(domain.left, depth - 1):
-                    for r in enum(domain.right, depth - 1):
-                        out.append(node(l, r))
+                for l, r in itertools.product(
+                    enum(domain.left, depth - 1), enum(domain.right, depth - 1)
+                ):
+                    out.append(node(l, r))
             elif isinstance(domain, App) and not vp.is_proper(domain.ctor):
                 for combo in itertools.product(
                     *(enum(a, depth - 1) for a in domain.args)
@@ -365,7 +442,7 @@ def enumerate_candidates(domain: TypeExpr, depth: int, vp: ValidatedProgram) -> 
                     out.append(Lift(domain.ctor, combo))
         return out
 
-    return enum(domain, depth)
+    return [enum(d, depth) for d in domains]
 
 
 def count_candidates(domain: TypeExpr, depth: int, vp: ValidatedProgram) -> int:
@@ -501,8 +578,8 @@ def agrees(
     checker = Checker(typed)
     normal_forms = tuple(map(checker.normal, forms))
     pools = [
-        [(c, checker.normal(c)) for c in enumerate_candidates(d, depth, typed.vp)]
-        for d in domains
+        [(c, checker.normal(c)) for c in pool]
+        for pool in candidate_pools(domains, depth, typed.vp)
     ]
     disagreements: list[Disagreement] = []
     checked = 0

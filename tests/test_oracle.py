@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gadtmap as g
-from gadtmap.funexpr import expand_id, fun_type, lift_type, normalize
+from gadtmap import oracle
+from gadtmap.funexpr import expand_id, fun_children, fun_type, lift_type, normalize
 from gadtmap.oracle import Checker, _binder_functions, head_lift, mappable, match_type
 from gadtmap.syntax import App, Atom, Base, Prod, Sum, Var, subst_type
 from gadtmap.typecheck import _Store, spec_instance
@@ -29,12 +30,16 @@ data S : Set -> Set where
   sw : forall a. S a -> S a
 """
 
-# Shapes the checker handles apart: existential binders (`b` of `mk`, `mkl`),
-# two indices that constructors permute, fix or repeat, and a nested index.
+# Shapes the checker handles apart: existential binders (`b` of `mk`, `mkl`,
+# at two instance types below `w`), two indices that constructors permute,
+# fix or repeat, and a nested index.
 PROBE_SRC = """
 data E : Set -> Set where
   mk  : forall a b. b -> a -> E a ;
   mkl : forall a b. List b -> a -> E a
+
+data W : Set -> Set where
+  w : forall a. E a -> E a -> W a
 
 data T : Set -> Set -> Set where
   ts : forall a b. T a b -> T b a ;
@@ -52,6 +57,7 @@ PROBE_TERMS = [
     ("mk (1, tt) (cons 2 nil)", "E (List b1)", (4, 4)),
     ("mkl (cons tt nil) (1, 2)", "E (b1 * b2)", (6, 6)),
     ("mkl (cons 1 nil) (cons (1, 2) nil)", "E (List (b1 * b1))", (8, 8)),
+    ("w (mk 1 (1, 2)) (mk tt (3, 4))", "W (b1 * b2)", (6, 6)),
     # two indices: swapped, one closed, one repeated
     ("ts (tl 1)", "T b1 b2", (4, 4)),
     ("ts (ts (tl (1, tt)))", "T (b1 * b2) b3", (12, 12)),
@@ -206,6 +212,37 @@ class TestEnumerate:
             assert len(set(map(g.pretty, cands))) == len(cands)
 
 
+class TestSharedCandidates:
+    """Candidates are built over one sub-pool per sub-domain, and the tuples
+    `agrees` checks never share an opaque function between positions."""
+
+    def test_equal_sub_candidates_are_one_object(self, nested_vp):
+        cands = g.enumerate_candidates(Prod(LIST_NAT, NAT), 2, nested_vp)
+        products = [c for c in cands if isinstance(c, g.ProdF)]
+        assert len(products) == 8
+        for a, b in itertools.combinations(products, 2):
+            for x, y in ((a.left, b.left), (a.right, b.right)):
+                assert (x == y) == (x is y), (g.pretty(a), g.pretty(b))
+
+    @pytest.mark.parametrize(
+        "key,term,spec,int_lits", CORPUS + [("nested", "(1, 2)", "b1 * b2", False)]
+    )
+    def test_opaque_atoms_are_distinct_in_every_tuple(
+        self, programs, monkeypatch, key, term, spec, int_lits
+    ):
+        p = run_pipeline(programs[key], term, spec, int_lits)
+        _, tuples = recorded_agrees(monkeypatch, p, 2)
+        assert tuples
+        for combo, _ in tuples:
+            atoms, stack = [], list(combo)
+            while stack:
+                phi = stack.pop()
+                if isinstance(phi, g.Opaque):
+                    atoms.append(phi.codomain)
+                stack.extend(fun_children(phi))
+            assert len(set(atoms)) == len(atoms), [g.pretty(c) for c in combo]
+
+
 class TestCheckerDerivations:
     """The checker's memoised codomains and normal forms are `fun_type` and
     `normalize` of every candidate, and the enumeration they are derived
@@ -260,11 +297,11 @@ class TestCheckerDerivations:
                 "id@(List Nat * Nat)",
                 "?(List Nat -> X1) * ?(Nat -> X3)",
                 "?(List Nat -> X1) * id@Nat",
-                "id@(List Nat) * ?(Nat -> X4)",
+                "id@(List Nat) * ?(Nat -> X3)",
                 "id@(List Nat) * id@Nat",
-                "List (?(Nat -> X2)) * ?(Nat -> X5)",
+                "List (?(Nat -> X2)) * ?(Nat -> X3)",
                 "List (?(Nat -> X2)) * id@Nat",
-                "List (id@Nat) * ?(Nat -> X6)",
+                "List (id@Nat) * ?(Nat -> X3)",
                 "List (id@Nat) * id@Nat",
             ],
             "Nat + Bool": [
@@ -272,7 +309,7 @@ class TestCheckerDerivations:
                 "id@(Nat + Bool)",
                 "?(Nat -> X1) + ?(Bool -> X2)",
                 "?(Nat -> X1) + id@Bool",
-                "id@Nat + ?(Bool -> X3)",
+                "id@Nat + ?(Bool -> X2)",
                 "id@Nat + id@Bool",
             ],
             "PTree (Nat * Nat)": [
@@ -282,7 +319,7 @@ class TestCheckerDerivations:
                 "PTree (id@(Nat * Nat))",
                 "PTree (?(Nat -> X2) * ?(Nat -> X3))",
                 "PTree (?(Nat -> X2) * id@Nat)",
-                "PTree (id@Nat * ?(Nat -> X4))",
+                "PTree (id@Nat * ?(Nat -> X3))",
                 "PTree (id@Nat * id@Nat)",
             ],
             "Seq Nat": ["?(Seq Nat -> X0)", "id@(Seq Nat)"],
@@ -588,3 +625,96 @@ class TestCheckerNeedsNoExpectedType:
             for spec in specs:
                 term = g.pretty(gen_value(rng, ty, nested_vp, budget=3))
                 assert_same_as_three_argument_checker(nested_vp, term, spec)
+
+
+def reference_pools(domains, depth, vp):
+    """The enumeration before sub-pools were shared: the right pool of a
+    product or sum is enumerated again for every left candidate, each time
+    with fresh atoms (numbered across all domains, as `agrees` numbers them)."""
+    counter = itertools.count()
+
+    def enum(domain, depth):
+        out = [g.Opaque(domain, Atom(f"X{next(counter)}")), g.Id(domain)]
+        if depth >= 1:
+            if isinstance(domain, (Prod, Sum)):
+                node = g.ProdF if isinstance(domain, Prod) else g.SumF
+                for l in enum(domain.left, depth - 1):
+                    for r in enum(domain.right, depth - 1):
+                        out.append(node(l, r))
+            elif isinstance(domain, App) and not vp.is_proper(domain.ctor):
+                for combo in itertools.product(*(enum(a, depth - 1) for a in domain.args)):
+                    out.append(g.Lift(domain.ctor, combo))
+        return out
+
+    return [enum(d, depth) for d in domains]
+
+
+class ReferenceChecker(Checker):
+    """The checker before push plans: the `Lift` case looks the constructor
+    up and lifts every argument type with `lift_type` on each push."""
+
+    def check(self, phi, node):
+        if isinstance(phi, g.Lift):
+            term = node.term
+            if not isinstance(term, g.Ctor):
+                return False
+            decl, sig = self.vp.ctor(term.name)
+            if decl.name != phi.ctor:
+                return False
+            env = _binder_functions(sig, phi.args, node.instance)
+            if env is None:
+                return False
+            for arg_ty, kid in zip(sig.arg_types, node.kids):
+                if not self._sub(lift_type(arg_ty, env), kid):
+                    return False
+            return True
+        return super().check(phi, node)
+
+
+def reference_agrees(p, depth):
+    """`agrees` over `reference_pools` with a `ReferenceChecker`: the report
+    and each tuple's verdict, in enumeration order."""
+    checker = ReferenceChecker(p.typed)
+    verdicts, disagreements = [], []
+    for combo in itertools.product(*reference_pools(p.typed.witness.domains, depth, p.typed.vp)):
+        ok = mappable(combo, p.typed, p.spec, checker)
+        instance = g.is_instance(p.form, combo)
+        verdicts.append(ok)
+        if ok != instance:
+            disagreements.append(g.Disagreement(combo, ok, instance))
+    return g.AgreementReport(not disagreements, len(verdicts), disagreements), verdicts
+
+
+def recorded_agrees(monkeypatch, p, depth):
+    """`agrees` on a pipeline result, with every tuple it checks and its
+    verdict, in the order checked."""
+    tuples = []
+
+    def record(candidates, typed, spec, checker=None):
+        ok = mappable(candidates, typed, spec, checker)
+        tuples.append((candidates, ok))
+        return ok
+
+    monkeypatch.setattr(oracle, "mappable", record)
+    return g.agrees(p.form, p.typed, p.spec, depth), tuples
+
+
+def report_flags(report):
+    return report.agrees, report.checked, [(d.mappable, d.instance) for d in report.disagreements]
+
+
+class TestSharedCandidatesMatchReference:
+    """Shared sub-pools and push plans give every tuple the verdict the
+    re-enumerated candidate at the same index gets from the plain checker."""
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_verdicts_and_reports(self, programs, sum_vp, probe_vp, monkeypatch, depth):
+        cases = [(programs[k], t, s, lits) for k, t, s, lits in CORPUS]
+        cases += [(probe_vp, t, s, False) for t, s, _checked in PROBE_TERMS]
+        cases += [(sum_vp, t, s, False) for t, s in SUM_INDEXED_TERMS]
+        for vp, term, spec, lits in cases:
+            p = run_pipeline(vp, term, spec, lits)
+            report, tuples = recorded_agrees(monkeypatch, p, depth)
+            expected, verdicts = reference_agrees(p, depth)
+            assert [ok for _, ok in tuples] == verdicts, (term, spec)
+            assert report_flags(report) == report_flags(expected), (term, spec)
