@@ -13,14 +13,15 @@ make the parent with `git archive <commit> | tar -x -C DIR`. Output:
   each side's median and quartiles, the pairs the change won in the metric's
   better direction, and whether the change's median is within the metric's
   bound of the parent's. `traced`: one `--trace 1` run per checkout.
-* `corpus.<depth>` (with oracle-verify): for depths 2 and 3, candidate
-  tuples per second of `oracle.agrees`, 20 times over the CORPUS entries of
-  `tests/conftest.py`. Each pass's time is scaled by `bench/run.py`'s
-  reference kernel, timed right before and after the pass as its `Loop`
-  does. An interpreter reports the median of 7 scaled passes, not the
-  fastest: a pass whose kernel timing caught a stall reads too fast. N
-  pairs of interpreters, one per checkout, alternate which runs first;
-  `pairs` and `summary` are as for the runs, without a bound.
+* `corpus.2` (with oracle-verify): candidate tuples per second of
+  `oracle.agrees` at depth 2, 20 times over the CORPUS entries of
+  `tests/conftest.py`. Every CORPUS pool is already full at depth 2, so a
+  deeper pass would check the same tuples again. Each pass's time is scaled
+  by `bench/run.py`'s reference kernel, timed right before and after the
+  pass as its `Loop` does. An interpreter reports the median of 7 scaled
+  passes, not the fastest: a pass whose kernel timing caught a stall reads
+  too fast. N pairs of interpreters, one per checkout, alternate which runs
+  first; `pairs` and `summary` are as for the runs, without a bound.
 * `encode` (per workload with `--json` requests): ms per request to encode
   the change's report dicts with `json.dumps(value, indent=2)` and with
   `cli.json_text`, after checking both give the same bytes; fastest of 15.
@@ -57,12 +58,9 @@ def scaled(depth):
     n = sum(g.agrees(r.form, r.typed, r.spec, depth).checked for _ in range(20) for r in reports)
     seconds = time.perf_counter() - t0
     return seconds * 2 * REFERENCE_MS / (before + kernel_ms()), n
-out = {}
-for depth in (2, 3):
-    passes = [scaled(depth) for _ in range(7)]
-    seconds, tuples = statistics.median(s for s, _ in passes), passes[0][1]
-    out[depth] = {"tuples": tuples, "seconds": seconds, "candidates_per_s": tuples / seconds}
-print(json.dumps(out))
+passes = [scaled(2) for _ in range(7)]
+seconds, tuples = statistics.median(s for s, _ in passes), passes[0][1]
+print(json.dumps({"tuples": tuples, "seconds": seconds, "candidates_per_s": tuples / seconds}))
 """
 
 ENCODE_CHILD = r"""
@@ -154,16 +152,12 @@ def paired(n: int, label: str, measure) -> list[dict]:
 
 
 def corpus_rates(trees: dict[str, Path], n: int) -> dict:
-    """Candidate tuples per second over the CORPUS, per depth, from n pairs
+    """Candidate tuples per second over the CORPUS at depth 2, from n pairs
     of interpreters."""
-    runs = paired(n, "corpus", lambda side: child(
+    pairs = paired(n, "corpus", lambda side: child(
         CORPUS_CHILD, trees[side] / "src", ROOT / "tests", ROOT / "bench"))
     rate = {"name": "candidates_per_s", "better": "higher"}
-    out = {}
-    for depth in ("2", "3"):
-        pairs = [{"first": r["first"], **{side: r[side][depth] for side in trees}} for r in runs]
-        out[depth] = {"pairs": pairs, "summary": summarise(pairs, rate)}
-    return out
+    return {"2": {"pairs": pairs, "summary": summarise(pairs, rate)}}
 
 
 def main() -> None:

@@ -76,12 +76,10 @@ from .syntax import (
     Pair,
     Prod,
     Program,
-    Spec,
     Sum,
     Term,
     TypeExpr,
     Var,
-    make_spec,
 )
 from .typecheck import (
     FunArityMismatch,

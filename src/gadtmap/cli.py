@@ -26,7 +26,7 @@ from .oracle import AgreementReport, CandidateSpaceTooLarge, OracleInconsistency
 from .parser import ParseError, parse_program, parse_spec, parse_term
 from .pretty import pretty_annotated, pretty_constraint, pretty_fun, pretty_subterms, pretty_type
 from .solver import SolvedSystem, SpecUnsatisfiable, solve
-from .syntax import Spec, Term
+from .syntax import Term, TypeExpr
 from .typecheck import (
     SpecMismatch,
     TypeCheckError,
@@ -47,7 +47,7 @@ class AnalysisReport:
     form: tuple[FunExpr, ...] | None = None
     solved: SolvedSystem | None = None
     run: cgen.RunResult | None = None
-    spec: Spec | None = None
+    spec: TypeExpr | None = None
     typed: TypedTerm | None = None
     verify: AgreementReport | None = None
     verify_depth: int | None = None
@@ -56,7 +56,7 @@ class AnalysisReport:
 def analyze(
     vp: ValidatedProgram,
     term: Term,
-    spec: Spec,
+    spec: TypeExpr,
     int_literals: bool = False,
     verify_depth: int | None = None,
 ) -> AnalysisReport:

@@ -45,7 +45,6 @@ from .syntax import (
     Pair,
     Path,
     Prod,
-    Spec,
     Sum,
     Term,
     TypeExpr,
@@ -384,7 +383,7 @@ class _Run:
                 children.append((kid, child_funs, rj, child_cenv, Call(call, j + 1)))
         return children
 
-def run(typed: TypedTerm, spec: Spec) -> RunResult:
+def run(typed: TypedTerm, spec: TypeExpr) -> RunResult:
     """Run the analysis on a typed, frozen term.
 
     The caller must have established the entry precondition with
@@ -398,7 +397,7 @@ def run(typed: TypedTerm, spec: Spec) -> RunResult:
     root_funs = tuple(
         r.fresh_fun("f", None, ell + 1, domain) for ell, domain in enumerate(witness.domains)
     )
-    r.walk((typed.root, root_funs, spec.shape, witness.subst, Call(None, 1)))
+    r.walk((typed.root, root_funs, spec, witness.subst, Call(None, 1)))
     return RunResult(
         # Calls run in preorder and each emits its constraints in one block.
         [c for t in r.traces for c in t.emitted],

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .syntax import App, Prod, Sum, TypeExpr, Var, is_closed
+from .syntax import App, Meta, Prod, Sum, TypeExpr, Var, type_children
 
 
 class FunExpr:
@@ -210,21 +210,33 @@ class Constraint:
 def lift_type(t: TypeExpr, env: dict[str, FunExpr]) -> FunExpr:
     """Read a type expression as a function expression.
 
-    Variables are replaced by their bindings, closed subexpressions become
-    identities (kept unexpanded so `id@Nat` stays atomic), and products, sums
-    and applications lift homomorphically.
+    Variables are replaced by their bindings, maximal closed subexpressions
+    become identities (kept unexpanded so `id@Nat` stays atomic), and
+    products, sums and applications lift homomorphically.
     """
+    lifted = _lift_open(t, env)
+    return Id(t) if lifted is None else lifted
+
+
+def _lift_open(t: TypeExpr, env: dict[str, FunExpr]) -> FunExpr | None:
+    """`lift_type` of `t`, or None when `t` is closed: closedness is decided
+    bottom-up in the same pass, so each subexpression is visited once."""
     if isinstance(t, Var):
         return env[t.name]
-    if is_closed(t):
-        return Id(t)
+    if isinstance(t, Meta):
+        raise ValueError(f"cannot lift type expression {t!r}")
+    kids = type_children(t)
+    lifted: list[FunExpr | None] = []
+    for kid in kids:
+        lifted.append(_lift_open(kid, env))
+    if all(e is None for e in lifted):
+        return None
+    args = tuple(Id(kid) if e is None else e for kid, e in zip(kids, lifted))
     if isinstance(t, Prod):
-        return ProdF(lift_type(t.left, env), lift_type(t.right, env))
+        return ProdF(*args)
     if isinstance(t, Sum):
-        return SumF(lift_type(t.left, env), lift_type(t.right, env))
-    if isinstance(t, App):
-        return Lift(t.ctor, tuple(lift_type(a, env) for a in t.args))
-    raise ValueError(f"cannot lift type expression {t!r}")
+        return SumF(*args)
+    return Lift(t.ctor, args)
 
 
 def expand_id(e: Id) -> FunExpr | None:

@@ -57,7 +57,6 @@ from .syntax import (
     Inr,
     Pair,
     Prod,
-    Spec,
     Sum,
     Term,
     TypeExpr,
@@ -521,7 +520,7 @@ def head_lift(shape: TypeExpr, candidates: tuple[FunExpr, ...]) -> FunExpr:
 def mappable(
     candidates: tuple[FunExpr, ...],
     typed: TypedTerm,
-    spec: Spec,
+    spec: TypeExpr,
     checker: Checker | None = None,
 ) -> bool:
     """Whether the candidate tuple is mappable over the term relative to the
@@ -536,8 +535,8 @@ def mappable(
     """
     if checker is None:
         checker = Checker(typed)
-    wrapped = head_lift(spec.shape, candidates)
-    if not match_type(spec.shape, checker.head_codomain(wrapped), {}):
+    wrapped = head_lift(spec, candidates)
+    if not match_type(spec, checker.head_codomain(wrapped), {}):
         return False
     return checker.check(wrapped, typed.root)
 
@@ -545,7 +544,7 @@ def mappable(
 def agrees(
     forms: tuple[FunExpr, ...],
     typed: TypedTerm,
-    spec: Spec,
+    spec: TypeExpr,
     depth: int,
 ) -> AgreementReport:
     """Exhaustively compare the analysis result against the brute-force
@@ -564,7 +563,7 @@ def agrees(
             f"{tuples} candidate tuples at depth {depth}, more than the {MAX_TUPLES} checked"
         )
     identity = tuple(Id(d) for d in domains)
-    rebuilt = map_apply(head_lift(spec.shape, identity), typed)
+    rebuilt = map_apply(head_lift(spec, identity), typed)
     # Compared as text: the renderer is iterative, while `==` on terms
     # recurses several frames per level and would lower the depth reached.
     if rebuilt is None or pretty_term(rebuilt.term) != pretty_term(typed.term):

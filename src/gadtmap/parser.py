@@ -3,7 +3,9 @@
 The grammar is documented in GRAMMAR.md. Data type declarations use Agda-like
 headers (`data List : Set -> Set where ...`); `Set^k -> Set` headers are pure
 arity markers. Arrows have no type AST node, so an arrow inside a type is a
-syntax error by construction.
+syntax error by construction. A specification parses to a plain type
+expression. Type references in a specification, a term annotation or a type
+parsed against a program are checked at the token that names them.
 """
 from __future__ import annotations
 
@@ -25,14 +27,11 @@ from .syntax import (
     Pair,
     Prod,
     Program,
-    Spec,
     Sum,
     Term,
     TypeExpr,
     Var,
     free_type_vars,
-    make_spec,
-    type_children,
 )
 from .wellformed import ValidatedProgram
 
@@ -101,10 +100,19 @@ def tokenize(text: str) -> list[Token]:
 
 
 class _Cursor:
-    def __init__(self, tokens: list[Token], end: tuple[int, int]):
+    def __init__(
+        self,
+        tokens: list[Token],
+        end: tuple[int, int],
+        vp: ValidatedProgram | None = None,
+        allow_vars: bool = True,
+    ):
         self.tokens = tokens
         self.pos = 0
         self.end = end  # (line, column) just past the last character
+        # With a program, each type reference is checked at its token.
+        self.vp = vp
+        self.allow_vars = allow_vars
 
     def peek(self) -> Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -135,8 +143,9 @@ class _Cursor:
         return ParseError(message, tok.line, tok.col)
 
 
-def _cursor(text: str) -> _Cursor:
-    return _Cursor(tokenize(text), (text.count("\n") + 1, len(text) - text.rfind("\n")))
+def _cursor(text: str, vp: ValidatedProgram | None = None, allow_vars: bool = True) -> _Cursor:
+    end = (text.count("\n") + 1, len(text) - text.rfind("\n"))
+    return _Cursor(tokenize(text), end, vp, allow_vars)
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +185,11 @@ def _parse_type_app(c: _Cursor) -> TypeExpr:
         c.next()
         if tok.text in BASE_TYPES:
             return Base(tok.text)
+        arity = _type_arity(c, tok)
         args: list[TypeExpr] = []
         while _is_type_atom_start(c):
             args.append(_parse_type_atom(c))
-        return App(tok.text, tuple(args))
+        return _type_app(tok, arity, args)
     return _parse_type_atom(c)
 
 
@@ -197,9 +207,32 @@ def _parse_type_atom(c: _Cursor) -> TypeExpr:
         if tok.text in BASE_TYPES:
             return Base(tok.text)
         if tok.text[0].isupper():
-            return App(tok.text, ())
+            return _type_app(tok, _type_arity(c, tok), [])
+        if not c.allow_vars:
+            raise ParseError(
+                f"type annotations must be closed (found variable {tok.text!r})", tok.line, tok.col
+            )
         return Var(tok.text)
     raise ParseError(f"expected a type, got {tok.text!r}", tok.line, tok.col)
+
+
+def _type_arity(c: _Cursor, tok: Token) -> int | None:
+    """The arity of the type constructor that `tok` names in the cursor's
+    program, or None without a program."""
+    if c.vp is None:
+        return None
+    try:
+        return c.vp.arity(tok.text)
+    except KeyError:
+        raise ParseError(f"unknown type constructor {tok.text!r}", tok.line, tok.col) from None
+
+
+def _type_app(tok: Token, arity: int | None, args: list[TypeExpr]) -> App:
+    if arity is not None and len(args) != arity:
+        raise ParseError(
+            f"{tok.text!r} applied to {len(args)} argument(s), expected {arity}", tok.line, tok.col
+        )
+    return App(tok.text, tuple(args))
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +351,7 @@ def _parse_ctor(c: _Cursor, owner: str, owner_arity: int) -> ConstructorSig:
 
 def parse_term(text: str, vp: ValidatedProgram) -> Term:
     """Parse a term, resolving constructor names and arities against `vp`."""
-    c = _cursor(text)
+    c = _cursor(text, vp, allow_vars=False)
     term = _parse_term(c, vp)
     if c.peek() is not None:
         raise c.error(f"unexpected trailing input {c.peek().text!r}")
@@ -381,9 +414,7 @@ def _parse_term(c: _Cursor, vp: ValidatedProgram) -> Term:
                     break
                 if c.at(":"):
                     c.next()
-                    ty = _parse_type(c)
-                    _check_spec_refs(ty, vp, c, allow_vars=False)
-                    term = Ann(term, ty)
+                    term = Ann(term, _parse_type(c))
                 c.expect(")")
             else:
                 c.expect(")")
@@ -452,41 +483,24 @@ def _ctor_app(name_tok: Token, sig: ConstructorSig, args: list[Term]) -> Ctor:
 # Specifications
 
 
-def _check_spec_refs(t: TypeExpr, vp: ValidatedProgram, c: _Cursor, allow_vars: bool) -> None:
-    if isinstance(t, App):
-        try:
-            arity = vp.arity(t.ctor)
-        except KeyError:
-            raise c.error(f"unknown type constructor {t.ctor!r}") from None
-        if len(t.args) != arity:
-            raise c.error(f"{t.ctor!r} applied to {len(t.args)} argument(s), expected {arity}")
-    if isinstance(t, Var) and not allow_vars:
-        raise c.error(f"type annotations must be closed (found variable {t.name!r})")
-    for child in type_children(t):
-        _check_spec_refs(child, vp, c, allow_vars)
-
-
-def parse_spec(text: str, vp: ValidatedProgram) -> Spec:
-    """Parse a specification. Free lowercase names become the specification
-    variables, listed in first-occurrence order."""
-    c = _cursor(text)
-    shape = _parse_type(c)
+def parse_spec(text: str, vp: ValidatedProgram) -> TypeExpr:
+    """Parse a specification: a type expression whose free lowercase names
+    are the specification variables."""
+    c = _cursor(text, vp)
+    spec = _parse_type(c)
     if c.at("->"):
         raise c.error("arrow types are not allowed here")
     if c.peek() is not None:
         raise c.error(f"unexpected trailing input {c.peek().text!r}")
-    _check_spec_refs(shape, vp, c, allow_vars=True)
-    return make_spec(shape)
+    return spec
 
 
 def parse_type(text: str, vp: ValidatedProgram | None = None) -> TypeExpr:
     """Parse a bare type expression (no resolution unless `vp` given)."""
-    c = _cursor(text)
+    c = _cursor(text, vp)
     ty = _parse_type(c)
     if c.peek() is not None:
         raise c.error(f"unexpected trailing input {c.peek().text!r}")
-    if vp is not None:
-        _check_spec_refs(ty, vp, c, allow_vars=True)
     return ty
 
 

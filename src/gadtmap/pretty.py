@@ -24,7 +24,6 @@ from .syntax import (
     Meta,
     Pair,
     Prod,
-    Spec,
     Sum,
     Term,
     TypeExpr,
@@ -173,9 +172,7 @@ def pretty_constraint(c: Constraint) -> str:
     return f"<{pretty_fun(c.lhs)}, {pretty_fun(c.rhs)}>"
 
 
-def pretty(x: TypeExpr | Term | FunExpr | Constraint | Spec) -> str:
-    if isinstance(x, Spec):
-        return pretty_type(x.shape)
+def pretty(x: TypeExpr | Term | FunExpr | Constraint) -> str:
     if isinstance(x, TypeExpr):
         return pretty_type(x)
     if isinstance(x, Term):

@@ -1,7 +1,9 @@
-"""Abstract syntax: type expressions, terms, data type declarations, and specs.
+"""Abstract syntax: type expressions, terms, and data type declarations.
 
 Type expressions are arrow-free by construction; there is no AST node for a
-function type, so the restriction is structural rather than checked.
+function type, so the restriction is structural rather than checked. A
+specification is a type expression whose free variables are the
+specification variables, in first-occurrence order (`free_type_vars`).
 """
 from __future__ import annotations
 
@@ -229,7 +231,7 @@ def subterm_at(t: Term, path: Path) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# Declarations and specifications
+# Declarations
 
 
 @dataclass(frozen=True)
@@ -266,24 +268,3 @@ class Program:
             if d.name == name:
                 return d
         return None
-
-
-@dataclass(frozen=True)
-class Spec:
-    """A specification: a type expression over specification variables.
-
-    `vars` lists the free variables of `shape` in first-occurrence order and
-    is minimal by construction (every listed variable occurs in the shape).
-    """
-
-    shape: TypeExpr
-    vars: tuple[str, ...]
-
-    def __str__(self) -> str:
-        from .pretty import pretty
-
-        return pretty(self.shape)
-
-
-def make_spec(shape: TypeExpr) -> Spec:
-    return Spec(shape, free_type_vars(shape))

@@ -7,11 +7,12 @@ undetermined after constraint propagation defaults to Nat (or Int when
 requested), matching both conventions used in practice.
 
 `check_call_invariants` establishes the analysis precondition: the term's
-type must be an instance of the specification. Metavariables that survive
-inference (e.g. the element type of a bare `nil`) may be instantiated by the
-specification here; anything still unsolved afterwards is frozen to a rigid
-atom and every node's type is overwritten with its ground type, so the
-analysis itself never sees a metavariable. Each metavariable is resolved
+type must be an instance of the specification, a type expression whose
+variables become fresh metavariables in first-occurrence order. Metavariables
+that survive inference (e.g. the element type of a bare `nil`) may be
+instantiated by the specification here; anything still unsolved afterwards is
+frozen to a rigid atom and every node's type is overwritten with its ground
+type, so the analysis itself never sees a metavariable. Each metavariable is resolved
 once and its ground type shared, so grounding is linear in the raw typing
 even where types are as deep as the term. The substitution it
 finds is recorded on the typing once (`InstanceWitness`), and fixes the domain
@@ -38,10 +39,10 @@ from .syntax import (
     Meta,
     Pair,
     Prod,
-    Spec,
     Sum,
     Term,
     TypeExpr,
+    free_type_vars,
     metas_in,
     subst_type,
     type_children,
@@ -351,32 +352,31 @@ class InstanceWitness:
     domains: tuple[TypeExpr, ...]
 
 
-def spec_head_arity(spec: Spec, vp: ValidatedProgram) -> int:
+def spec_head_arity(spec: TypeExpr, vp: ValidatedProgram) -> int:
     """Number of input functions determined by the specification's head."""
-    shape = spec.shape
-    if isinstance(shape, App):
+    if isinstance(spec, App):
         try:
-            return vp.arity(shape.ctor)
+            return vp.arity(spec.ctor)
         except KeyError:
-            raise SpecMismatch(f"unknown type constructor {shape.ctor!r}") from None
-    if isinstance(shape, (Prod, Sum)):
+            raise SpecMismatch(f"unknown type constructor {spec.ctor!r}") from None
+    if isinstance(spec, (Prod, Sum)):
         return 2
     raise SpecMismatch(
         "specification must be a data type application, a product, or a sum "
-        f"(got {shape})"
+        f"(got {spec})"
     )
 
 
-def spec_instance(spec: Spec, ty: TypeExpr, store: _Store) -> dict[str, Meta]:
+def spec_instance(spec: TypeExpr, ty: TypeExpr, store: _Store) -> dict[str, Meta]:
     """Unify the specification, its variables made fresh metavariables of
-    `store`, with `ty`; returns those metavariables. Raises `TypeCheckError`
-    when `ty` is not an instance of the specification."""
-    mus = {v: store.fresh() for v in spec.vars}
-    store.unify(subst_type(spec.shape, mus), ty, lambda: "specification")
+    `store` in first-occurrence order, with `ty`; returns those metavariables.
+    Raises `TypeCheckError` when `ty` is not an instance of the specification."""
+    mus = {v: store.fresh() for v in free_type_vars(spec)}
+    store.unify(subst_type(spec, mus), ty, lambda: "specification")
     return mus
 
 
-def check_call_invariants(typed: TypedTerm, spec: Spec, fun_arity: int) -> InstanceWitness:
+def check_call_invariants(typed: TypedTerm, spec: TypeExpr, fun_arity: int) -> InstanceWitness:
     """Check the analysis precondition and freeze the typing.
 
     Finds a substitution s for the specification variables with

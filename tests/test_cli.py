@@ -7,7 +7,7 @@ import time
 import pytest
 
 import gadtmap as g
-from gadtmap.cli import main
+from gadtmap.cli import json_text, main, report_to_json
 
 from conftest import CORPUS, PROGRAM_SOURCES
 
@@ -357,6 +357,24 @@ class TestDeepInput:
         assert proc.stderr == "error: input nested too deeply\n"
         assert "Traceback" not in proc.stderr
 
+    def test_deep_nested_list_type_fails_with_one_line(self, program_files):
+        # Each level is a list of the level below, so the type is as deep as
+        # the term; `infer`'s occurs check recurses over it.
+        n = 400
+        nest = "cons (" * (n - 1) + "cons nil nil" + ") nil" * (n - 1)
+        proc = self.run_cli(program_files["nested"], nest, "List b1")
+        assert proc.returncode == 2
+        assert proc.stderr == "error: input nested too deeply\n"
+
+    def test_deep_bush_spine_fails_with_one_line(self, program_files):
+        # The k-th element of a `bcons` spine is a k-deep `Bush`; the walk's
+        # invariant re-checks compare types as deep as the spine.
+        n = 300
+        spine = "bcons 1 (" + "bcons bnil (" * (n - 1) + "bnil" + ")" * n
+        proc = self.run_cli(program_files["nested"], spine, "Bush b1")
+        assert proc.returncode == 2
+        assert proc.stderr == "error: input nested too deeply\n"
+
 
 class TestInternalError:
     """A fault of the analysis itself ends in one line naming the stage, and
@@ -459,3 +477,25 @@ class TestParserReuse:
         assert r1.err == r3.err and "the following arguments are required: --spec" in r1.err
         assert r2.err == "" and "status: Mappable" in r2.out
         assert r4.out == r5.out and r4.out.startswith("usage: gadtmap")
+
+
+class TestSpecIsATypeExpression:
+    """A specification is a plain type expression: `analyze` takes one built
+    by hand exactly as one from `parse_spec`."""
+
+    def test_hand_built_spec_analyses_like_a_parsed_one(self, nested_vp):
+        term = g.parse_term("cons (cons 1 nil) (cons nil nil)", nested_vp)
+        parsed = g.analyze(nested_vp, term, g.parse_spec("List b1", nested_vp))
+        built = g.analyze(nested_vp, term, g.App("List", (g.Var("b1"),)))
+        assert built.form == parsed.form
+        assert built.run.constraints == parsed.run.constraints
+        assert json_text(report_to_json(built)) == json_text(report_to_json(parsed))
+
+    def test_spec_variables_are_numbered_in_first_occurrence_order(self, seq_vp):
+        term = g.parse_term("const 1", seq_vp)
+        report = g.analyze(seq_vp, term, g.parse_spec("Seq ((b2 * b1) * b2)", seq_vp))
+        assert report.status == "SpecMismatch"
+        assert report.detail == (
+            "term of type Seq Nat does not match specification Seq ((b2 * b1) * b2): "
+            "type mismatch in specification: expected (?m2 * ?m3) * ?m2, found Nat"
+        )

@@ -2,7 +2,10 @@
 worked examples (compared in this implementation's deterministic labeling)."""
 from __future__ import annotations
 
+import sys
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gadtmap as g
 from gadtmap.constraints import (
@@ -14,7 +17,7 @@ from gadtmap.constraints import (
     emit_step_six,
     match_spec,
 )
-from gadtmap.syntax import App, Base, Prod, Sum, Var
+from gadtmap.syntax import App, Atom, Base, Meta, Prod, Sum, Var, is_closed
 
 from conftest import (
     G_TERM_FLAT,
@@ -27,6 +30,32 @@ from conftest import (
 
 def fv(kind, label, index):
     return g.FunVar(kind, label, index)
+
+
+# Every type node kind: variables, base types, rigid atoms, nullary and n-ary
+# applications, products and sums, and now and then a metavariable, which
+# cannot be lifted.
+_CLOSED_LEAVES = [Base("Nat"), Atom("?0"), App("E", ())]
+_LIFT_TYPES = st.recursive(
+    st.sampled_from(3 * [Var("a"), Var("b1"), Var("b2"), *_CLOSED_LEAVES] + [Meta(3)]),
+    lambda inner: st.one_of(
+        st.builds(Prod, inner, inner),
+        st.builds(Sum, inner, inner),
+        st.builds(lambda a: App("List", (a,)), inner),
+        st.builds(lambda a, b: App("D2", (a, b)), inner, inner),
+    ),
+    max_leaves=12,
+)
+_LIFT_VALUES = st.sampled_from(
+    [
+        fv("g", "1", 1),
+        fv("f", None, 2),
+        g.Id(Base("Nat")),
+        g.Id(App("List", (Base("Bool"),))),
+        g.Lift("List", (fv("h", "2", 1),)),
+    ]
+)
+_LIFT_ENVS = st.fixed_dictionaries({"a": _LIFT_VALUES, "b1": _LIFT_VALUES, "b2": _LIFT_VALUES})
 
 
 class TestLiftType:
@@ -48,6 +77,50 @@ class TestLiftType:
         assert g.lift_type(ty, {"b1": h1, "b2": h2}) == g.ProdF(
             g.Lift("G", (h1,)), g.Lift("G", (g.ProdF(h2, h2),))
         )
+
+    @given(_LIFT_TYPES, _LIFT_ENVS)
+    @settings(max_examples=300)
+    def test_matches_top_down_reference(self, ty, env):
+        try:
+            want = _reference_lift_type(ty, env)
+        except ValueError:
+            with pytest.raises(ValueError):
+                g.lift_type(ty, env)
+            return
+        assert g.lift_type(ty, env) == want
+
+    def test_visits_each_subexpression_once(self):
+        depth = 300
+        ty = Var("b1")
+        for _ in range(depth):
+            ty = App("Bush", (ty,))
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event == "call"
+
+        sys.setprofile(count)
+        try:
+            g.lift_type(ty, {"b1": fv("f", None, 1)})
+        finally:
+            sys.setprofile(None)
+        assert calls <= 20 * depth
+
+
+def _reference_lift_type(t, env):
+    """`lift_type` as a top-down walk that tests closedness at every level."""
+    if isinstance(t, Var):
+        return env[t.name]
+    if is_closed(t):
+        return g.Id(t)
+    if isinstance(t, Prod):
+        return g.ProdF(_reference_lift_type(t.left, env), _reference_lift_type(t.right, env))
+    if isinstance(t, Sum):
+        return g.SumF(_reference_lift_type(t.left, env), _reference_lift_type(t.right, env))
+    if isinstance(t, App):
+        return g.Lift(t.ctor, tuple(_reference_lift_type(a, env) for a in t.args))
+    raise ValueError(f"cannot lift type expression {t!r}")
 
 
 class TestMatchSpec:

@@ -115,7 +115,7 @@ MALFORMED = {
     ),
     "open annotation": (
         "inl (" * 900 + "(nil : List a)" + ")" * 900,
-        "1:4514: type annotations must be closed (found variable 'a')",
+        "1:4513: type annotations must be closed (found variable 'a')",
     ),
     "stray token": ("cons 0 (" * 900 + "nil ;" + ")" * 900, "1:7205: expected ')', got ';'"),
 }

@@ -402,7 +402,7 @@ class TestAgreement:
         report = g.agrees(p.form, p.typed, p.spec, 3)
         assert report.agrees
         survivors = {
-            g.pretty(g.normalize(head_lift(p.spec.shape, combo).args[0]))
+            g.pretty(g.normalize(head_lift(p.spec, combo).args[0]))
             for combo in _combos(p, 3)
             if mappable(combo, p.typed, p.spec)
         }
@@ -416,7 +416,7 @@ class TestAgreement:
         for combo in _combos(p, 2):
             if not mappable(combo, p.typed, p.spec):
                 continue
-            result = g.map_apply(head_lift(p.spec.shape, combo), p.typed).term
+            result = g.map_apply(head_lift(p.spec, combo), p.typed).term
             for path in p.run.annotation.essential:
                 orig_node = g.syntax.subterm_at(original, path)
                 new_node = g.syntax.subterm_at(result, path)
@@ -444,7 +444,7 @@ def reference_mappable(candidates, typed, spec) -> bool:
     """`mappable` as it was before candidates were checked: unify the
     codomain with the specification on a fresh store, rebuild the term and
     infer its type, then unify that with the codomain."""
-    wrapped = head_lift(spec.shape, candidates)
+    wrapped = head_lift(spec, candidates)
     cod = fun_type(wrapped, codomain=True)
     try:
         spec_instance(spec, cod, _Store())
@@ -578,9 +578,9 @@ class ThreeArgumentChecker:
 
 
 def three_argument_mappable(candidates, typed, spec, checker) -> bool:
-    wrapped = head_lift(spec.shape, candidates)
+    wrapped = head_lift(spec, candidates)
     cod = fun_type(wrapped, codomain=True)
-    return match_type(spec.shape, cod, {}) and checker.check(wrapped, typed.root, cod)
+    return match_type(spec, cod, {}) and checker.check(wrapped, typed.root, cod)
 
 
 def assert_same_as_three_argument_checker(vp, term_text, spec_text, int_literals=False):

@@ -18,7 +18,7 @@ from gadtmap.pretty import (
     pretty_term,
     pretty_type,
 )
-from gadtmap.syntax import App, Atom, Base, Meta, Prod, Sum, Var, term_children
+from gadtmap.syntax import App, Atom, Base, Meta, Prod, Sum, Var, free_type_vars, term_children
 
 from conftest import CORPUS, NESTED_SRC, PROGRAM_SOURCES, run_pipeline
 from test_oracle import PROBE_SRC, PROBE_TERMS, SUM_INDEXED_SRC
@@ -138,17 +138,17 @@ class TestParseTerm:
 class TestParseSpec:
     def test_shallow(self, seq_vp):
         spec = g.parse_spec("Seq b1", seq_vp)
-        assert spec.shape == App("Seq", (Var("b1"),))
-        assert spec.vars == ("b1",)
+        assert spec == App("Seq", (Var("b1"),))
+        assert free_type_vars(spec) == ("b1",)
 
     def test_deep_vars_deduplicated(self, nested_vp):
         spec = g.parse_spec("List (List b1)", nested_vp)
-        assert spec.vars == ("b1",)
+        assert free_type_vars(spec) == ("b1",)
 
     def test_product_spec_var_order(self, nested_vp):
         spec = g.parse_spec("b1 * b2", nested_vp)
-        assert spec.shape == Prod(Var("b1"), Var("b2"))
-        assert spec.vars == ("b1", "b2")
+        assert spec == Prod(Var("b1"), Var("b2"))
+        assert free_type_vars(spec) == ("b1", "b2")
 
     def test_unknown_constructor(self, nested_vp):
         with pytest.raises(g.ParseError, match="unknown type constructor"):
@@ -157,6 +157,35 @@ class TestParseSpec:
     def test_arity_mismatch(self, nested_vp):
         with pytest.raises(g.ParseError, match="applied to 2"):
             g.parse_spec("List b1 b2", nested_vp)
+
+    @pytest.mark.parametrize(
+        "parse,text,message",
+        [
+            (g.parse_spec, "Tree b1", "1:1: unknown type constructor 'Tree'"),
+            (g.parse_spec, "List b1 b2", "1:1: 'List' applied to 2 argument(s), expected 1"),
+            (g.parse_spec, "List (Tree b1)", "1:7: unknown type constructor 'Tree'"),
+            (g.parse_term, "(1 : List)", "1:6: 'List' applied to 0 argument(s), expected 1"),
+            (
+                g.parse_term,
+                "(nil : List b)",
+                "1:13: type annotations must be closed (found variable 'b')",
+            ),
+        ],
+    )
+    def test_reference_errors_point_at_their_token(self, nested_vp, parse, text, message):
+        with pytest.raises(g.ParseError) as ei:
+            parse(text, nested_vp)
+        assert str(ei.value) == message
+
+    def test_first_faulty_reference_is_reported(self, nested_vp):
+        with pytest.raises(g.ParseError) as ei:
+            g.parse_spec("List (Tree b1) b2", nested_vp)
+        assert str(ei.value) == "1:7: unknown type constructor 'Tree'"
+
+    @pytest.mark.parametrize("key,spec_text", sorted({(k, s) for k, _, s, _ in CORPUS}))
+    def test_spec_is_its_type(self, programs, key, spec_text):
+        vp = programs[key]
+        assert g.parse_spec(spec_text, vp) == g.parse_type(spec_text, vp)
 
 
 class TestPretty:
@@ -313,7 +342,7 @@ def test_corpus_round_trips(programs, key, term_text, spec_text, int_lits):
     term = g.parse_term(term_text, vp)
     assert g.parse_term(g.pretty(term), vp) == term
     spec = g.parse_spec(spec_text, vp)
-    assert g.parse_spec(g.pretty(spec.shape), vp) == spec
+    assert g.parse_spec(g.pretty(spec), vp) == spec
 
 
 @pytest.mark.parametrize("key,term_text,spec_text,int_lits", CORPUS)
