@@ -9,17 +9,11 @@ and the decomposition of the term into essential and incidental structure.
 from .cli import AnalysisReport, analyze, report_to_json
 from .constraints import (
     AnnotatedTerm,
-    BetaAssign,
     CallTrace,
     IndexName,
     InternalInvariantViolation,
     NotTopUnifiable,
     RunResult,
-    SigmaAssign,
-    compute_rj,
-    compute_taus,
-    emit_step_five,
-    emit_step_six,
     match_spec,
     recursion_target,
     run,

@@ -279,9 +279,13 @@ def render_report(report: AnalysisReport, trace: bool = False, annotate: bool = 
         lines.append("form: " + ", ".join(pretty_fun(f) for f in report.form))
         free = _free_var_names(report.form)
         lines.append("free variables: " + (", ".join(free) if free else "(none)"))
+        # `run.constraints` is the traces' `emitted` blocks end to end, so each
+        # constraint is rendered once and printed in both places.
+        emitted = [[pretty_constraint(c) for c in t.emitted] for t in run.traces]
         lines.append(f"constraints ({len(run.constraints)}):")
-        for c in run.constraints:
-            lines.append(f"  {c.origin:<10} {pretty_constraint(c)}")
+        for t, texts in zip(run.traces, emitted):
+            for c, text in zip(t.emitted, texts):
+                lines.append(f"  {c.origin:<10} {text}")
         if annotate:
             lines.append(
                 "essential structure: "
@@ -290,7 +294,7 @@ def render_report(report: AnalysisReport, trace: bool = False, annotate: bool = 
         if trace:
             lines.append("calls:")
             shown = pretty_subterms(run.annotation.term, run.annotation.heads)
-            for t in run.traces:
+            for t, texts in zip(run.traces, emitted):
                 lines.append(
                     f"  call {t.label}: {shown[id(t.term)]}"
                     f"  |  funs: {', '.join(pretty_fun(f) for f in t.funs)}"
@@ -311,10 +315,8 @@ def render_report(report: AnalysisReport, trace: bool = False, annotate: bool = 
                         for z in t.zetas
                     )
                     lines.append(f"    zeta: {zs}")
-                if t.emitted:
-                    lines.append(
-                        "    emitted: " + " ; ".join(pretty_constraint(c) for c in t.emitted)
-                    )
+                if texts:
+                    lines.append("    emitted: " + " ; ".join(texts))
     if report.verify is not None:
         verdict = "agrees" if report.verify.agrees else "DISAGREES"
         lines.append(

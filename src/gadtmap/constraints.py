@@ -9,12 +9,14 @@ function variables:
 
   * one `g` variable per specification variable, tied to the inputs by the
     constraints <Sigma_l g.., f_l>;
-  * for a constructor subterm, fresh index variables (one per constructor
-    binder) are matched against the specification components, producing
-    assignments that either define a specification variable in terms of the
-    index variables (emitting <psi h.., g_i>) or pin an index variable to a
-    specification expression (emitting consistency constraints when the same
-    index is pinned twice);
+  * for a constructor subterm, the specification components are matched
+    against the constructor's return indices over fresh index variables (one
+    per constructor binder) in one pass, `match_spec`. It groups the results
+    by variable: the expressions that define each specification variable in
+    terms of the index variables (step v emits <psi h.., g_i> for each) and
+    the specification expressions that pin each index variable (an index
+    stands for its first pin, and step vi ties each further pin to the
+    first);
   * recursive calls on constructor arguments whose instantiated types still
     involve specification structure; arguments whose types collapse to a
     closed type or a single variable are skipped entirely, which is what
@@ -67,27 +69,6 @@ class InternalInvariantViolation(Exception):
 
 class NotTopUnifiable(InternalInvariantViolation):
     """A matching problem had clashing head symbols."""
-
-
-@dataclass(frozen=True, slots=True)
-class BetaAssign:
-    """An assignment `var == psi`, defining a specification variable in terms
-    of the current call's index variables (psi may also be closed)."""
-
-    var: str
-    psi: TypeExpr
-
-
-@dataclass(frozen=True, slots=True)
-class SigmaAssign:
-    """An assignment `sigma == gamma`, pinning an index variable to an
-    expression over the current call's specification variables."""
-
-    sigma: TypeExpr
-    gamma: str
-
-
-Assignment = BetaAssign | SigmaAssign
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,94 +152,37 @@ def recursion_target(arg_type: TypeExpr) -> tuple[TypeExpr, ...] | None:
     return type_children(arg_type)
 
 
-def match_spec(sigma: TypeExpr, index_expr: TypeExpr) -> list[Assignment]:
-    """Solve one matching problem `sigma == index_expr` by simultaneous
-    structural descent.
+def match_spec(
+    matching: tuple[tuple[TypeExpr, TypeExpr], ...],
+) -> tuple[dict[VarName, list[TypeExpr]], dict[VarName, list[TypeExpr]]]:
+    """Solve a call's matching problems `component == index expression` by
+    simultaneous structural descent, in order.
 
-    The left side is an expression over the call's specification variables,
-    the right an index expression over fresh index variables. At a position
-    where both sides are variables the pinning form is chosen, since it can
-    only cut recursion short, never change the solved result.
+    The left sides are expressions over the call's specification variables,
+    the right sides index expressions over its fresh index variables. Returns
+    `defs`, each specification variable's defining index expressions, and
+    `pins`, each index variable's pinning specification expressions, both in
+    match order. Where both sides are variables the pin is chosen, since it
+    can only cut recursion short, never change the solved result.
     """
-    out: list[Assignment] = []
-
-    def go(left: TypeExpr, right: TypeExpr) -> None:
-        if isinstance(left, Var) and isinstance(right, Var):
-            out.append(SigmaAssign(left, right.name))
-            return
-        if isinstance(left, Var):
-            out.append(BetaAssign(left.name, right))
-            return
+    defs: dict[VarName, list[TypeExpr]] = {}
+    pins: dict[VarName, list[TypeExpr]] = {}
+    stack = list(reversed(matching))
+    while stack:
+        left, right = stack.pop()
         if isinstance(right, Var):
-            out.append(SigmaAssign(left, right.name))
-            return
-        if type(left) is not type(right):
+            pins.setdefault(right.name, []).append(left)
+        elif isinstance(left, Var):
+            defs.setdefault(left.name, []).append(right)
+        elif type(left) is not type(right) or (
+            isinstance(left, App) and left.ctor != right.ctor
+        ):
             raise NotTopUnifiable(f"cannot match {left} against {right}")
-        if isinstance(left, App):
-            if left.ctor != right.ctor:
-                raise NotTopUnifiable(f"cannot match {left} against {right}")
-            for a, b in zip(left.args, right.args):
-                go(a, b)
-            return
-        kids_l, kids_r = type_children(left), type_children(right)
-        if kids_l:
-            for a, b in zip(kids_l, kids_r):
-                go(a, b)
-            return
-        if left != right:
+        elif isinstance(left, (App, Prod, Sum)):
+            stack += reversed(tuple(zip(type_children(left), type_children(right))))
+        elif left != right:
             raise NotTopUnifiable(f"cannot match {left} against {right}")
-
-    go(sigma, index_expr)
-    return out
-
-
-def compute_taus(assignments: list[Assignment], gammas: tuple[str, ...]) -> tuple[TypeExpr, ...]:
-    """For each index variable, its first pinned expression if any, else itself."""
-    first: dict[str, TypeExpr] = {}
-    for a in assignments:
-        if isinstance(a, SigmaAssign):
-            first.setdefault(a.gamma, a.sigma)
-    return tuple(first.get(g, Var(g)) for g in gammas)
-
-
-def emit_step_five(
-    assignments: list[Assignment],
-    betas: tuple[str, ...],
-    env: dict[str, FunExpr],
-    step: str,
-    call: Call | None = None,
-) -> list[Constraint]:
-    """One constraint <psi h.., g_i> per defining assignment, in variable order;
-    `env` holds both the g and the h variables."""
-    out = []
-    for b in betas:
-        for a in assignments:
-            if isinstance(a, BetaAssign) and a.var == b:
-                out.append(Constraint(lift_type(a.psi, env), env[b], step, call))
-    return out
-
-
-def emit_step_six(
-    assignments: list[Assignment],
-    gammas: tuple[str, ...],
-    env: dict[str, FunExpr],
-    step: str,
-    call: Call | None = None,
-) -> list[Constraint]:
-    """Consistency constraints when several expressions pin the same index."""
-    out = []
-    for g in gammas:
-        sigmas = [a.sigma for a in assignments if isinstance(a, SigmaAssign) and a.gamma == g]
-        for q in range(1, len(sigmas)):
-            out.append(
-                Constraint(lift_type(sigmas[q], env), lift_type(sigmas[0], env), step, call)
-            )
-    return out
-
-
-def compute_rj(arg_type: TypeExpr, type_vars: tuple[str, ...], taus: tuple[TypeExpr, ...]) -> TypeExpr:
-    """Instantiate a constructor argument type at the computed tau expressions."""
-    return subst_type(arg_type, dict(zip(type_vars, taus)))
+    return defs, pins
 
 
 # A pending call: the typed subterm, its input functions, its specification,
@@ -306,7 +230,7 @@ class _Run:
         betas = free_type_vars(spec_te)
         # The g variables, then (constructor case) the h variables: spec
         # variable names and index names never clash.
-        env: dict[VarName, FunExpr] = {
+        env: dict[VarName, FunVar] = {
             b: self.fresh_fun("g", call, i + 1, cenv[b]) for i, b in enumerate(betas)
         }
         emitted = []
@@ -354,32 +278,39 @@ class _Run:
 
             gammas = tuple(IndexName(i + 1, call) for i in range(len(sig.type_vars)))
             rename = {a: Var(g) for a, g in zip(sig.type_vars, gammas)}
-            matching = []
-            assignments: list[Assignment] = []
-            for comp, k_expr in zip(components, sig.ret_indices):
-                index_expr = subst_type(k_expr, rename)
-                matching.append((comp, index_expr))
-                assignments += match_spec(comp, index_expr)
-            taus = compute_taus(assignments, gammas)
+            matching = tuple(
+                (comp, subst_type(k_expr, rename))
+                for comp, k_expr in zip(components, sig.ret_indices)
+            )
+            defs, pins = match_spec(matching)
+            # Each index variable stands for its first pin, if it has one.
+            taus = tuple(pins[g][0] if g in pins else Var(g) for g in gammas)
             for i, g in enumerate(gammas):
                 env[g] = self.fresh_fun("h", call, i + 1, w[i])
-            emitted += emit_step_five(assignments, betas, env, "v", call)
-            emitted += emit_step_six(assignments, gammas, env, "vi", call)
+            # Step v defines each specification variable by its index
+            # expressions; step vi ties each further pin of an index to its first.
+            for b in betas:
+                for psi in defs.get(b, ()):
+                    emitted.append(Constraint(lift_type(psi, env), env[b], "v", call))
+            for g in gammas:
+                sigmas = pins.get(g, ())
+                for sigma in sigmas[1:]:
+                    emitted.append(
+                        Constraint(lift_type(sigma, env), lift_type(sigmas[0], env), "vi", call)
+                    )
 
-            rjs, zetas = [], []
-            for arg_type in sig.arg_types:
-                rjs.append(compute_rj(arg_type, sig.type_vars, taus))
-                zetas.append(recursion_target(rjs[-1]))
+            at_taus = dict(zip(sig.type_vars, taus))
+            rjs = tuple(subst_type(arg_type, at_taus) for arg_type in sig.arg_types)
+            zetas = tuple(recursion_target(rj) for rj in rjs)
             targets = zip(itertools.count(), node.kids, rjs, zetas)
-            cenv = {**cenv, **dict(zip(gammas, w))}
             self.traces.append(CallTrace(call, term, funs, spec_te, tuple(emitted),
-                                         tuple(matching), taus, tuple(rjs), tuple(zetas)))
+                                         matching, taus, rjs, zetas))
 
         children: list[_Pending] = []
         for j, kid, rj, zs in targets:
             if zs is not None:
                 child_funs = tuple(lift_type(z, env) for z in zs)
-                child_cenv = {v: cenv[v] for v in free_type_vars(rj)}
+                child_cenv = {v: env[v].domain for v in free_type_vars(rj)}
                 children.append((kid, child_funs, rj, child_cenv, Call(call, j + 1)))
         return children
 

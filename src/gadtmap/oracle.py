@@ -94,18 +94,19 @@ def match_fun(
     index expression; None when the expression does not decompose.
 
     A variable index binds its component (failing on disagreement, compared up
-    to identity expansion); a closed index requires the identity; products,
-    sums, and applications require the matching composite form, expanding
-    identities as needed. Return indices never mention proper GADTs, so every
-    composite case has forced semantics. `normal` is `normalize` or a
-    memoised equivalent.
+    to identity expansion); a base type or atom requires the identity;
+    products, sums, and applications require the matching composite form,
+    expanding identities as needed, so a closed composite index is matched
+    level by level down to its leaves. Return indices never mention proper
+    GADTs, so every composite case has forced semantics. `normal` is
+    `normalize` or a memoised equivalent.
     """
     if isinstance(k_expr, Var):
         prev = env.get(k_expr.name)
         if prev is None:
             return {**env, k_expr.name: phi}
         return env if normal(prev) == normal(phi) else None
-    if is_closed(k_expr):
+    if not isinstance(k_expr, (Prod, Sum, App)):
         return env if normal(phi) == normal(Id(k_expr)) else None
     if isinstance(phi, Id):
         expanded = expand_id(phi)

@@ -119,7 +119,10 @@ class _Store:
         if isinstance(t, Prod) or isinstance(t, Sum):
             return self._occurs(ident, t.left) or self._occurs(ident, t.right)
         if isinstance(t, App):
-            return any(self._occurs(ident, a) for a in t.args)
+            # A loop, not `any(<genexpr>)`: one frame per level of the type.
+            for a in t.args:
+                if self._occurs(ident, a):
+                    return True
         return False
 
     def _bind(self, m: Meta, t: TypeExpr) -> None:

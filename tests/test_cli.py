@@ -357,12 +357,21 @@ class TestDeepInput:
         assert proc.stderr == "error: input nested too deeply\n"
         assert "Traceback" not in proc.stderr
 
-    def test_deep_nested_list_type_fails_with_one_line(self, program_files):
+    @staticmethod
+    def nested_list(n):
         # Each level is a list of the level below, so the type is as deep as
-        # the term; `infer`'s occurs check recurses over it.
-        n = 400
-        nest = "cons (" * (n - 1) + "cons nil nil" + ") nil" * (n - 1)
-        proc = self.run_cli(program_files["nested"], nest, "List b1")
+        # the term.
+        return "cons (" * (n - 1) + "cons nil nil" + ") nil" * (n - 1)
+
+    def test_deep_nested_list_type_passes(self, program_files):
+        # `infer`'s occurs check takes one frame per type application.
+        proc = self.run_cli(program_files["nested"], self.nested_list(400), "List b1")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("status: Mappable\n")
+
+    def test_deep_nested_list_type_fails_with_one_line(self, program_files):
+        # Past ~490 levels grounding the typing recurses too deeply.
+        proc = self.run_cli(program_files["nested"], self.nested_list(1000), "List b1")
         assert proc.returncode == 2
         assert proc.stderr == "error: input nested too deeply\n"
 

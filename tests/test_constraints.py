@@ -3,29 +3,38 @@ worked examples (compared in this implementation's deterministic labeling)."""
 from __future__ import annotations
 
 import sys
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gadtmap as g
-from gadtmap.constraints import (
-    BetaAssign,
-    SigmaAssign,
-    compute_rj,
-    compute_taus,
-    emit_step_five,
-    emit_step_six,
-    match_spec,
+from gadtmap.constraints import IndexName, NotTopUnifiable, match_spec
+from gadtmap.syntax import (
+    App,
+    Atom,
+    Base,
+    Meta,
+    Prod,
+    Sum,
+    Var,
+    free_type_vars,
+    is_closed,
+    subst_type,
+    type_children,
 )
-from gadtmap.syntax import App, Atom, Base, Meta, Prod, Sum, Var, is_closed
 
 from conftest import (
+    CORPUS,
     G_TERM_FLAT,
     G_TERM_INJ,
     LISTS_TERM,
+    NESTED_SRC,
     SEQ_TERM,
+    random_values,
     run_pipeline,
 )
+from test_oracle import PROBE_SRC, PROBE_TERMS, SUM_INDEXED_SRC, SUM_INDEXED_TERMS
 
 
 def fv(kind, label, index):
@@ -123,99 +132,328 @@ def _reference_lift_type(t, env):
     raise ValueError(f"cannot lift type expression {t!r}")
 
 
+NAT = Base("Nat")
+
+
+def problem(left, right):
+    return ((left, right),)
+
+
 class TestMatchSpec:
     def test_variable_against_product(self):
-        out = match_spec(Var("b1"), Prod(Var("y1"), Var("y2")))
-        assert out == [BetaAssign("b1", Prod(Var("y1"), Var("y2")))]
+        out = match_spec(problem(Var("b1"), Prod(Var("y1"), Var("y2"))))
+        assert out == ({"b1": [Prod(Var("y1"), Var("y2"))]}, {})
 
     def test_variable_variable_prefers_pinning(self):
-        out = match_spec(Prod(Var("b1"), Var("b2")), Prod(Var("y1"), Var("y2")))
-        assert out == [SigmaAssign(Var("b1"), "y1"), SigmaAssign(Var("b2"), "y2")]
+        out = match_spec(problem(Prod(Var("b1"), Var("b2")), Prod(Var("y1"), Var("y2"))))
+        assert out == ({}, {"y1": [Var("b1")], "y2": [Var("b2")]})
 
     def test_variable_against_closed(self):
-        assert match_spec(Var("b2"), Base("Nat")) == [BetaAssign("b2", Base("Nat"))]
+        assert match_spec(problem(Var("b2"), NAT)) == ({"b2": [NAT]}, {})
 
     def test_composite_against_variable(self):
-        out = match_spec(App("List", (Var("b1"),)), Var("y1"))
-        assert out == [SigmaAssign(App("List", (Var("b1"),)), "y1")]
+        out = match_spec(problem(App("List", (Var("b1"),)), Var("y1")))
+        assert out == ({}, {"y1": [App("List", (Var("b1"),))]})
 
     def test_peeling_identical_heads(self):
-        out = match_spec(
-            App("List", (Var("b1"),)), App("List", (Var("y1"),))
+        out = match_spec(problem(App("List", (Var("b1"),)), App("List", (Var("y1"),))))
+        assert out == ({}, {"y1": [Var("b1")]})
+
+    def test_equal_closed_leaves_assign_nothing(self):
+        assert match_spec(problem(Prod(NAT, Var("b1")), Prod(NAT, Var("y1")))) == (
+            {},
+            {"y1": [Var("b1")]},
         )
-        assert out == [SigmaAssign(Var("b1"), "y1")]
+
+    def test_groups_by_variable_in_match_order(self):
+        # The pins of one index and the definitions of one variable come from
+        # several problems and stay in match order.
+        defs, pins = match_spec(
+            (
+                (Prod(Var("b1"), Var("b2")), Prod(Var("y1"), Var("y2"))),
+                (Var("b3"), App("List", (Var("y1"),))),
+                (Prod(Var("b2"), Var("b3")), Prod(Var("y1"), NAT)),
+            )
+        )
+        assert defs == {"b3": [App("List", (Var("y1"),)), NAT]}
+        assert pins == {"y1": [Var("b1"), Var("b2")], "y2": [Var("b2")]}
+        assert list(pins) == ["y1", "y2"]
+
+    def test_no_problems(self):
+        assert match_spec(()) == ({}, {})
 
     def test_clash_raises(self):
         with pytest.raises(g.NotTopUnifiable):
-            match_spec(Base("Nat"), Base("Bool"))
+            match_spec(problem(NAT, Base("Bool")))
         with pytest.raises(g.NotTopUnifiable):
-            match_spec(Prod(Var("b1"), Var("b2")), Sum(Var("y1"), Var("y2")))
+            match_spec(problem(Prod(Var("b1"), Var("b2")), Sum(Var("y1"), Var("y2"))))
+        with pytest.raises(g.NotTopUnifiable):
+            match_spec(problem(App("List", (Var("b1"),)), App("Bush", (Var("y1"),))))
+        with pytest.raises(g.NotTopUnifiable):
+            match_spec(((Var("b1"), Var("y1")), (NAT, Base("Bool"))))
+
+    @given(st.lists(st.deferred(lambda: _PROBLEMS), max_size=3))
+    @settings(max_examples=150)
+    def test_matches_assignment_list_reference(self, problems):
+        try:
+            assignments = [a for left, right in problems for a in _reference_match(left, right)]
+        except NotTopUnifiable:
+            with pytest.raises(NotTopUnifiable):
+                match_spec(tuple(problems))
+            return
+        defs, pins = match_spec(tuple(problems))
+        want_defs: dict = {}
+        want_pins: dict = {}
+        for a in assignments:
+            if isinstance(a, _BetaAssign):
+                want_defs.setdefault(a.var, []).append(a.psi)
+            else:
+                want_pins.setdefault(a.gamma, []).append(a.sigma)
+        assert list(defs.items()) == list(want_defs.items())
+        assert list(pins.items()) == list(want_pins.items())
 
 
-class TestComputeTaus:
-    def test_no_pins_yields_indices(self):
-        out = compute_taus([BetaAssign("b1", Prod(Var("y1"), Var("y2")))], ("y1", "y2"))
-        assert out == (Var("y1"), Var("y2"))
-
-    def test_pinned_index(self):
-        sigma = Prod(App("G", (Var("b1"),)), Var("b2"))
-        assert compute_taus([SigmaAssign(sigma, "y1")], ("y1",)) == (sigma,)
-
-    def test_first_pin_wins(self):
-        out = compute_taus(
-            [SigmaAssign(Var("b1"), "y1"), SigmaAssign(Var("b2"), "y1")], ("y1",)
-        )
-        assert out == (Var("b1"),)
+# Matching problems: a specification side over b1, b2 and an index side over
+# y1, y2, with equal heads that descend. One problem in four also has a clash
+# (unequal closed leaves or mismatched heads).
+_CLOSED = st.sampled_from([NAT, Base("Bool"), App("E", ())])
+_SPEC_VARS = st.sampled_from([Var("b1"), Var("b2")])
+_INDEX_VARS = st.sampled_from([Var("y1"), Var("y2")])
 
 
-class TestEmitSteps:
-    def test_step_five_product(self):
-        g1 = fv("g", "1", 1)
-        h1, h2 = fv("h", "1", 1), fv("h", "1", 2)
-        out = emit_step_five(
-            [BetaAssign("b1", Prod(Var("y1"), Var("y2")))],
-            ("b1",),
-            {"b1": g1, "y1": h1, "y2": h2},
-            "1:v",
-        )
-        assert [(c.lhs, c.rhs) for c in out] == [(g.ProdF(h1, h2), g1)]
+def _problems(leaves, clash):
+    return st.recursive(
+        st.one_of(
+            st.tuples(_SPEC_VARS, st.one_of(_INDEX_VARS, _CLOSED)),
+            st.tuples(st.one_of(_SPEC_VARS, _CLOSED), _INDEX_VARS),
+            _CLOSED.map(lambda t: (t, t)),
+            st.tuples(
+                st.sampled_from([App("List", (Var("b1"),)), Prod(Var("b2"), NAT)]), _INDEX_VARS
+            ),
+            *leaves,
+        ),
+        lambda inner: st.one_of(
+            st.builds(lambda p, q: (Prod(p[0], q[0]), clash(p[1], q[1])), inner, inner),
+            st.builds(lambda p, q: (Sum(p[0], q[0]), Sum(p[1], q[1])), inner, inner),
+            st.builds(lambda p: (App("List", (p[0],)), App("List", (p[1],))), inner),
+            st.builds(lambda p: (Var("b1"), p[1]), inner),
+        ),
+        max_leaves=8,
+    )
 
-    def test_step_five_closed(self):
-        g1 = fv("g", "1", 1)
-        out = emit_step_five(
-            [BetaAssign("b1", Base("Nat"))], ("b1",), {"b1": g1}, "1:v"
-        )
-        assert [(c.lhs, c.rhs) for c in out] == [(g.Id(Base("Nat")), g1)]
 
-    def test_step_five_empty(self):
-        assert emit_step_five([SigmaAssign(Var("b1"), "y1")], ("b1",), {}, "o") == []
+_MATCHING = _problems((), Prod)
+_PROBLEMS = st.one_of(
+    _MATCHING, _MATCHING, _MATCHING, _problems((st.tuples(_CLOSED, _CLOSED),), Sum)
+)
 
-    def test_step_six_two_pins_on_one_index(self):
-        g1, g2 = fv("g", "1", 1), fv("g", "1", 2)
-        out = emit_step_six(
-            [SigmaAssign(Var("b1"), "y1"), SigmaAssign(Var("b2"), "y1")],
-            ("y1",),
-            {"b1": g1, "b2": g2},
-            "1:vi",
-        )
-        assert [(c.lhs, c.rhs) for c in out] == [(g2, g1)]
 
-    def test_step_six_single_pins(self):
-        out = emit_step_six(
-            [SigmaAssign(Var("b1"), "y1"), SigmaAssign(Var("b1"), "y2")],
-            ("y1", "y2"),
-            {"b1": fv("g", "1", 1)},
-            "1:vi",
-        )
-        assert out == []
+# The assignment-list form of the matching and of steps v and vi that the
+# walk replaced with `match_spec`'s maps, kept as the reference.
+@dataclass(frozen=True)
+class _BetaAssign:
+    var: object
+    psi: object
 
-    def test_compute_rj(self):
-        taus = (App("G", (Var("y1"),)),)
-        assert compute_rj(Var("a"), ("a",), taus) == App("G", (Var("y1"),))
-        assert compute_rj(App("List", (App("G", (Var("a"),)),)), ("a",), taus) == App(
-            "List", (App("G", (App("G", (Var("y1"),)),)),)
-        )
-        assert compute_rj(Base("Nat"), ("a",), taus) == Base("Nat")
+
+@dataclass(frozen=True)
+class _SigmaAssign:
+    sigma: object
+    gamma: object
+
+
+def _reference_match(sigma, index_expr):
+    out = []
+
+    def go(left, right):
+        if isinstance(left, Var) and isinstance(right, Var):
+            out.append(_SigmaAssign(left, right.name))
+            return
+        if isinstance(left, Var):
+            out.append(_BetaAssign(left.name, right))
+            return
+        if isinstance(right, Var):
+            out.append(_SigmaAssign(left, right.name))
+            return
+        if type(left) is not type(right):
+            raise NotTopUnifiable(f"cannot match {left} against {right}")
+        if isinstance(left, App):
+            if left.ctor != right.ctor:
+                raise NotTopUnifiable(f"cannot match {left} against {right}")
+            for a, b in zip(left.args, right.args):
+                go(a, b)
+            return
+        kids_l, kids_r = type_children(left), type_children(right)
+        if kids_l:
+            for a, b in zip(kids_l, kids_r):
+                go(a, b)
+            return
+        if left != right:
+            raise NotTopUnifiable(f"cannot match {left} against {right}")
+
+    go(sigma, index_expr)
+    return out
+
+
+def _reference_taus(assignments, gammas):
+    first = {}
+    for a in assignments:
+        if isinstance(a, _SigmaAssign):
+            first.setdefault(a.gamma, a.sigma)
+    return tuple(first.get(y, Var(y)) for y in gammas)
+
+
+def _reference_step_five(assignments, betas, env, call):
+    out = []
+    for b in betas:
+        for a in assignments:
+            if isinstance(a, _BetaAssign) and a.var == b:
+                out.append(g.Constraint(g.lift_type(a.psi, env), env[b], "v", call))
+    return out
+
+
+def _reference_step_six(assignments, gammas, env, call):
+    out = []
+    for y in gammas:
+        sigmas = [a.sigma for a in assignments if isinstance(a, _SigmaAssign) and a.gamma == y]
+        for q in range(1, len(sigmas)):
+            out.append(
+                g.Constraint(g.lift_type(sigmas[q], env), g.lift_type(sigmas[0], env), "vi", call)
+            )
+    return out
+
+
+def _reference_call(vp, t):
+    """(emitted, matching, taus, rjs, zetas) of one call, recomputed from its
+    specification and input functions with the assignment list."""
+    components = type_children(t.spec)
+    betas = free_type_vars(t.spec)
+    env = {b: g.FunVar("g", t.call, i + 1) for i, b in enumerate(betas)}
+    emitted = [
+        g.Constraint(g.lift_type(comp, env), f, "i", t.call)
+        for comp, f in zip(components, t.funs)
+    ]
+    if not isinstance(t.term, g.Ctor):
+        return tuple(emitted), (), (), (), ()
+    _, sig = vp.ctor(t.term.name)
+    gammas = tuple(IndexName(i + 1, t.call) for i in range(len(sig.type_vars)))
+    rename = {a: Var(y) for a, y in zip(sig.type_vars, gammas)}
+    matching, assignments = [], []
+    for comp, k_expr in zip(components, sig.ret_indices):
+        index_expr = subst_type(k_expr, rename)
+        matching.append((comp, index_expr))
+        assignments += _reference_match(comp, index_expr)
+    taus = _reference_taus(assignments, gammas)
+    for i, y in enumerate(gammas):
+        env[y] = g.FunVar("h", t.call, i + 1)
+    emitted += _reference_step_five(assignments, betas, env, t.call)
+    emitted += _reference_step_six(assignments, gammas, env, t.call)
+    rjs = tuple(subst_type(a, dict(zip(sig.type_vars, taus))) for a in sig.arg_types)
+    return tuple(emitted), tuple(matching), taus, rjs, tuple(map(g.recursion_target, rjs))
+
+
+_PROBE_VP = g.validate(g.parse_program(NESTED_SRC + SUM_INDEXED_SRC + PROBE_SRC))
+
+# Programs where one index is pinned three times, where one specification
+# variable is defined twice, and where a pin is composite.
+_STEP_SRC = """
+data G3 : Set -> Set -> Set -> Set where
+  trip : forall a. a -> G3 a a a
+
+data P : Set -> Set -> Set where
+  pp : forall a b. a -> b -> P (List a) (List b) ;
+  pn : Nat -> P Nat (List Nat)
+"""
+_STEP_VP = g.validate(g.parse_program(NESTED_SRC + _STEP_SRC))
+_STEP_TERMS = [
+    ("trip 5", "G3 b1 b2 b3"),
+    ("trip (cons 1 nil)", "G3 (List b1) b2 b2"),
+    ("pp 1 2", "P b1 b1"),
+    ("pp (cons 1 nil) 2", "P (List b1) b2"),
+    ("pn 3", "P b1 (List b2)"),
+]
+
+
+def _reference_cases():
+    for key, term, spec, int_lits in CORPUS:
+        yield key, term, spec, int_lits
+    for term, spec, _checked in PROBE_TERMS:
+        yield "probe", term, spec, False
+    for term, spec in SUM_INDEXED_TERMS:
+        yield "probe", term, spec, False
+    for term, spec in _STEP_TERMS:
+        yield "step", term, spec, False
+
+
+class TestCallsMatchAssignmentListReference:
+    """Every call's emitted constraints, matching, taus, rjs and zetas equal
+    the assignment-list computation of the same call."""
+
+    @pytest.mark.parametrize("key,term,spec,int_lits", list(_reference_cases()))
+    def test_examples(self, programs, key, term, spec, int_lits):
+        vp = {"probe": _PROBE_VP, "step": _STEP_VP}.get(key) or programs[key]
+        self._check(vp, run_pipeline(vp, term, spec, int_lits))
+
+    def test_random_values(self, nested_vp):
+        for term, spec in random_values(nested_vp, 40):
+            report = g.analyze(nested_vp, term, g.parse_spec(spec, nested_vp))
+            assert report.status == "Mappable", report.detail
+            self._check(nested_vp, report)
+
+    @staticmethod
+    def _check(vp, report):
+        for t in report.run.traces:
+            assert (t.emitted, t.matching, t.taus, t.rjs, t.zetas) == _reference_call(vp, t)
+
+
+class TestCallSteps:
+    """Steps v and vi and the taus, read off `match_spec`'s maps."""
+
+    def test_each_further_pin_against_the_first(self):
+        p = run_pipeline(_STEP_VP, "trip 5", "G3 b1 b2 b3")
+        assert constraint_strings(p)[3:] == [
+            ("1:vi", "<g2^1, g1^1>"),
+            ("1:vi", "<g3^1, g1^1>"),
+        ]
+        assert tuple(map(g.pretty, p.run.traces[0].taus)) == ("b1",)
+
+    def test_single_pins_emit_no_step_six(self):
+        p = run_pipeline(_PROBE_VP, "ts (tl 1)", "T b1 b2")
+        assert [o for o, _ in constraint_strings(p)] == ["1:i", "1:i", "1.1:i", "1.1:i", "1.1:v"]
+        assert tuple(map(g.pretty, p.run.traces[0].taus)) == ("b2", "b1")
+
+    def test_composite_first_pin_is_the_tau(self):
+        p = run_pipeline(_STEP_VP, "trip (cons 1 nil)", "G3 (List b1) b2 b2")
+        root = p.run.traces[0]
+        assert tuple(map(g.pretty, root.taus)) == ("List b1",)
+        assert list(map(g.pretty, root.rjs)) == ["List b1"]
+        assert root.zetas == ((Var("b1"),),)
+        assert [o for o, _ in constraint_strings(p) if o.startswith("1:")] == [
+            "1:i", "1:i", "1:i", "1:vi", "1:vi",
+        ]
+
+    def test_two_definitions_of_one_variable(self):
+        p = run_pipeline(_STEP_VP, "pp 1 2", "P b1 b1")
+        assert constraint_strings(p) == [
+            ("1:i", "<g1^1, f1>"),
+            ("1:i", "<g1^1, f2>"),
+            ("1:v", "<List h1^1, g1^1>"),
+            ("1:v", "<List h2^1, g1^1>"),
+        ]
+        root = p.run.traces[0]
+        assert tuple(map(g.pretty, root.taus)) == ("y1^1", "y2^1")
+        assert root.zetas == (None, None)
+
+    def test_closed_definitions_and_closed_arguments(self):
+        p = run_pipeline(_STEP_VP, "pn 3", "P b1 (List b2)")
+        assert constraint_strings(p) == [
+            ("1:i", "<g1^1, f1>"),
+            ("1:i", "<List g2^1, f2>"),
+            ("1:v", "<id@Nat, g1^1>"),
+            ("1:v", "<id@Nat, g2^1>"),
+        ]
+        root = p.run.traces[0]
+        assert root.taus == () and root.rjs == (NAT,) and root.zetas == (None,)
 
 
 def constraint_strings(p) -> list[tuple[str, str]]:

@@ -132,6 +132,92 @@ class TestMatchFun:
         env = g.match_fun(App("List", (Var("a"),)), g.Id(LIST_NAT), {})
         assert env == {"a": g.Id(NAT)}
 
+    def test_closed_composite_index_matches_level_by_level(self):
+        assert g.match_fun(LIST_NAT, g.Id(LIST_NAT), {}) == {}
+        assert g.match_fun(LIST_NAT, g.Lift("List", (g.Id(NAT),)), {}) == {}
+        assert g.match_fun(LIST_NAT, g.Lift("List", (opaque(NAT),)), {}) is None
+        k = Prod(NAT, LIST_NAT)
+        assert g.match_fun(k, g.ProdF(g.Id(NAT), g.Lift("List", (g.Id(NAT),))), {}) == {}
+        assert g.match_fun(k, g.Id(k), {}) == {}
+        assert g.match_fun(k, opaque(k), {}) is None
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_matches_closedness_reference(self, data):
+        k_expr = data.draw(_INDEX_TYPES)
+        phi = _draw_fun_along(data, k_expr)
+        env = data.draw(st.sampled_from(_MATCH_ENVS))
+        assert g.match_fun(k_expr, phi, env) == _reference_match_fun(k_expr, phi, env)
+
+
+def _reference_match_fun(k_expr, phi, env):
+    """`match_fun` as it tested every return index for closedness first."""
+    if isinstance(k_expr, Var):
+        prev = env.get(k_expr.name)
+        if prev is None:
+            return {**env, k_expr.name: phi}
+        return env if normalize(prev) == normalize(phi) else None
+    if g.syntax.is_closed(k_expr):
+        return env if normalize(phi) == normalize(g.Id(k_expr)) else None
+    if isinstance(phi, g.Id):
+        phi = expand_id(phi)
+        if phi is None:
+            return None
+    if isinstance(k_expr, (Prod, Sum)):
+        if not isinstance(phi, g.ProdF if isinstance(k_expr, Prod) else g.SumF):
+            return None
+        env = _reference_match_fun(k_expr.left, phi.left, env)
+        return None if env is None else _reference_match_fun(k_expr.right, phi.right, env)
+    if not (isinstance(phi, g.Lift) and phi.ctor == k_expr.ctor):
+        return None
+    for sub_k, sub_phi in zip(k_expr.args, phi.args):
+        env = _reference_match_fun(sub_k, sub_phi, env)
+        if env is None:
+            return None
+    return env
+
+
+# Return indices over a1 and a2, open and closed, with constructors of fixed
+# arity; function expressions built along them (identities, opaque functions,
+# composites down to the leaves) or drawn from a pool that often disagrees.
+_INDEX_TYPES = st.recursive(
+    st.sampled_from([Var("a1"), Var("a2"), NAT, Base("Bool"), App("E", ())]),
+    lambda inner: st.one_of(
+        st.builds(Prod, inner, inner),
+        st.builds(Sum, inner, inner),
+        st.builds(lambda a: App("List", (a,)), inner),
+        st.builds(lambda a, b: App("D2", (a, b)), inner, inner),
+    ),
+    max_leaves=6,
+)
+_FUN_POOL = [
+    opaque(NAT, "X1"),
+    opaque(NAT, "X2"),
+    g.Id(NAT),
+    g.Id(LIST_NAT),
+    g.Lift("List", (g.Id(NAT),)),
+    g.Lift("List", (opaque(NAT, "X1"),)),
+    g.ProdF(g.Id(NAT), g.Id(NAT)),
+]
+_MATCH_ENVS = [{}, {"a1": g.Id(NAT)}, {"a1": opaque(NAT, "X1")}, {"a2": g.Id(LIST_NAT)}]
+_GROUND = {"a1": NAT, "a2": LIST_NAT}
+
+
+def _draw_fun_along(data, t):
+    how = data.draw(st.integers(0, 4))
+    if how == 0:
+        return g.Id(subst_type(t, _GROUND))
+    if how == 1:
+        return opaque(subst_type(t, _GROUND))
+    if how == 2 or isinstance(t, Var):
+        return data.draw(st.sampled_from(_FUN_POOL))
+    if isinstance(t, (Prod, Sum)):
+        node = g.ProdF if isinstance(t, Prod) else g.SumF
+        return node(_draw_fun_along(data, t.left), _draw_fun_along(data, t.right))
+    if isinstance(t, App):
+        return g.Lift(t.ctor, tuple(_draw_fun_along(data, a) for a in t.args))
+    return g.Id(t)
+
 
 class TestMapApply:
     def prep(self, vp, term_text, spec_text):
