@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Per-stage cost of the library pipeline on deep terms.
 
-    python3 scripts/sweep.py [--src DIR] [--big-stack] [--shape list|seq] N...
+    python3 scripts/sweep.py [--src DIR] [--big-stack] [--shape list|seq|nested] N...
 
 For each N, a fresh interpreter parses a term of N levels, runs `infer`,
 `check_call_invariants`, `constraints.run` and `solve` on it (no rendering),
@@ -11,6 +11,8 @@ the child, and the peak RSS per level above the interpreter's baseline. The
 shape `list` (the default) is an N-element `cons` list under `List b1`
 (`programs/nested.gadt`). The shape `seq` is a left-nested chain of N `pair`s
 under `Seq b1` (`programs/seq.gadt`), whose type is as deep as the term.
+The shape `nested` is a list of lists N levels deep under `List b1`
+(`programs/nested.gadt`), whose type is as deep as the term too.
 This is repeated in three fresh interpreters; one JSON line per N gives each
 stage's least time, as `gc` the collection seconds of the run that gave it,
 and the largest RSS. A full collection runs in whichever stage's allocations
@@ -32,7 +34,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 # shape: (program under programs/, specification)
-SHAPES = {"list": ("nested.gadt", "List b1"), "seq": ("seq.gadt", "Seq b1")}
+SHAPES = {
+    "list": ("nested.gadt", "List b1"),
+    "seq": ("seq.gadt", "Seq b1"),
+    "nested": ("nested.gadt", "List b1"),
+}
 STAGES = ("parse", "infer", "check", "run", "solve")
 REPEAT = 3
 
@@ -46,6 +52,8 @@ from gadtmap import cli, constraints
 vp = g.validate(g.parse_program(open(program, encoding="utf-8").read()))
 if shape == "seq":
     text = "pair (" * (n - 1) + "pair (const 0) (const 0)" + ") (const 0)" * (n - 1)
+elif shape == "nested":
+    text = "cons (" * (n - 1) + "cons nil nil" + ") nil" * (n - 1)
 else:
     text = "cons 0 (" * (n - 1) + "cons 0 nil" + ")" * (n - 1)
 base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss

@@ -3,14 +3,16 @@
 The grammar is documented in GRAMMAR.md. Data type declarations use Agda-like
 headers (`data List : Set -> Set where ...`); `Set^k -> Set` headers are pure
 arity markers. Arrows have no type AST node, so an arrow inside a type is a
-syntax error by construction. A specification parses to a plain type
-expression. Type references in a specification, a term annotation or a type
-parsed against a program are checked at the token that names them.
+syntax error by construction. Types and function expressions share one
+infix layer, and a specification is parsed as a type. Type references in a
+specification, a term annotation or a type parsed against a program are
+checked at the token that names them.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 from .funexpr import FunExpr, FunVar, Id, Lift, ProdF, SumF
 from .syntax import (
@@ -62,8 +64,7 @@ _TOKEN_RE = re.compile(
   | (?P<funvar>[fgh]'?[0-9]+\^[0-9]+(?:\.[0-9]+)*)
   | (?P<name>[A-Za-z][A-Za-z0-9_']*)
   | (?P<number>-?[0-9]+)
-  | (?P<arrow>->)
-  | (?P<sym>[()*+,;:.@])
+  | (?P<sym>->|[()*+,;:.@])
     """,
     re.VERBOSE,
 )
@@ -87,15 +88,9 @@ def tokenize(text: str) -> list[Token]:
             continue
         if m.lastgroup in ("ws", "comment"):
             continue
-        kind = m.lastgroup
         textval = m.group()
-        col = m.start() - line_start + 1
-        if kind in ("name", "number", "funvar"):
-            tokens.append(Token(kind, textval, line, col))
-        elif kind == "arrow":
-            tokens.append(Token("->", "->", line, col))
-        else:
-            tokens.append(Token(textval, textval, line, col))
+        kind = textval if m.lastgroup == "sym" else m.lastgroup
+        tokens.append(Token(kind, textval, line, m.start() - line_start + 1))
     return tokens
 
 
@@ -130,6 +125,18 @@ class _Cursor:
             raise ParseError(f"expected {kind!r}, got {tok.text!r}", tok.line, tok.col)
         return tok
 
+    def keyword(self, word: str) -> None:
+        """Read the name `word`."""
+        tok = self.expect("name")
+        if tok.text != word:
+            raise ParseError(f"expected {word!r}, got {tok.text!r}", tok.line, tok.col)
+
+    def done(self) -> None:
+        """Check that every token has been read."""
+        tok = self.peek()
+        if tok is not None:
+            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+
     def at(self, kind: str, text: str | None = None) -> bool:
         tok = self.peek()
         if tok is None or tok.kind != kind:
@@ -152,48 +159,43 @@ def _cursor(text: str, vp: ValidatedProgram | None = None, allow_vars: bool = Tr
 # Types
 
 
+def _parse_infix(c: _Cursor, operand: Callable, prod: type, sum_: type):
+    """Products and sums of `operand`s, both right-associative, with `*`
+    binding tighter than `+`: the infix layer of types and of function
+    expressions. Each chain is read in a loop and folded from the right, so
+    an operator takes no frame of its own."""
+    summands = []
+    while True:
+        factors = [operand(c)]
+        while c.at("*"):
+            c.next()
+            factors.append(operand(c))
+        summands.append(_fold(prod, factors))
+        if not c.at("+"):
+            return _fold(sum_, summands)
+        c.next()
+
+
+def _fold(node: type, items: list):
+    """`items` joined right-associatively by `node`."""
+    e = items.pop()
+    while items:
+        e = node(items.pop(), e)
+    return e
+
+
 def _parse_type(c: _Cursor) -> TypeExpr:
-    left = _parse_prod(c)
-    if c.at("+"):
-        c.next()
-        return Sum(left, _parse_type(c))
-    return left
-
-
-def _parse_prod(c: _Cursor) -> TypeExpr:
-    left = _parse_type_app(c)
-    if c.at("*"):
-        c.next()
-        return Prod(left, _parse_prod(c))
-    return left
+    return _parse_infix(c, _parse_type_atom, Prod, Sum)
 
 
 def _is_type_atom_start(c: _Cursor) -> bool:
     tok = c.peek()
-    if tok is None:
-        return False
-    if tok.kind == "(":
-        return True
-    return tok.kind == "name" and tok.text not in KEYWORDS
+    return tok is not None and (tok.kind == "(" or tok.kind == "name" and tok.text not in KEYWORDS)
 
 
-def _parse_type_app(c: _Cursor) -> TypeExpr:
-    tok = c.peek()
-    if tok is not None and tok.kind == "name" and tok.text[0].isupper():
-        if tok.text == "Set":
-            raise c.error("'Set' is only allowed in declaration headers")
-        c.next()
-        if tok.text in BASE_TYPES:
-            return Base(tok.text)
-        arity = _type_arity(c, tok)
-        args: list[TypeExpr] = []
-        while _is_type_atom_start(c):
-            args.append(_parse_type_atom(c))
-        return _type_app(tok, arity, args)
-    return _parse_type_atom(c)
-
-
-def _parse_type_atom(c: _Cursor) -> TypeExpr:
+def _parse_type_atom(c: _Cursor, app: bool = True) -> TypeExpr:
+    """A type atom or, when `app`, a type application. With a program, a
+    type constructor and its arity are checked at its token."""
     tok = c.next()
     if tok.kind == "(":
         inner = _parse_type(c)
@@ -201,38 +203,35 @@ def _parse_type_atom(c: _Cursor) -> TypeExpr:
             raise c.error("arrow types are not allowed here")
         c.expect(")")
         return inner
-    if tok.kind == "name":
-        if tok.text in KEYWORDS:
-            raise ParseError(f"unexpected keyword {tok.text!r} in type", tok.line, tok.col)
-        if tok.text in BASE_TYPES:
-            return Base(tok.text)
-        if tok.text[0].isupper():
-            return _type_app(tok, _type_arity(c, tok), [])
-        if not c.allow_vars:
+    name = tok.text
+    if tok.kind != "name":
+        raise ParseError(f"expected a type, got {name!r}", tok.line, tok.col)
+    if name in KEYWORDS:
+        if app and name == "Set":
+            raise ParseError("'Set' is only allowed in declaration headers", tok.line, tok.col)
+        raise ParseError(f"unexpected keyword {name!r} in type", tok.line, tok.col)
+    if name in BASE_TYPES:
+        return Base(name)
+    if name[0].isupper():
+        arity = None
+        if c.vp is not None:
+            try:
+                arity = c.vp.arity(name)
+            except KeyError:
+                raise ParseError(f"unknown type constructor {name!r}", tok.line, tok.col) from None
+        args: list[TypeExpr] = []
+        while app and _is_type_atom_start(c):
+            args.append(_parse_type_atom(c, False))
+        if arity is not None and len(args) != arity:
             raise ParseError(
-                f"type annotations must be closed (found variable {tok.text!r})", tok.line, tok.col
+                f"{name!r} applied to {len(args)} argument(s), expected {arity}", tok.line, tok.col
             )
-        return Var(tok.text)
-    raise ParseError(f"expected a type, got {tok.text!r}", tok.line, tok.col)
-
-
-def _type_arity(c: _Cursor, tok: Token) -> int | None:
-    """The arity of the type constructor that `tok` names in the cursor's
-    program, or None without a program."""
-    if c.vp is None:
-        return None
-    try:
-        return c.vp.arity(tok.text)
-    except KeyError:
-        raise ParseError(f"unknown type constructor {tok.text!r}", tok.line, tok.col) from None
-
-
-def _type_app(tok: Token, arity: int | None, args: list[TypeExpr]) -> App:
-    if arity is not None and len(args) != arity:
+        return App(name, tuple(args))
+    if not c.allow_vars:
         raise ParseError(
-            f"{tok.text!r} applied to {len(args)} argument(s), expected {arity}", tok.line, tok.col
+            f"type annotations must be closed (found variable {name!r})", tok.line, tok.col
         )
-    return App(tok.text, tuple(args))
+    return Var(name)
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +249,7 @@ def parse_program(text: str) -> Program:
     seen_decls: set[str] = set()
     seen_ctors: set[str] = set()
     while c.peek() is not None:
-        tok = c.expect("name")
-        if tok.text != "data":
-            raise ParseError(f"expected 'data', got {tok.text!r}", tok.line, tok.col)
+        c.keyword("data")
         name_tok = c.expect("name")
         name = name_tok.text
         if not name[0].isupper() or name == "Set" or name in BASE_TYPES:
@@ -265,10 +262,13 @@ def parse_program(text: str) -> Program:
             raise ParseError(f"duplicate declaration name {name!r}", name_tok.line, name_tok.col)
         seen_decls.add(name)
         c.expect(":")
-        arity = _parse_header_kind(c)
-        kw = c.expect("name")
-        if kw.text != "where":
-            raise ParseError(f"expected 'where', got {kw.text!r}", kw.line, kw.col)
+        c.keyword("Set")
+        arity = 0  # a `Set^k -> Set` header declares arity k
+        while c.at("->"):
+            c.next()
+            c.keyword("Set")
+            arity += 1
+        c.keyword("where")
         ctors: list[ConstructorSig] = []
         while c.at("name") and not c.at("name", "data"):
             at_tok = c.peek()
@@ -283,20 +283,6 @@ def parse_program(text: str) -> Program:
                 c.next()
         decls.append(GadtDecl(name, arity, tuple(ctors)))
     return Program(tuple(decls))
-
-
-def _parse_header_kind(c: _Cursor) -> int:
-    kw = c.expect("name")
-    if kw.text != "Set":
-        raise ParseError(f"expected 'Set', got {kw.text!r}", kw.line, kw.col)
-    arity = 0
-    while c.at("->"):
-        c.next()
-        kw = c.expect("name")
-        if kw.text != "Set":
-            raise ParseError(f"expected 'Set', got {kw.text!r}", kw.line, kw.col)
-        arity += 1
-    return arity
 
 
 def _parse_ctor(c: _Cursor, owner: str, owner_arity: int) -> ConstructorSig:
@@ -353,8 +339,7 @@ def parse_term(text: str, vp: ValidatedProgram) -> Term:
     """Parse a term, resolving constructor names and arities against `vp`."""
     c = _cursor(text, vp, allow_vars=False)
     term = _parse_term(c, vp)
-    if c.peek() is not None:
-        raise c.error(f"unexpected trailing input {c.peek().text!r}")
+    c.done()
     return term
 
 
@@ -486,21 +471,16 @@ def _ctor_app(name_tok: Token, sig: ConstructorSig, args: list[Term]) -> Ctor:
 def parse_spec(text: str, vp: ValidatedProgram) -> TypeExpr:
     """Parse a specification: a type expression whose free lowercase names
     are the specification variables."""
-    c = _cursor(text, vp)
-    spec = _parse_type(c)
-    if c.at("->"):
-        raise c.error("arrow types are not allowed here")
-    if c.peek() is not None:
-        raise c.error(f"unexpected trailing input {c.peek().text!r}")
-    return spec
+    return parse_type(text, vp)
 
 
 def parse_type(text: str, vp: ValidatedProgram | None = None) -> TypeExpr:
     """Parse a bare type expression (no resolution unless `vp` given)."""
     c = _cursor(text, vp)
     ty = _parse_type(c)
-    if c.peek() is not None:
-        raise c.error(f"unexpected trailing input {c.peek().text!r}")
+    if c.at("->"):
+        raise c.error("arrow types are not allowed here")
+    c.done()
     return ty
 
 
@@ -517,54 +497,29 @@ def parse_funexpr(text: str) -> FunExpr:
     text; parsed variables compare equal to originals by name alone.
     """
     c = _cursor(text)
-    e = _parse_fun(c)
-    if c.peek() is not None:
-        raise c.error(f"unexpected trailing input {c.peek().text!r}")
+    e = _parse_infix(c, _parse_fun_atom, ProdF, SumF)
+    c.done()
     return e
 
 
-def _parse_fun(c: _Cursor) -> FunExpr:
-    left = _parse_fun_prod(c)
-    if c.at("+"):
-        c.next()
-        return SumF(left, _parse_fun(c))
-    return left
-
-
-def _parse_fun_prod(c: _Cursor) -> FunExpr:
-    left = _parse_fun_app(c)
-    if c.at("*"):
-        c.next()
-        return ProdF(left, _parse_fun_prod(c))
-    return left
-
-
-def _parse_fun_app(c: _Cursor) -> FunExpr:
-    tok = c.peek()
-    if tok is not None and tok.kind == "name" and tok.text[0].isupper():
-        c.next()
-        args: list[FunExpr] = []
-        while True:
-            nxt = c.peek()
-            if nxt is None or nxt.kind not in ("(", "name", "funvar"):
-                break
-            if nxt.kind == "name" and (nxt.text[0].isupper() or nxt.text in KEYWORDS):
-                break
-            args.append(_parse_fun_atom(c))
-        return Lift(tok.text, tuple(args))
-    return _parse_fun_atom(c)
-
-
-def _parse_fun_atom(c: _Cursor) -> FunExpr:
+def _parse_fun_atom(c: _Cursor, app: bool = True) -> FunExpr:
+    """A function expression atom or, when `app`, a lifted application."""
     tok = c.next()
     if tok.kind == "(":
-        inner = _parse_fun(c)
+        inner = _parse_infix(c, _parse_fun_atom, ProdF, SumF)
         c.expect(")")
         return inner
+    if app and tok.kind == "name" and tok.text[0].isupper():
+        args: list[FunExpr] = []
+        while (nxt := c.peek()) is not None and nxt.kind in ("(", "name", "funvar"):
+            if nxt.kind == "name" and (nxt.text[0].isupper() or nxt.text in KEYWORDS):
+                break
+            args.append(_parse_fun_atom(c, False))
+        return Lift(tok.text, tuple(args))
     if tok.kind in ("name", "funvar"):
         if tok.text == "id":
             c.expect("@")
-            return Id(_parse_type_atom(c))
+            return Id(_parse_type_atom(c, False))
         m = _FUNVAR_RE.match(tok.text)
         if m:
             kind, prime, index, label = m.groups()

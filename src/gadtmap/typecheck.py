@@ -100,16 +100,26 @@ class _Store:
         return self._resolve(t)
 
     def _resolve(self, t: TypeExpr) -> TypeExpr:
-        if isinstance(t, Meta):
+        # A metavariable is followed to its solution, which is rebuilt in
+        # this frame: one frame per level of the type.
+        metas: list[int] = []
+        while isinstance(t, Meta):
             r = self._resolved.get(t.ident)
-            if r is None:
-                s = self.solutions.get(t.ident)
-                r = self._resolved[t.ident] = t if s is None else self._resolve(s)
-            return r
-        if isinstance(t, (Prod, Sum)):
-            return type(t)(self._resolve(t.left), self._resolve(t.right))
-        if isinstance(t, App):
-            return App(t.ctor, tuple(map(self._resolve, t.args)))
+            if r is not None:
+                t = r
+                break
+            s = self.solutions.get(t.ident)
+            if s is None:
+                break
+            metas.append(t.ident)
+            t = s
+        else:
+            if isinstance(t, (Prod, Sum)):
+                t = type(t)(self._resolve(t.left), self._resolve(t.right))
+            elif isinstance(t, App):
+                t = App(t.ctor, tuple(map(self._resolve, t.args)))
+        for ident in metas:
+            self._resolved[ident] = t
         return t
 
     def _occurs(self, ident: int, t: TypeExpr) -> bool:

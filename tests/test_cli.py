@@ -369,8 +369,15 @@ class TestDeepInput:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("status: Mappable\n")
 
+    def test_deep_nested_list_type_passes_at_800_levels(self, program_files):
+        # Grounding the typing takes one frame per type level, as `infer`'s
+        # occurs check does.
+        proc = self.run_cli(program_files["nested"], self.nested_list(800), "List b1")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("status: Mappable\n")
+
     def test_deep_nested_list_type_fails_with_one_line(self, program_files):
-        # Past ~490 levels grounding the typing recurses too deeply.
+        # Past ~985 levels `infer`'s occurs check recurses too deeply.
         proc = self.run_cli(program_files["nested"], self.nested_list(1000), "List b1")
         assert proc.returncode == 2
         assert proc.stderr == "error: input nested too deeply\n"

@@ -81,6 +81,28 @@ SUM_INDEXED_TERMS = [
     ("inr (cons 1 nil)", "b1 + List b2"),
 ]
 
+# Constructors with closed argument types: the checker lifts each such
+# argument to the identity at its type, and `pin` fixes a return index.
+CLOSED_ARGS_SRC = """
+data T : Set -> Set where
+  leaf : forall a. a -> T a ;
+  tag  : forall a. Nat -> T a -> T a ;
+  meta : forall a. (Nat * Bool) -> List Nat -> T a -> T a ;
+  pin  : forall a. Nat -> T (a * Nat) -> T (a * Nat)
+"""
+
+# (term, spec, the most general form, candidate tuples checked at depths 2
+# and 3)
+CLOSED_ARGS_TERMS = [
+    ("tag 1 (leaf 2)", "T b1", "f'1", (2, 2)),
+    ("tag 1 (tag 2 (leaf (cons 3 nil)))", "T (List b1)", "List f'1", (4, 4)),
+    ("meta (1, tt) (cons 2 nil) (leaf (3, 4))", "T (b1 * b2)", "f'1 * f'2", (6, 6)),
+    ("meta (1, tt) nil (tag 5 (leaf 3))", "T b1", "f'1", (2, 2)),
+    ("pin 1 (leaf ((tt, 3), 4))", "T ((b1 * b2) * b3)", "(f'1 * f'2) * id@Nat", (14, 14)),
+    ("pin 1 (pin 2 (leaf (((tt, 3), 4), 5)))", "T (b1 * b2)", "f'1 * id@Nat", (14, 30)),
+    ("tag 1 (pin 2 (leaf (tt, 3)))", "T (b1 * b2)", "f'1 * id@Nat", (6, 6)),
+]
+
 REPEATED_SPEC_VARIABLES = [
     ("g", "(1, 2)", "b1 * b1"),
     ("g", "inl 1", "b1 + b1"),
@@ -472,6 +494,15 @@ class TestAgreement:
         assert report.agrees, report.disagreements
         assert report.checked == checked[depth - 2]
 
+    @pytest.mark.parametrize("depth", [2, 3])
+    @pytest.mark.parametrize("term,spec,form,checked", CLOSED_ARGS_TERMS)
+    def test_closed_argument_types_agree(self, closed_args_vp, term, spec, form, checked, depth):
+        p = run_pipeline(closed_args_vp, term, spec)
+        assert ", ".join(map(g.pretty, p.form)) == form
+        report = g.agrees(p.form, p.typed, p.spec, depth)
+        assert report.agrees, report.disagreements
+        assert report.checked == checked[depth - 2]
+
     @pytest.mark.parametrize("term", ["cons (1 : Int) nil", "cons 1 (cons (2 : Int) nil)"])
     def test_annotated_literals_keep_their_type(self, nested_vp, term):
         # The typed tree drops annotations; the identity must still map the
@@ -519,6 +550,11 @@ def _combos(p, depth):
 @pytest.fixture(scope="module")
 def sum_vp():
     return g.validate(g.parse_program(NESTED_SRC + SUM_INDEXED_SRC))
+
+
+@pytest.fixture(scope="module")
+def closed_args_vp():
+    return g.validate(g.parse_program(NESTED_SRC + CLOSED_ARGS_SRC))
 
 
 @pytest.fixture(scope="module")

@@ -188,6 +188,125 @@ class TestParseSpec:
         assert g.parse_spec(spec_text, vp) == g.parse_type(spec_text, vp)
 
 
+# One row per `raise` site of the parser, plus the end-of-input position of
+# each entry point: (entry point, input, exact `str(ParseError)`). The
+# `term`, `spec` and `type@vp` entries parse against `programs/nested.gadt`.
+PARSE_ERRORS = [
+    # the lexer and the cursor
+    ("program", "data A : Set where\n  c : %", "2:7: unexpected character '%'"),
+    ("type", "List (", "1:7: unexpected end of input"),
+    ("program", "data A Set where", "1:8: expected ':', got 'Set'"),
+    # types
+    ("type", "Set", "1:1: 'Set' is only allowed in declaration headers"),
+    ("type", "List (Set)", "1:7: 'Set' is only allowed in declaration headers"),
+    (
+        "program",
+        "data G : Set -> Set where c : forall a. (a -> a) -> G a",
+        "1:44: arrow types are not allowed here",
+    ),
+    ("type", "where", "1:1: unexpected keyword 'where' in type"),
+    ("type", "List (forall)", "1:7: unexpected keyword 'forall' in type"),
+    ("funexpr", "id@Set", "1:4: unexpected keyword 'Set' in type"),
+    ("term", "(nil : List b)", "1:13: type annotations must be closed (found variable 'b')"),
+    ("type", "a * *", "1:5: expected a type, got '*'"),
+    ("spec", "Tree b1", "1:1: unknown type constructor 'Tree'"),
+    ("spec", "List b1 b2", "1:1: 'List' applied to 2 argument(s), expected 1"),
+    ("type@vp", "Nat * List", "1:7: 'List' applied to 0 argument(s), expected 1"),
+    # programs
+    ("program", "type A : Set where x : A", "1:1: expected 'data', got 'type'"),
+    (
+        "program",
+        "data Nat : Set where x : Nat",
+        "1:6: invalid data type name 'Nat' (must be capitalized and not reserved)",
+    ),
+    (
+        "program",
+        "data A : Set where x : A\ndata A : Set where y : A",
+        "2:6: duplicate declaration name 'A'",
+    ),
+    ("program", "data A : Set were x : A", "1:14: expected 'where', got 'were'"),
+    (
+        "program",
+        "data A : Set where x : A\ndata B : Set where x : B",
+        "2:20: duplicate constructor name 'x'",
+    ),
+    ("program", "data A : Type where x : A", "1:10: expected 'Set', got 'Type'"),
+    ("program", "data A : Set -> Type where x : A", "1:17: expected 'Set', got 'Type'"),
+    ("program", "data A : Set where tt : A", "1:20: reserved word 'tt' cannot name a constructor"),
+    (
+        "program",
+        "data A : Set where X : A",
+        "1:20: invalid constructor name 'X' (must start lowercase)",
+    ),
+    ("program", "data A : Set -> Set where c : forall B. A B", "1:38: invalid type variable 'B'"),
+    (
+        "program",
+        "data A : Set -> Set where c : forall a a. A a",
+        "1:40: duplicate type variable 'a'",
+    ),
+    (
+        "program",
+        "data A : Set -> Set where c : forall a. a -> a",
+        "1:47: return type of 'c' must be an application of 'A'",
+    ),
+    (
+        "program",
+        "data A : Set -> Set where\n  c : A",
+        "2:8: return type of 'c' applies 'A' to 0 arguments, expected 1",
+    ),
+    (
+        "program",
+        "data A : Set -> Set where c : forall a. b -> A a",
+        "1:49: unbound type variable 'b' in the type of 'c'",
+    ),
+    ("program", "data", "1:5: unexpected end of input"),
+    # terms
+    ("term", "1 2", "1:3: unexpected trailing input '2'"),
+    ("term", "snoc 1", "1:1: unknown constructor 'snoc'"),
+    ("term", "(", "1:2: expected a term"),
+    ("term", "", "1:1: expected a term"),
+    (
+        "term",
+        "cons 1 cons",
+        "1:8: constructor 'cons' expects 2 argument(s), got 0 (parenthesize the application?)",
+    ),
+    ("term", ")", "1:1: expected a term, got ')'"),
+    ("term", "cons 1", "1:1: constructor 'cons' expects 2 argument(s), got 1"),
+    ("term", "inl", "1:4: unexpected end of input"),
+    # specifications and bare types
+    ("spec", "List b1 -> b1", "1:9: arrow types are not allowed here"),
+    ("spec", "b1 )", "1:4: unexpected trailing input ')'"),
+    ("type", "a )", "1:3: unexpected trailing input ')'"),
+    # `parse_type` reports a trailing arrow as `parse_spec` does
+    ("type", "a -> b", "1:3: arrow types are not allowed here"),
+    ("type", "", "1:1: unexpected end of input"),
+    # function expressions
+    ("funexpr", "f1 * id@Nat )", "1:13: unexpected trailing input ')'"),
+    ("funexpr", "f1 * x", "1:6: expected a function expression, got 'x'"),
+    ("funexpr", "List (f1 +", "1:11: unexpected end of input"),
+    ("funexpr", "id Nat", "1:4: expected '@', got 'Nat'"),
+    ("funexpr", "", "1:1: unexpected end of input"),
+]
+
+
+@pytest.mark.parametrize("entry,text,expected", PARSE_ERRORS)
+def test_parse_error_table(nested_vp, entry, text, expected):
+    parse = {
+        "program": g.parse_program,
+        "term": lambda t: g.parse_term(t, nested_vp),
+        "spec": lambda t: g.parse_spec(t, nested_vp),
+        "type": g.parse_type,
+        "type@vp": lambda t: g.parse_type(t, nested_vp),
+        "funexpr": g.parse_funexpr,
+    }[entry]
+    with pytest.raises(g.ParseError) as ei:
+        parse(text)
+    position, message = expected.split(": ", 1)
+    assert str(ei.value) == expected
+    assert ei.value.message == message
+    assert f"{ei.value.line}:{ei.value.col}" == position
+
+
 class TestPretty:
     def test_type_rendering(self):
         assert g.pretty(Prod(Var("b1"), Base("Nat"))) == "b1 * Nat"
