@@ -42,6 +42,7 @@ from .funexpr import (
     ProdF,
     SumF,
     expand_id,
+    fun_type,
     lift_type,
     normalize,
 )
@@ -62,6 +63,7 @@ from .syntax import (
     TypeExpr,
     Var,
     is_closed,
+    type_children,
 )
 from .typecheck import TypeCheckError, TypedNode, TypedTerm, infer
 from .wellformed import ValidatedProgram
@@ -161,14 +163,13 @@ def _binder_functions(
     components: tuple[FunExpr, ...],
     instance: tuple[TypeExpr, ...],
     normal: Callable[[FunExpr], FunExpr] = normalize,
-    identity: Callable[[TypeExpr], FunExpr] = Id,
 ) -> dict[str, FunExpr] | None:
     """The function along each binder of a constructor that a lifted
     application with these components maps its arguments with, or None when
     the components do not decompose along the return indices (`match_fun`,
     comparing with `normal`). Binders absent from every return index carry
-    incidental data, which is preserved unchanged: `identity` at the binder's
-    `instance`."""
+    incidental data, which is preserved unchanged: the identity at the
+    binder's `instance`."""
     env: dict[str, FunExpr] | None = {}
     for k_expr, component in zip(sig.ret_indices, components):
         env = match_fun(k_expr, component, env, normal)
@@ -176,7 +177,7 @@ def _binder_functions(
             return None
     for binder, t in zip(sig.type_vars, instance):
         if binder not in env:
-            env[binder] = identity(t)
+            env[binder] = Id(t)
     return env
 
 
@@ -298,31 +299,23 @@ class Checker:
         self._codomains: dict[FunExpr, TypeExpr] = {}
         self._normals: dict[FunExpr, FunExpr] = {}
         self._plans: dict[str, tuple[str, ConstructorSig, tuple[Lifter, ...]]] = {}
-        self._identities: dict[int, Id] = {}
 
     def codomain(self, phi: FunExpr) -> TypeExpr:
         """`fun_type(phi, codomain=True)`, for an expression without
         function variables, memoised per distinct sub-expression."""
         cod = self._codomains.get(phi)
         if cod is None:
-            cod = self._codomains[phi] = self.head_codomain(phi)
+            if isinstance(phi, (ProdF, SumF)):
+                node = Prod if isinstance(phi, ProdF) else Sum
+                cod = node(self.codomain(phi.left), self.codomain(phi.right))
+            elif isinstance(phi, (Id, Opaque)):
+                cod = fun_type(phi, codomain=True)
+            elif isinstance(phi, Lift):
+                cod = App(phi.ctor, tuple(map(self.codomain, phi.args)))
+            else:
+                raise ValueError(f"{phi!r} has no derivable codomain")
+            self._codomains[phi] = cod
         return cod
-
-    def head_codomain(self, phi: FunExpr) -> TypeExpr:
-        """`codomain(phi)` from the memoised codomains of `phi`'s children,
-        without memoising `phi`'s own: each candidate tuple lifts the head
-        over its components anew, so a head lift is never met twice."""
-        if isinstance(phi, Id):
-            return phi.at
-        if isinstance(phi, Opaque):
-            return phi.codomain
-        if isinstance(phi, ProdF):
-            return Prod(self.codomain(phi.left), self.codomain(phi.right))
-        if isinstance(phi, SumF):
-            return Sum(self.codomain(phi.left), self.codomain(phi.right))
-        if isinstance(phi, Lift):
-            return App(phi.ctor, tuple(map(self.codomain, phi.args)))
-        raise ValueError(f"{phi!r} has no derivable codomain")
 
     def normal(self, phi: FunExpr) -> FunExpr:
         """`normalize(phi)`, memoised per distinct sub-expression."""
@@ -376,7 +369,7 @@ class Checker:
             decl_name, sig, lifters = plan
             if decl_name != phi.ctor:
                 return False
-            env = _binder_functions(sig, phi.args, node.instance, self.normal, self._identity)
+            env = _binder_functions(sig, phi.args, node.instance, self.normal)
             if env is None:
                 return False
             # A loop, not `all` over a generator: two frames per term level,
@@ -392,14 +385,6 @@ class Checker:
         declaration's name, its signature, and a lifter per argument type."""
         decl, sig = self.vp.ctor(ctor)
         return decl.name, sig, tuple(map(_lifter, sig.arg_types))
-
-    def _identity(self, t: TypeExpr) -> Id:
-        """`Id(t)`, one per instance type object, so its hash is computed
-        once. The identity keeps `t` alive, and with it its `id`."""
-        ident = self._identities.get(id(t))
-        if ident is None:
-            ident = self._identities[id(t)] = Id(t)
-        return ident
 
 
 def enumerate_candidates(domain: TypeExpr, depth: int, vp: ValidatedProgram) -> list[FunExpr]:
@@ -511,10 +496,8 @@ def head_lift(shape: TypeExpr, candidates: tuple[FunExpr, ...]) -> FunExpr:
     """Lift the specification's head over one candidate per component."""
     if isinstance(shape, App):
         return Lift(shape.ctor, candidates)
-    if isinstance(shape, Prod):
-        return ProdF(candidates[0], candidates[1])
-    if isinstance(shape, Sum):
-        return SumF(candidates[0], candidates[1])
+    if isinstance(shape, (Prod, Sum)):
+        return (ProdF if isinstance(shape, Prod) else SumF)(*candidates)
     raise ValueError(f"specification {shape} has no analyzable head")
 
 
@@ -531,15 +514,20 @@ def mappable(
     specification, so the mapped result keeps the specified essential shape;
     and the lifted head pushes through the term's structure to a term of that
     codomain (checked, not inferred, so nullary constructors cannot
-    re-generalize and hide it). `checker`, when given, must be over `typed`
-    and shares its memo across calls.
+    re-generalize and hide it). A tuple not of the head's arity is not
+    mappable. `checker`, when given, must be over `typed` and shares its
+    memo across calls.
     """
     if checker is None:
         checker = Checker(typed)
-    wrapped = head_lift(spec, candidates)
-    if not match_type(spec, checker.head_codomain(wrapped), {}):
+    components = type_children(spec)
+    if len(candidates) != len(components):
         return False
-    return checker.check(wrapped, typed.root)
+    subst: dict[str, TypeExpr] = {}
+    for k, c in zip(components, candidates):
+        if not match_type(k, checker.codomain(c), subst):
+            return False
+    return checker.check(head_lift(spec, candidates), typed.root)
 
 
 def agrees(

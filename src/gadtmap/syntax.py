@@ -126,25 +126,6 @@ def subst_type(t: TypeExpr, env: dict[str, TypeExpr]) -> TypeExpr:
     return t
 
 
-def metas_in(t: TypeExpr) -> set[int]:
-    if isinstance(t, Meta):
-        return {t.ident}
-    out: set[int] = set()
-    for c in type_children(t):
-        out |= metas_in(c)
-    return out
-
-
-def mentioned_ctors(t: TypeExpr) -> set[str]:
-    """Names of all declared type constructors applied anywhere in `t`."""
-    out: set[str] = set()
-    if isinstance(t, App):
-        out.add(t.ctor)
-    for c in type_children(t):
-        out |= mentioned_ctors(c)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Terms
 

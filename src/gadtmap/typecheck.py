@@ -43,7 +43,6 @@ from .syntax import (
     Term,
     TypeExpr,
     free_type_vars,
-    metas_in,
     subst_type,
     type_children,
 )
@@ -435,20 +434,41 @@ def _freeze(typed: TypedTerm) -> None:
     nodes = list(typed.nodes())
     raw = [n.type for n in nodes] + [t for n in nodes for t in n.instance]
     if len(store.solutions) < store._next:
-        numbered: dict[int, None] = {}
-        for t in _resolve_all(store, raw):
-            numbered.update(dict.fromkeys(sorted(metas_in(t) - numbered.keys())))
-        for k, ident in enumerate(numbered):
+        for k, ident in enumerate(_unsolved(store, raw)):
             store.solutions[ident] = Atom(f"?{k}")
-    ground = iter(_resolve_all(store, raw))
+    # Resolved last to first, so that a node's metavariables are resolved
+    # before its ancestors reach them and the recursion stays shallow. `map`,
+    # not a comprehension, which takes a frame of its own before CPython 3.12.
+    ground = reversed(list(map(store.resolve, reversed(raw))))
     for n in nodes:
         n.type = next(ground)
     for n in nodes:
         n.instance = tuple(itertools.islice(ground, len(n.instance)))
 
 
-def _resolve_all(store: _Store, types: list[TypeExpr]) -> list[TypeExpr]:
-    """`store.resolve` of each type. The types of a preorder are resolved
-    last to first, so a node's metavariables are resolved before its
-    ancestors reach them and the recursion stays shallow."""
-    return [store.resolve(t) for t in reversed(types)][::-1]
+def _unsolved(store: _Store, types: list[TypeExpr]) -> dict[int, None]:
+    """The unsolved metavariables the resolved `types` contain, in order of
+    first occurrence, by ident within one type. One scan from an explicit
+    stack over the raw types and the solutions they reach, which visits each
+    shared sub-expression once (by `id`): its metavariables are already
+    numbered, or pending in the type that met it first."""
+    seen: set[int] = set()
+    numbered: dict[int, None] = {}
+    for root in types:
+        met: set[int] = set()
+        stack = [root]
+        while stack:
+            t = stack.pop()
+            if id(t) in seen:
+                continue
+            seen.add(id(t))
+            if isinstance(t, Meta):
+                s = store.solutions.get(t.ident)
+                if s is None:
+                    met.add(t.ident)
+                else:
+                    stack.append(s)
+            else:
+                stack.extend(type_children(t))
+        numbered.update(dict.fromkeys(sorted(met - numbered.keys())))
+    return numbered

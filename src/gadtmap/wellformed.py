@@ -24,7 +24,6 @@ from .syntax import (
     TypeExpr,
     Var,
     is_closed,
-    mentioned_ctors,
     type_children,
 )
 
@@ -72,8 +71,12 @@ def is_restricted(sig: ConstructorSig, arity: int) -> bool:
     )
 
 
-def _check_arities(t: TypeExpr, program: Program, errors: list[Diagnostic], where: str) -> None:
+def _check_arities(t: TypeExpr, program: Program, errors: list[Diagnostic], where: str) -> set[str]:
+    """Report undeclared and misapplied constructors in `t`; returns the
+    names of all the constructors applied in `t`."""
+    mentioned: set[str] = set()
     if isinstance(t, App):
+        mentioned.add(t.ctor)
         decl = program.decl(t.ctor)
         if decl is None:
             errors.append(
@@ -91,7 +94,8 @@ def _check_arities(t: TypeExpr, program: Program, errors: list[Diagnostic], wher
                 )
             )
     for c in type_children(t):
-        _check_arities(c, program, errors, where)
+        mentioned |= _check_arities(c, program, errors, where)
+    return mentioned
 
 
 def _check_arg_form(t: TypeExpr, where: str, errors: list[Diagnostic]) -> None:
@@ -137,8 +141,7 @@ def validate(program: Program) -> ValidatedProgram:
                 _check_arg_form(arg, where, errors)
             for ell, k in enumerate(sig.ret_indices):
                 where = f"return index {ell + 1} of {sig.name!r}"
-                _check_arities(k, program, errors, where)
-                for name in sorted(mentioned_ctors(k)):
+                for name in sorted(_check_arities(k, program, errors, where)):
                     if name == decl.name:
                         errors.append(
                             Diagnostic(

@@ -284,6 +284,19 @@ class TestMapApply:
         assert g.map_apply(wrapped, typed) is None
 
 
+class TestMappable:
+    """A tuple is mappable only when it has one candidate per component of
+    the specification's head."""
+
+    @pytest.mark.parametrize("term,spec", [(LISTS_TERM, "List b1"), ("(1, tt)", "b1 * b2")])
+    def test_tuples_of_the_wrong_length(self, nested_vp, term, spec):
+        p = run_pipeline(nested_vp, term, spec)
+        identity = tuple(map(g.Id, p.typed.witness.domains))
+        assert mappable(identity, p.typed, p.spec)
+        for wrong in ((), identity[:-1], identity + identity[:1]):
+            assert not mappable(wrong, p.typed, p.spec), wrong
+
+
 class TestEnumerate:
     def test_leaves_only_at_base_type(self, nested_vp):
         cands = g.enumerate_candidates(NAT, 1, nested_vp)
@@ -373,7 +386,6 @@ class TestCheckerDerivations:
                 # twice: the second pass reads the memo
                 for c in cands + cands:
                     assert checker.codomain(c) == fun_type(c, codomain=True), g.pretty(c)
-                    assert checker.head_codomain(c) == checker.codomain(c), g.pretty(c)
                     assert checker.normal(c) == normalize(c), g.pretty(c)
 
     def test_head_codomains_are_not_kept(self, nested_vp):

@@ -3,11 +3,12 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 
 import pytest
 
 import gadtmap as g
-from gadtmap.syntax import App, Atom, Base, Meta, Prod, Sum, metas_in, type_children
+from gadtmap.syntax import App, Atom, Base, Meta, Prod, Sum, type_children
 from gadtmap.typecheck import InstanceWitness, spec_instance
 
 from conftest import CORPUS, NESTED_SRC, SEQ_SRC, random_values
@@ -126,8 +127,8 @@ class TestCheckCallInvariants:
             g.check_call_invariants(typed, g.parse_spec(spec, vp), 1)
             assert typed.witness is not None
             for node in typed.nodes():
-                assert not g.syntax.metas_in(node.type)
-                assert not any(g.syntax.metas_in(t) for t in node.instance)
+                assert not metas_in(node.type)
+                assert not any(metas_in(t) for t in node.instance)
                 assert node.type == typed.type_of(node)
                 assert node.instance == typed.instance_of(node)
 
@@ -177,6 +178,17 @@ UNSOLVED = [
     ("both", "pair (pair (const nil) (const 2)) (const (cons nil nil))", "Seq b1"),
     ("both", "pair (const (nil, inr nil)) (pair (const nil) (const (inl 1)))", "Seq (b1 * b2)"),
 ]
+
+
+def metas_in(t):
+    """The idents of the metavariables in `t`, walking every occurrence."""
+    if isinstance(t, Meta):
+        return {t.ident}
+    out = set()
+    for c in type_children(t):
+        out |= metas_in(c)
+    return out
+
 
 def reference_resolve(store, t):
     """Resolution as grounding did it before it was shared: every call
@@ -259,3 +271,27 @@ class TestSharedGrounding:
         assert typed.root.instance[0].left is inner.instance[0]
         assert w.subst["b1"].left is typed.root.instance[0]
         assert inner.instance[0] is inner.kids[0].instance[0]
+
+    def test_cost_is_linear_in_type_depth(self, nested_vp):
+        # A list of lists n levels deep has node types n levels deep that
+        # share their structure: a scan of every resolved type on its own
+        # costs n^2, one scan of the shared structure costs n. Counted in
+        # Python function calls, which do not depend on the machine.
+        spec = g.parse_spec("List b1", nested_vp)
+        counts = []
+        for n in (100, 200, 400):
+            text = "cons (" * (n - 1) + "cons nil nil" + ") nil" * (n - 1)
+            typed = g.infer(g.parse_term(text, nested_vp), nested_vp)
+            calls = 0
+
+            def profile(frame, event, arg):
+                nonlocal calls
+                calls += event == "call"
+
+            sys.setprofile(profile)
+            try:
+                g.check_call_invariants(typed, spec, 1)
+            finally:
+                sys.setprofile(None)
+            counts.append(calls)
+        assert all(big <= 2.2 * small for small, big in zip(counts, counts[1:])), counts
