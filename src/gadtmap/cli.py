@@ -17,7 +17,6 @@ import argparse
 import functools
 import re
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import constraints as cgen
@@ -26,7 +25,7 @@ from .oracle import AgreementReport, CandidateSpaceTooLarge, OracleInconsistency
 from .parser import ParseError, parse_program, parse_spec, parse_term
 from .pretty import pretty_annotated, pretty_constraint, pretty_fun, pretty_subterms, pretty_type
 from .solver import SolvedSystem, SpecUnsatisfiable, solve
-from .syntax import Term, TypeExpr
+from .syntax import Record, Term, TypeExpr
 from .typecheck import (
     SpecMismatch,
     TypeCheckError,
@@ -38,19 +37,34 @@ from .typecheck import (
 from .wellformed import ValidatedProgram, WellformedError, validate
 
 
-@dataclass
-class AnalysisReport:
+class AnalysisReport(Record):
     """Everything one analysis produced, independent of output format."""
 
-    status: str  # "Mappable" | "SpecMismatch" | "IllTyped"
-    detail: str | None = None
-    form: tuple[FunExpr, ...] | None = None
-    solved: SolvedSystem | None = None
-    run: cgen.RunResult | None = None
-    spec: TypeExpr | None = None
-    typed: TypedTerm | None = None
-    verify: AgreementReport | None = None
-    verify_depth: int | None = None
+    __slots__ = (
+        "status", "detail", "form", "solved", "run", "spec", "typed", "verify", "verify_depth"
+    )
+
+    def __init__(
+        self,
+        status: str,
+        detail: str | None = None,
+        form: tuple[FunExpr, ...] | None = None,
+        solved: SolvedSystem | None = None,
+        run: cgen.RunResult | None = None,
+        spec: TypeExpr | None = None,
+        typed: TypedTerm | None = None,
+        verify: AgreementReport | None = None,
+        verify_depth: int | None = None,
+    ) -> None:
+        self.status = status  # "Mappable" | "SpecMismatch" | "IllTyped"
+        self.detail = detail
+        self.form = form
+        self.solved = solved
+        self.run = run
+        self.spec = spec
+        self.typed = typed
+        self.verify = verify
+        self.verify_depth = verify_depth
 
 
 def analyze(

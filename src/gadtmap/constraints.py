@@ -36,21 +36,23 @@ its typed node, which `check_call_invariants` left frozen.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .funexpr import Call, Constraint, FunExpr, FunVar, fun_type, lift_type
 from .syntax import (
     App,
     Ctor,
+    Frozen,
     Inl,
     Inr,
     Pair,
     Path,
     Prod,
+    Record,
     Sum,
     Term,
     TypeExpr,
     Var,
+    _set,
     free_type_vars,
     is_closed,
     subst_type,
@@ -71,16 +73,15 @@ class NotTopUnifiable(InternalInvariantViolation):
     """A matching problem had clashing head symbols."""
 
 
-@dataclass(frozen=True, slots=True)
-class IndexName:
+class IndexName(Frozen):
     """The name of a call's index variable: `y<index>^<call label>` when
     rendered."""
 
-    index: int
-    call: Call
+    __slots__ = ("index", "call")
 
-    def __hash__(self) -> int:
-        return hash((self.index, self.call._key))
+    def __init__(self, index: int, call: Call) -> None:
+        _set(self, "index", index)
+        _set(self, "call", call)
 
     def __str__(self) -> str:
         return f"y{self.index}^{self.call.label}"
@@ -91,32 +92,47 @@ class IndexName:
 VarName = str | IndexName
 
 
-@dataclass(slots=True)
-class CallTrace:
+class CallTrace(Record):
     """Everything one call of the walk did, for reporting and golden tests."""
 
-    call: Call
-    term: Term
-    funs: tuple[FunExpr, ...]
-    spec: TypeExpr
-    emitted: tuple[Constraint, ...]
-    matching: tuple[tuple[TypeExpr, TypeExpr], ...] = ()
-    taus: tuple[TypeExpr, ...] = ()
-    rjs: tuple[TypeExpr, ...] = ()
-    zetas: tuple[tuple[TypeExpr, ...] | None, ...] = ()
+    __slots__ = ("call", "term", "funs", "spec", "emitted", "matching", "taus", "rjs", "zetas")
+
+    def __init__(
+        self,
+        call: Call,
+        term: Term,
+        funs: tuple[FunExpr, ...],
+        spec: TypeExpr,
+        emitted: tuple[Constraint, ...],
+        matching: tuple[tuple[TypeExpr, TypeExpr], ...] = (),
+        taus: tuple[TypeExpr, ...] = (),
+        rjs: tuple[TypeExpr, ...] = (),
+        zetas: tuple[tuple[TypeExpr, ...] | None, ...] = (),
+    ) -> None:
+        self.call = call
+        self.term = term
+        self.funs = funs
+        self.spec = spec
+        self.emitted = emitted
+        self.matching = matching
+        self.taus = taus
+        self.rjs = rjs
+        self.zetas = zetas
 
     @property
     def label(self) -> str:
         return self.call.label
 
 
-@dataclass(frozen=True)
-class AnnotatedTerm:
+class AnnotatedTerm(Frozen):
     """A term with its essential positions: the subterms that head a call of
     the walk, the root always among them, held by `id` as subterm objects."""
 
-    term: Term
-    heads: frozenset[int]
+    __slots__ = ("term", "heads")
+
+    def __init__(self, term: Term, heads: frozenset[int]) -> None:
+        _set(self, "term", term)
+        _set(self, "heads", heads)
 
     @property
     def essential(self) -> tuple[Path, ...]:
@@ -132,12 +148,20 @@ class AnnotatedTerm:
         return tuple(out)
 
 
-@dataclass
-class RunResult:
-    constraints: list[Constraint]
-    traces: list[CallTrace]
-    annotation: AnnotatedTerm
-    root_funs: tuple[FunVar, ...]
+class RunResult(Record):
+    __slots__ = ("constraints", "traces", "annotation", "root_funs")
+
+    def __init__(
+        self,
+        constraints: list[Constraint],
+        traces: list[CallTrace],
+        annotation: AnnotatedTerm,
+        root_funs: tuple[FunVar, ...],
+    ) -> None:
+        self.constraints = constraints
+        self.traces = traces
+        self.annotation = annotation
+        self.root_funs = root_funs
 
 
 def recursion_target(arg_type: TypeExpr) -> tuple[TypeExpr, ...] | None:

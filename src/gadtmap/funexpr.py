@@ -7,15 +7,22 @@ functions (`Lift("List", (f,))` is the usual map of `f` over lists).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .syntax import App, Meta, Prod, Sum, TypeExpr, Var, type_children
+from .syntax import App, Frozen, Meta, Prod, Sum, TypeExpr, Var, _set, type_children
 
 
-class FunExpr:
+class FunExpr(Frozen):
     """Base class for function expressions."""
 
     __slots__ = ()
+
+    def __hash__(self) -> int:
+        # The hash, stored when first asked for in the `_hash` slot of every
+        # class but FunVar: the expressions key the oracle's memo, and hashing
+        # the fields re-walks the whole expression. Most expressions the walk
+        # and the solver build are never hashed, so construction does not hash.
+        if self._hash is None:
+            _set(self, "_hash", super().__hash__())
+        return self._hash
 
     def __str__(self) -> str:
         from .pretty import pretty
@@ -84,7 +91,6 @@ class Call:
         return f"Call({self.label!r})"
 
 
-@dataclass(frozen=True, slots=True)
 class FunVar(FunExpr):
     """A function variable.
 
@@ -94,19 +100,28 @@ class FunVar(FunExpr):
     A dotted label string in place of `call` is read with `Call.from_label`.
     """
 
-    kind: str  # "f" (root), "g" (per spec variable), "h" (per index variable)
-    call: Call | None  # the introducing call; None for roots
-    index: int
-    intro: int = field(default=-1, compare=False)
-    prime: bool = False
-    domain: TypeExpr | None = field(default=None, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("kind", "call", "index", "intro", "prime", "domain", "_hash")
+    _compare = ("kind", "call", "index", "prime")
 
-    def __post_init__(self) -> None:
-        if isinstance(self.call, str):
-            object.__setattr__(self, "call", Call.from_label(self.call))
+    def __init__(
+        self,
+        kind: str,
+        call: Call | str | None,
+        index: int,
+        intro: int = -1,
+        prime: bool = False,
+        domain: TypeExpr | None = None,
+    ) -> None:
+        if isinstance(call, str):
+            call = Call.from_label(call)
+        _set(self, "kind", kind)  # "f" (root), "g" (per spec variable), "h" (per index variable)
+        _set(self, "call", call)  # the introducing call; None for roots
+        _set(self, "index", index)
+        _set(self, "intro", intro)
+        _set(self, "prime", prime)
+        _set(self, "domain", domain)
         # Variables key the solver's dictionaries: hash once.
-        object.__setattr__(self, "_hash", hash((self.kind, self.call, self.index, self.prime)))
+        _set(self, "_hash", hash((kind, call, index, prime)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -117,78 +132,61 @@ class FunVar(FunExpr):
         return name if self.call is None else f"{name}^{self.call.label}"
 
 
-@dataclass(frozen=True, slots=True)
 class Id(FunExpr):
     """The identity function at a closed type."""
 
-    at: TypeExpr
-    # The generated `__hash__`'s value, stored when first asked for: the
-    # expressions key the oracle's memo, and the generated `__hash__` would
-    # re-walk the whole expression on every lookup. Most expressions the walk
-    # and the solver build are never hashed, so construction does not hash.
-    # ProdF, SumF, Lift and Opaque do the same.
-    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("at", "_hash")
+
+    def __init__(self, at: TypeExpr) -> None:
+        _set(self, "at", at)
+        _set(self, "_hash", None)
 
     def __hash__(self) -> int:
+        # A 1-tuple, unlike the other one-field records: hashed like `at`
+        # itself, an identity would collide with its own expansions, since
+        # `id@(A * B)` and `id@A * id@B` would both hash as `(A, B)` does.
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.at,)))
+            _set(self, "_hash", hash((self.at,)))
         return self._hash
 
 
-@dataclass(frozen=True, slots=True)
 class ProdF(FunExpr):
-    left: FunExpr
-    right: FunExpr
-    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("left", "right", "_hash")
 
-    def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.left, self.right)))
-        return self._hash
+    def __init__(self, left: FunExpr, right: FunExpr) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "_hash", None)
 
 
-@dataclass(frozen=True, slots=True)
 class SumF(FunExpr):
-    left: FunExpr
-    right: FunExpr
-    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.left, self.right)))
-        return self._hash
+    __slots__ = ("left", "right", "_hash")
+    __init__ = ProdF.__init__
 
 
-@dataclass(frozen=True, slots=True)
 class Lift(FunExpr):
     """A data type constructor mapped over one function per type parameter."""
 
-    ctor: str
-    args: tuple[FunExpr, ...]
-    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("ctor", "args", "_hash")
 
-    def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.ctor, self.args)))
-        return self._hash
+    def __init__(self, ctor: str, args: tuple[FunExpr, ...]) -> None:
+        _set(self, "ctor", ctor)
+        _set(self, "args", args)
+        _set(self, "_hash", None)
 
 
-@dataclass(frozen=True, slots=True)
 class Opaque(FunExpr):
     """An arbitrary unknown function into a rigid codomain (oracle use only)."""
 
-    domain: TypeExpr
-    codomain: TypeExpr
-    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("domain", "codomain", "_hash")
 
-    def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.domain, self.codomain)))
-        return self._hash
+    def __init__(self, domain: TypeExpr, codomain: TypeExpr) -> None:
+        _set(self, "domain", domain)
+        _set(self, "codomain", codomain)
+        _set(self, "_hash", None)
 
 
-@dataclass(frozen=True, slots=True)
-class Constraint:
+class Constraint(Frozen):
     """An ordered requirement that `lhs` and `rhs` describe the same function.
 
     `call` is the walk call that emitted it and `step` the emitting step
@@ -196,10 +194,15 @@ class Constraint:
     may hold any text.
     """
 
-    lhs: FunExpr
-    rhs: FunExpr
-    step: str = ""
-    call: Call | None = None
+    __slots__ = ("lhs", "rhs", "step", "call")
+
+    def __init__(
+        self, lhs: FunExpr, rhs: FunExpr, step: str = "", call: Call | None = None
+    ) -> None:
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "step", step)
+        _set(self, "call", call)
 
     @property
     def origin(self) -> str:

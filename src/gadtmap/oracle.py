@@ -31,7 +31,6 @@ import itertools
 import math
 import operator
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from .funexpr import (
     FunExpr,
@@ -58,6 +57,7 @@ from .syntax import (
     Inr,
     Pair,
     Prod,
+    Record,
     Sum,
     Term,
     TypeExpr,
@@ -478,18 +478,22 @@ def _is_normal_instance(forms: tuple[FunExpr, ...], candidates: tuple[FunExpr, .
     return all(go(f, c) for f, c in zip(forms, candidates))
 
 
-@dataclass
-class Disagreement:
-    candidates: tuple[FunExpr, ...]
-    mappable: bool
-    instance: bool
+class Disagreement(Record):
+    __slots__ = ("candidates", "mappable", "instance")
+
+    def __init__(self, candidates: tuple[FunExpr, ...], mappable: bool, instance: bool) -> None:
+        self.candidates = candidates
+        self.mappable = mappable
+        self.instance = instance
 
 
-@dataclass
-class AgreementReport:
-    agrees: bool
-    checked: int
-    disagreements: list[Disagreement]
+class AgreementReport(Record):
+    __slots__ = ("agrees", "checked", "disagreements")
+
+    def __init__(self, agrees: bool, checked: int, disagreements: list[Disagreement]) -> None:
+        self.agrees = agrees
+        self.checked = checked
+        self.disagreements = disagreements
 
 
 def head_lift(shape: TypeExpr, candidates: tuple[FunExpr, ...]) -> FunExpr:

@@ -11,7 +11,6 @@ checked at the token that names them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable
 
 from .funexpr import FunExpr, FunVar, Id, Lift, ProdF, SumF
@@ -22,6 +21,7 @@ from .syntax import (
     BASE_TYPES,
     ConstructorSig,
     Ctor,
+    Frozen,
     GadtDecl,
     Inl,
     Inr,
@@ -33,6 +33,7 @@ from .syntax import (
     Term,
     TypeExpr,
     Var,
+    _set,
     free_type_vars,
 )
 from .wellformed import ValidatedProgram
@@ -48,12 +49,14 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
-    kind: str  # "name", "number", or the symbol itself
-    text: str
-    line: int
-    col: int
+class Token(Frozen):
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int) -> None:
+        _set(self, "kind", kind)  # "name", "number", or the symbol itself
+        _set(self, "text", text)
+        _set(self, "line", line)
+        _set(self, "col", col)
 
 
 _TOKEN_RE = re.compile(

@@ -15,8 +15,6 @@ general shapes of the mappable functions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .funexpr import (
     Constraint,
     FunExpr,
@@ -29,6 +27,7 @@ from .funexpr import (
     expand_id,
     fun_children,
 )
+from .syntax import Frozen, Record, _set
 
 
 class SpecUnsatisfiable(Exception):
@@ -41,10 +40,12 @@ class SpecUnsatisfiable(Exception):
     stage = "solver"
 
 
-@dataclass(frozen=True, slots=True)
-class AtomicConstraint:
-    lhs: FunExpr
-    rhs: FunVar
+class AtomicConstraint(Frozen):
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: FunExpr, rhs: FunVar) -> None:
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
 
 
 def _peel(a: FunExpr, b: FunExpr) -> list[tuple[FunExpr, FunExpr]]:
@@ -83,8 +84,7 @@ def decompose(c: Constraint) -> list[AtomicConstraint]:
     return out
 
 
-@dataclass
-class SolvedSystem:
+class SolvedSystem(Record):
     """An idempotent triangular substitution. Keys are ordered by creation;
     every binding is fully substituted, so applying the system to any of its
     own values is a fixpoint. Bindings are shared structure: a variable's
@@ -92,8 +92,11 @@ class SolvedSystem:
     `free_vars` lists the unbound variables of the bindings in order of
     first occurrence."""
 
-    bindings: dict[FunVar, FunExpr]
-    free_vars: tuple[FunVar, ...]
+    __slots__ = ("bindings", "free_vars")
+
+    def __init__(self, bindings: dict[FunVar, FunExpr], free_vars: tuple[FunVar, ...]) -> None:
+        self.bindings = bindings
+        self.free_vars = free_vars
 
 
 def unify_all(atomics: list[AtomicConstraint]) -> SolvedSystem:

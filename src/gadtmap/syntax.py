@@ -7,7 +7,7 @@ specification variables, in first-occurrence order (`free_type_vars`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -17,10 +17,60 @@ BASE_TYPES = ("Nat", "Int", "Bool", "Unit")
 
 
 # ---------------------------------------------------------------------------
+# Records
+
+_set = object.__setattr__  # how a frozen record's `__init__` assigns
+
+
+class Record:
+    """A record: its fields are its slots, set by a written-out `__init__`,
+    so defining one compiles no code. Records of one class are equal when
+    their compared fields are: every slot but a `_hash` memo, or the names
+    in `_compare`. The repr shows every field but `_hash`, in slot order.
+    A record is mutable and unhashable; see `Frozen`."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(f for f in cls.__slots__ if f != "_hash")
+        compare = vars(cls).get("_compare", cls._fields)
+        if compare:
+            cls._values = attrgetter(*compare)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        values = self._values
+        a = values(self)
+        b = values(other)
+        return a is b or a == b  # one shared field compares without a call
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({args})"
+
+
+class Frozen(Record):
+    """An immutable record, hashed by its compared fields (a record with
+    one compared field hashes as that field)."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+# ---------------------------------------------------------------------------
 # Type expressions
 
 
-class TypeExpr:
+class TypeExpr(Frozen):
     """Base class for type expressions."""
 
     __slots__ = ()
@@ -31,54 +81,61 @@ class TypeExpr:
         return pretty(self)
 
 
-@dataclass(frozen=True, slots=True)
 class Var(TypeExpr):
     """A type variable: a specification variable or a constructor binder, or
     an index variable of a constraint-walk call, whose name is an
     `IndexName` rendered by `str`."""
 
-    name: str | IndexName
+    __slots__ = ("name",)
+
+    def __init__(self, name: str | IndexName) -> None:
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True, slots=True)
 class Base(TypeExpr):
     """A built-in base type: one of Nat, Int, Bool, Unit."""
 
-    name: str
+    __slots__ = ("name",)
+    __init__ = Var.__init__
 
 
-@dataclass(frozen=True, slots=True)
 class Prod(TypeExpr):
-    left: TypeExpr
-    right: TypeExpr
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: TypeExpr, right: TypeExpr) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True, slots=True)
 class Sum(TypeExpr):
-    left: TypeExpr
-    right: TypeExpr
+    __slots__ = ("left", "right")
+    __init__ = Prod.__init__
 
 
-@dataclass(frozen=True, slots=True)
 class App(TypeExpr):
     """Application of a declared data type constructor to type arguments."""
 
-    ctor: str
-    args: tuple[TypeExpr, ...] = ()
+    __slots__ = ("ctor", "args")
+
+    def __init__(self, ctor: str, args: tuple[TypeExpr, ...] = ()) -> None:
+        _set(self, "ctor", ctor)
+        _set(self, "args", args)
 
 
-@dataclass(frozen=True, slots=True)
 class Meta(TypeExpr):
     """A unification metavariable; only appears during type inference."""
 
-    ident: int
+    __slots__ = ("ident",)
+
+    def __init__(self, ident: int) -> None:
+        _set(self, "ident", ident)
 
 
-@dataclass(frozen=True, slots=True)
 class Atom(TypeExpr):
     """A rigid type atom: a frozen metavariable or an opaque codomain type."""
 
-    name: str
+    __slots__ = ("name",)
+    __init__ = Var.__init__
 
 
 def type_children(t: TypeExpr) -> tuple[TypeExpr, ...]:
@@ -132,7 +189,7 @@ def subst_type(t: TypeExpr, env: dict[str, TypeExpr]) -> TypeExpr:
 Path = tuple[int, ...]
 
 
-class Term:
+class Term(Frozen):
     """Base class for terms."""
 
     __slots__ = ()
@@ -143,54 +200,66 @@ class Term:
         return pretty(self)
 
 
-@dataclass(frozen=True, slots=True)
 class Ctor(Term):
     """A saturated data constructor application."""
 
-    name: str
-    args: tuple[Term, ...] = ()
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: tuple[Term, ...] = ()) -> None:
+        _set(self, "name", name)
+        _set(self, "args", args)
 
 
-@dataclass(frozen=True, slots=True)
 class Pair(Term):
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Term, right: Term) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True, slots=True)
 class Inl(Term):
-    inner: Term
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: Term) -> None:
+        _set(self, "inner", inner)
 
 
-@dataclass(frozen=True, slots=True)
 class Inr(Term):
-    inner: Term
+    __slots__ = ("inner",)
+    __init__ = Inl.__init__
 
 
-@dataclass(frozen=True, slots=True)
 class Lit(Term):
     """A literal token. Numeric literals carry an unresolved base hint; the
     hint is only forced to Int for negative numerals."""
 
-    value: str
-    base_hint: str | None = None
+    __slots__ = ("value", "base_hint")
+
+    def __init__(self, value: str, base_hint: str | None = None) -> None:
+        _set(self, "value", value)
+        _set(self, "base_hint", base_hint)
 
 
-@dataclass(frozen=True, slots=True)
 class Ann(Term):
     """A checked type annotation `(t : T)`; erased during inference."""
 
-    inner: Term
-    type: TypeExpr
+    __slots__ = ("inner", "type")
+
+    def __init__(self, inner: Term, type: TypeExpr) -> None:
+        _set(self, "inner", inner)
+        _set(self, "type", type)
 
 
-@dataclass(frozen=True, slots=True)
 class Const(Term):
     """An opaque constant of a rigid type, produced when an unknown function
     is applied during map application. Not part of the surface syntax."""
 
-    tag: str
-    type: TypeExpr
+    __slots__ = ("tag", "type")
+
+    def __init__(self, tag: str, type: TypeExpr) -> None:
+        _set(self, "tag", tag)
+        _set(self, "type", type)
 
 
 def term_children(t: Term) -> tuple[Term, ...]:
@@ -215,8 +284,7 @@ def subterm_at(t: Term, path: Path) -> Term:
 # Declarations
 
 
-@dataclass(frozen=True)
-class ConstructorSig:
+class ConstructorSig(Frozen):
     """One data constructor: its binders, argument types, and return indices.
 
     For a constructor of a k-ary data type G,
@@ -227,22 +295,35 @@ class ConstructorSig:
     index lie among `type_vars`. Both tuples may be empty.
     """
 
-    name: str
-    type_vars: tuple[str, ...]
-    arg_types: tuple[TypeExpr, ...]
-    ret_indices: tuple[TypeExpr, ...]
+    __slots__ = ("name", "type_vars", "arg_types", "ret_indices")
+
+    def __init__(
+        self,
+        name: str,
+        type_vars: tuple[str, ...],
+        arg_types: tuple[TypeExpr, ...],
+        ret_indices: tuple[TypeExpr, ...],
+    ) -> None:
+        _set(self, "name", name)
+        _set(self, "type_vars", type_vars)
+        _set(self, "arg_types", arg_types)
+        _set(self, "ret_indices", ret_indices)
 
 
-@dataclass(frozen=True)
-class GadtDecl:
-    name: str
-    arity: int
-    ctors: tuple[ConstructorSig, ...]
+class GadtDecl(Frozen):
+    __slots__ = ("name", "arity", "ctors")
+
+    def __init__(self, name: str, arity: int, ctors: tuple[ConstructorSig, ...]) -> None:
+        _set(self, "name", name)
+        _set(self, "arity", arity)
+        _set(self, "ctors", ctors)
 
 
-@dataclass(frozen=True)
-class Program:
-    decls: tuple[GadtDecl, ...] = ()
+class Program(Frozen):
+    __slots__ = ("decls",)
+
+    def __init__(self, decls: tuple[GadtDecl, ...] = ()) -> None:
+        _set(self, "decls", decls)
 
     def decl(self, name: str) -> GadtDecl | None:
         for d in self.decls:

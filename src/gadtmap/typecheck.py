@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 
 from .syntax import (
     Ann,
@@ -32,6 +31,7 @@ from .syntax import (
     Const,
     ConstructorSig,
     Ctor,
+    Frozen,
     GadtDecl,
     Inl,
     Inr,
@@ -39,9 +39,11 @@ from .syntax import (
     Meta,
     Pair,
     Prod,
+    Record,
     Sum,
     Term,
     TypeExpr,
+    _set,
     free_type_vars,
     subst_type,
     type_children,
@@ -173,8 +175,7 @@ class _Store:
         )
 
 
-@dataclass(eq=False, slots=True)
-class TypedNode:
+class TypedNode(Record):
     """One subterm occurrence: the annotation-free subterm, its type, the
     instantiation of its binders when it is a constructor application (`()`
     otherwise), and its typed children in `term_children` order.
@@ -185,22 +186,42 @@ class TypedNode:
     whose types reach one metavariable hold one object for its resolution,
     so treat them as immutable. Nodes compare by identity."""
 
-    term: Term
-    type: TypeExpr
-    instance: tuple[TypeExpr, ...] = ()
-    kids: tuple[TypedNode, ...] = ()
+    __slots__ = ("term", "type", "instance", "kids")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        term: Term,
+        type: TypeExpr,
+        instance: tuple[TypeExpr, ...] = (),
+        kids: tuple[TypedNode, ...] = (),
+    ) -> None:
+        self.term = term
+        self.type = type
+        self.instance = instance
+        self.kids = kids
 
 
-@dataclass
-class TypedTerm:
+class TypedTerm(Record):
     """A term as a tree of typed nodes and the metavariable store that
     resolves their raw types; once frozen, the nodes hold ground types."""
 
-    root: TypedNode
-    vp: ValidatedProgram
-    _store: _Store
-    int_literals: bool = False
-    witness: InstanceWitness | None = None  # set by `check_call_invariants`
+    __slots__ = ("root", "vp", "_store", "int_literals", "witness")
+
+    def __init__(
+        self,
+        root: TypedNode,
+        vp: ValidatedProgram,
+        _store: _Store,
+        int_literals: bool = False,
+        witness: InstanceWitness | None = None,
+    ) -> None:
+        self.root = root
+        self.vp = vp
+        self._store = _store
+        self.int_literals = int_literals
+        self.witness = witness  # set by `check_call_invariants`
 
     @property
     def term(self) -> Term:
@@ -354,14 +375,16 @@ def _ctor_node(
     )
 
 
-@dataclass(frozen=True)
-class InstanceWitness:
+class InstanceWitness(Frozen):
     """Evidence that the term's type instantiates the specification: the
     substitution for the specification variables, and the specification
     head's components under it, which are the input functions' domains."""
 
-    subst: dict[str, TypeExpr]
-    domains: tuple[TypeExpr, ...]
+    __slots__ = ("subst", "domains")
+
+    def __init__(self, subst: dict[str, TypeExpr], domains: tuple[TypeExpr, ...]) -> None:
+        _set(self, "subst", subst)
+        _set(self, "domains", domains)
 
 
 def spec_head_arity(spec: TypeExpr, vp: ValidatedProgram) -> int:

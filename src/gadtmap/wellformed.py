@@ -12,26 +12,28 @@ check is local to each declaration, so mutual recursion needs no fixpoint.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .syntax import (
     App,
     ConstructorSig,
+    Frozen,
     GadtDecl,
     Program,
     Prod,
     Sum,
     TypeExpr,
     Var,
+    _set,
     is_closed,
     type_children,
 )
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    code: str
-    message: str
+class Diagnostic(Frozen):
+    __slots__ = ("code", "message")
+
+    def __init__(self, code: str, message: str) -> None:
+        _set(self, "code", code)
+        _set(self, "message", message)
 
     def __str__(self) -> str:
         return f"{self.code}: {self.message}"
@@ -43,11 +45,18 @@ class WellformedError(Exception):
         self.errors = errors
 
 
-@dataclass(frozen=True)
-class ValidatedProgram:
-    program: Program
-    proper_flags: dict[str, bool]
-    ctor_index: dict[str, tuple[GadtDecl, ConstructorSig]]
+class ValidatedProgram(Frozen):
+    __slots__ = ("program", "proper_flags", "ctor_index")
+
+    def __init__(
+        self,
+        program: Program,
+        proper_flags: dict[str, bool],
+        ctor_index: dict[str, tuple[GadtDecl, ConstructorSig]],
+    ) -> None:
+        _set(self, "program", program)
+        _set(self, "proper_flags", proper_flags)
+        _set(self, "ctor_index", ctor_index)
 
     def arity(self, name: str) -> int:
         decl = self.program.decl(name)

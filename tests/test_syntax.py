@@ -2,13 +2,18 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gadtmap as g
+from gadtmap.cli import AnalysisReport
 from gadtmap.constraints import AnnotatedTerm, IndexName
 from gadtmap.funexpr import Call
+from gadtmap.parser import Token
 from gadtmap.pretty import (
     _is_atomic,
     _parts,
@@ -19,6 +24,7 @@ from gadtmap.pretty import (
     pretty_type,
 )
 from gadtmap.syntax import App, Atom, Base, Meta, Prod, Sum, Var, free_type_vars, term_children
+from gadtmap.typecheck import TypedNode
 
 from conftest import CORPUS, NESTED_SRC, PROGRAM_SOURCES, run_pipeline
 from test_oracle import PROBE_SRC, PROBE_TERMS, SUM_INDEXED_SRC
@@ -815,3 +821,97 @@ def test_renderers_match_reference_on_corpus(programs, key, term_text, spec_text
         assert pretty_fun(e) == _reference_pretty_fun(e)
     for ty in types:
         assert pretty_type(ty) == _reference_pretty_type(ty)
+
+
+class TestRecords:
+    """What the record classes promise: dataclass-style repr, frozen fields,
+    equality within one class over the compared fields only, identity
+    comparison for typed nodes, and mutable unhashable reports."""
+
+    def test_repr(self):
+        nat = Base("Nat")
+        assert repr(Var("b1")) == "Var(name='b1')"
+        assert repr(App("List", (Var("b1"),))) == "App(ctor='List', args=(Var(name='b1'),))"
+        assert repr(g.Ctor("cons", (g.Lit("1"), g.Ctor("nil")))) == (
+            "Ctor(name='cons', args=(Lit(value='1', base_hint=None), Ctor(name='nil', args=())))"
+        )
+        assert repr(g.FunVar("g", "1.2", 1, intro=7, domain=nat)) == (
+            "FunVar(kind='g', call=Call('1.2'), index=1, intro=7, prime=False, "
+            "domain=Base(name='Nat'))"
+        )
+        assert repr(Token("name", "x", 1, 2)) == "Token(kind='name', text='x', line=1, col=2)"
+
+    @pytest.mark.parametrize(
+        "record,field",
+        [
+            (Var("b1"), "name"),
+            (g.Ctor("nil"), "args"),
+            (g.FunVar("f", None, 1), "intro"),
+            (g.Id(Base("Nat")), "at"),
+            (g.Program(), "decls"),
+            (Token("name", "x", 1, 2), "text"),
+        ],
+    )
+    def test_frozen_fields(self, record, field):
+        before = repr(record)
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        assert repr(record) == before
+
+    def test_fun_var_ignores_bookkeeping(self):
+        a = g.FunVar("g", "1.2", 1, intro=7, domain=Base("Nat"))
+        b = g.FunVar("g", "1.2", 1)
+        assert a == b and hash(a) == hash(b)
+        assert a != g.FunVar("g", "1.2", 1, prime=True)
+        assert a != g.FunVar("g", "1.3", 1) and a != g.FunVar("h", "1.2", 1)
+
+    def test_equality_is_per_class(self):
+        a, b = Var("b1"), Base("Nat")
+        assert Var("Nat") != Base("Nat")
+        assert Prod(a, b) != Sum(a, b)
+        assert g.Inl(g.Lit("1")) != g.Inr(g.Lit("1"))
+        assert g.ProdF(g.Id(b), g.Id(b)) != g.SumF(g.Id(b), g.Id(b))
+        assert Prod(a, b) == Prod(Var("b1"), Base("Nat"))
+        assert hash(Prod(a, b)) == hash(Prod(Var("b1"), Base("Nat")))
+
+    def test_identities_hash_apart_from_their_expansions(self):
+        # Hashed like its type, `id@(A * B)` would hash as `id@A * id@B`
+        # does, and the oracle's memo keys would collide across a pool.
+        nat, ln = Base("Nat"), App("List", (Base("Nat"),))
+        forms = [
+            g.Id(Prod(ln, nat)),
+            g.ProdF(g.Id(ln), g.Id(nat)),
+            g.ProdF(g.Lift("List", (g.Id(nat),)), g.Id(nat)),
+        ]
+        assert len({hash(f) for f in forms}) == len(forms)
+
+    def test_typed_nodes_compare_by_identity(self):
+        a, b = TypedNode(g.Lit("1"), Base("Nat")), TypedNode(g.Lit("1"), Base("Nat"))
+        assert a == a and a != b and len({a, b}) == 2
+        a.type = Base("Int")
+        assert a.type == Base("Int")
+
+    def test_reports_are_assignable_and_unhashable(self):
+        r = AnalysisReport("Mappable")
+        r.detail = "x"
+        assert r == AnalysisReport("Mappable", detail="x")
+        with pytest.raises(TypeError):
+            hash(r)
+
+
+def test_import_loads_no_code_generation():
+    """Importing gadtmap loads neither `dataclasses` nor `inspect`, so no
+    record class is compiled at import. A module the interpreter loaded
+    before the import (a site `.pth`, say) does not count."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules); import gadtmap; "
+        "print([m for m in ('dataclasses', 'inspect') if m in sys.modules and m not in before])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
