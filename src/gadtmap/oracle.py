@@ -465,15 +465,11 @@ def _is_normal_instance(forms: tuple[FunExpr, ...], candidates: tuple[FunExpr, .
                 subst[f] = c
                 return True
             return prev == c
-        if f == c:
-            return True
-        if isinstance(f, ProdF) and isinstance(c, ProdF):
-            return go(f.left, c.left) and go(f.right, c.right)
-        if isinstance(f, SumF) and isinstance(c, SumF):
-            return go(f.left, c.left) and go(f.right, c.right)
-        if isinstance(f, Lift) and isinstance(c, Lift) and f.ctor == c.ctor:
-            return all(go(a, b) for a, b in zip(f.args, c.args))
-        return False
+        if isinstance(f, (ProdF, SumF)):
+            return c.__class__ is f.__class__ and go(f.left, c.left) and go(f.right, c.right)
+        if isinstance(f, Lift):
+            return isinstance(c, Lift) and f.ctor == c.ctor and all(map(go, f.args, c.args))
+        return f == c  # compared only at the leaves
 
     return all(go(f, c) for f, c in zip(forms, candidates))
 

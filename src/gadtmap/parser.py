@@ -21,7 +21,6 @@ from .syntax import (
     BASE_TYPES,
     ConstructorSig,
     Ctor,
-    Frozen,
     GadtDecl,
     Inl,
     Inr,
@@ -29,11 +28,11 @@ from .syntax import (
     Pair,
     Prod,
     Program,
+    Record,
     Sum,
     Term,
     TypeExpr,
     Var,
-    _set,
     free_type_vars,
 )
 from .wellformed import ValidatedProgram
@@ -49,14 +48,14 @@ class ParseError(Exception):
         self.col = col
 
 
-class Token(Frozen):
+class Token(Record):
     __slots__ = ("kind", "text", "line", "col")
 
     def __init__(self, kind: str, text: str, line: int, col: int) -> None:
-        _set(self, "kind", kind)  # "name", "number", or the symbol itself
-        _set(self, "text", text)
-        _set(self, "line", line)
-        _set(self, "col", col)
+        self.kind = kind  # "name", "number", "funvar", "end", or the symbol itself
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 _TOKEN_RE = re.compile(
@@ -68,6 +67,7 @@ _TOKEN_RE = re.compile(
   | (?P<name>[A-Za-z][A-Za-z0-9_']*)
   | (?P<number>-?[0-9]+)
   | (?P<sym>->|[()*+,;:.@])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -77,48 +77,40 @@ LITERAL_WORDS = ("tt", "true", "false", "unit")
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of `text`, ended by an "end" token just past its last
+    character."""
     tokens: list[Token] = []
     line, line_start = 1, 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
-        pos = m.end()
-        if m.lastgroup == "nl":
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastgroup
+        if group == "nl":
             line += 1
-            line_start = pos
-            continue
-        if m.lastgroup in ("ws", "comment"):
-            continue
-        textval = m.group()
-        kind = textval if m.lastgroup == "sym" else m.lastgroup
-        tokens.append(Token(kind, textval, line, m.start() - line_start + 1))
+            line_start = m.end()
+        elif group != "ws" and group != "comment":
+            textval = m.group()
+            col = m.start() - line_start + 1
+            if group == "bad":
+                raise ParseError(f"unexpected character {textval!r}", line, col)
+            tokens.append(Token(textval if group == "sym" else group, textval, line, col))
+    tokens.append(Token("end", "", line, len(text) - line_start + 1))
     return tokens
 
 
 class _Cursor:
-    def __init__(
-        self,
-        tokens: list[Token],
-        end: tuple[int, int],
-        vp: ValidatedProgram | None = None,
-        allow_vars: bool = True,
-    ):
-        self.tokens = tokens
+    def __init__(self, text: str, vp: ValidatedProgram | None = None, allow_vars: bool = True):
+        self.tokens = tokenize(text)
         self.pos = 0
-        self.end = end  # (line, column) just past the last character
         # With a program, each type reference is checked at its token.
         self.vp = vp
         self.allow_vars = allow_vars
 
-    def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", *self.end)
+        tok = self.tokens[self.pos]
+        if tok.kind == "end":
+            raise ParseError("unexpected end of input", tok.line, tok.col)
         self.pos += 1
         return tok
 
@@ -136,26 +128,17 @@ class _Cursor:
 
     def done(self) -> None:
         """Check that every token has been read."""
-        tok = self.peek()
-        if tok is not None:
+        tok = self.tokens[self.pos]
+        if tok.kind != "end":
             raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
 
     def at(self, kind: str, text: str | None = None) -> bool:
-        tok = self.peek()
-        if tok is None or tok.kind != kind:
-            return False
-        return text is None or tok.text == text
+        tok = self.tokens[self.pos]
+        return tok.kind == kind and (text is None or tok.text == text)
 
     def error(self, message: str) -> ParseError:
-        tok = self.peek()
-        if tok is None:
-            return ParseError(message, *self.end)
+        tok = self.tokens[self.pos]
         return ParseError(message, tok.line, tok.col)
-
-
-def _cursor(text: str, vp: ValidatedProgram | None = None, allow_vars: bool = True) -> _Cursor:
-    end = (text.count("\n") + 1, len(text) - text.rfind("\n"))
-    return _Cursor(tokenize(text), end, vp, allow_vars)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +176,7 @@ def _parse_type(c: _Cursor) -> TypeExpr:
 
 def _is_type_atom_start(c: _Cursor) -> bool:
     tok = c.peek()
-    return tok is not None and (tok.kind == "(" or tok.kind == "name" and tok.text not in KEYWORDS)
+    return tok.kind == "(" or tok.kind == "name" and tok.text not in KEYWORDS
 
 
 def _parse_type_atom(c: _Cursor, app: bool = True) -> TypeExpr:
@@ -247,11 +230,11 @@ def parse_program(text: str) -> Program:
     Constructor-type references to other declarations are left unresolved;
     class membership and arity checking happen in `wellformed.validate`.
     """
-    c = _cursor(text)
+    c = _Cursor(text)
     decls: list[GadtDecl] = []
     seen_decls: set[str] = set()
     seen_ctors: set[str] = set()
-    while c.peek() is not None:
+    while not c.at("end"):
         c.keyword("data")
         name_tok = c.expect("name")
         name = name_tok.text
@@ -340,7 +323,7 @@ def _parse_ctor(c: _Cursor, owner: str, owner_arity: int) -> ConstructorSig:
 
 def parse_term(text: str, vp: ValidatedProgram) -> Term:
     """Parse a term, resolving constructor names and arities against `vp`."""
-    c = _cursor(text, vp, allow_vars=False)
+    c = _Cursor(text, vp, allow_vars=False)
     term = _parse_term(c, vp)
     c.done()
     return term
@@ -355,8 +338,6 @@ def _ctor_sig(vp: ValidatedProgram, tok: Token) -> ConstructorSig:
 
 def _is_term_atom_start(c: _Cursor) -> bool:
     tok = c.peek()
-    if tok is None:
-        return False
     if tok.kind in ("(", "number"):
         return True
     return tok.kind == "name" and tok.text not in ("inl", "inr") and tok.text not in KEYWORDS
@@ -420,7 +401,7 @@ def _parse_term_start(
     None."""
     tok = c.peek()
     if want_term:
-        if tok is None:
+        if tok.kind == "end":
             raise c.error("expected a term")
         if tok.kind == "name" and tok.text in ("inl", "inr"):
             stack.append(["inj", c.next()])
@@ -479,7 +460,7 @@ def parse_spec(text: str, vp: ValidatedProgram) -> TypeExpr:
 
 def parse_type(text: str, vp: ValidatedProgram | None = None) -> TypeExpr:
     """Parse a bare type expression (no resolution unless `vp` given)."""
-    c = _cursor(text, vp)
+    c = _Cursor(text, vp)
     ty = _parse_type(c)
     if c.at("->"):
         raise c.error("arrow types are not allowed here")
@@ -499,7 +480,7 @@ def parse_funexpr(text: str) -> FunExpr:
     Variable bookkeeping (creation rank, domains) is not recoverable from
     text; parsed variables compare equal to originals by name alone.
     """
-    c = _cursor(text)
+    c = _Cursor(text)
     e = _parse_infix(c, _parse_fun_atom, ProdF, SumF)
     c.done()
     return e
@@ -514,7 +495,7 @@ def _parse_fun_atom(c: _Cursor, app: bool = True) -> FunExpr:
         return inner
     if app and tok.kind == "name" and tok.text[0].isupper():
         args: list[FunExpr] = []
-        while (nxt := c.peek()) is not None and nxt.kind in ("(", "name", "funvar"):
+        while (nxt := c.peek()).kind in ("(", "name", "funvar"):
             if nxt.kind == "name" and (nxt.text[0].isupper() or nxt.text in KEYWORDS):
                 break
             args.append(_parse_fun_atom(c, False))

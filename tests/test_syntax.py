@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import gadtmap as g
 from gadtmap.cli import AnalysisReport
 from gadtmap.constraints import AnnotatedTerm, IndexName
 from gadtmap.funexpr import Call
-from gadtmap.parser import Token
+from gadtmap.parser import Token, tokenize
 from gadtmap.pretty import (
     _is_atomic,
     _parts,
@@ -202,6 +203,14 @@ PARSE_ERRORS = [
     ("program", "data A : Set where\n  c : %", "2:7: unexpected character '%'"),
     ("type", "List (", "1:7: unexpected end of input"),
     ("program", "data A Set where", "1:8: expected ':', got 'Set'"),
+    # end of input lies just past the last character, after trailing
+    # newlines, comments and blanks
+    ("type", "(\n-- c\n", "3:1: unexpected end of input"),
+    ("funexpr", "f1 *\n", "2:1: unexpected end of input"),
+    ("type", "  ", "1:3: unexpected end of input"),
+    # any character that starts no token
+    ("type", "a é", "1:3: unexpected character 'é'"),
+    ("type", "a - b", "1:3: unexpected character '-'"),
     # types
     ("type", "Set", "1:1: 'Set' is only allowed in declaration headers"),
     ("type", "List (Set)", "1:7: 'Set' is only allowed in declaration headers"),
@@ -311,6 +320,62 @@ def test_parse_error_table(nested_vp, entry, text, expected):
     assert str(ei.value) == expected
     assert ei.value.message == message
     assert f"{ei.value.line}:{ei.value.col}" == position
+
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>[ \t\r]+)
+  | (?P<comment>--[^\n]*)
+  | (?P<nl>\n)
+  | (?P<funvar>[fgh]'?[0-9]+\^[0-9]+(?:\.[0-9]+)*)
+  | (?P<name>[A-Za-z][A-Za-z0-9_']*)
+  | (?P<number>-?[0-9]+)
+  | (?P<sym>->|[()*+,;:.@])
+    """,
+    re.VERBOSE,
+)
+
+
+def _reference_tokens(text: str) -> list[tuple]:
+    """The lexer's specification: a `match` at each position in turn, an
+    error where no token starts, and the end token at the line and column
+    just past the last character."""
+    out = []
+    line, line_start, pos = 1, 0, 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise g.ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
+        pos = m.end()
+        if m.lastgroup == "nl":
+            line, line_start = line + 1, pos
+        elif m.lastgroup not in ("ws", "comment"):
+            kind = m.group() if m.lastgroup == "sym" else m.lastgroup
+            out.append((kind, m.group(), line, m.start() - line_start + 1))
+    out.append(("end", "", text.count("\n") + 1, len(text) - text.rfind("\n")))
+    return out
+
+
+def _lex_outcome(lex, text: str):
+    try:
+        return lex(text)
+    except g.ParseError as e:
+        return ("error", e.message, e.line, e.col)
+
+
+# Single characters, some outside every token, and whole lexemes that single
+# characters rarely spell out.
+_LEX_CHARS = "afgh09AZ_ ()*+,;:.@" + "\t\r\n%é->^'"
+_LEXEMES = ("f1^2.3", "g'4^1", "h2^10", "--", "-- c\n", "->", "-7", "a'", "List", "data")
+
+
+@given(st.lists(st.sampled_from(_LEX_CHARS) | st.sampled_from(_LEXEMES), max_size=20).map("".join))
+@settings(max_examples=300)
+def test_tokenize_matches_reference_lexer(text):
+    def lex(t):
+        return [(tok.kind, tok.text, tok.line, tok.col) for tok in tokenize(t)]
+
+    assert _lex_outcome(lex, text) == _lex_outcome(_reference_tokens, text)
 
 
 class TestPretty:
@@ -849,7 +914,6 @@ class TestRecords:
             (g.FunVar("f", None, 1), "intro"),
             (g.Id(Base("Nat")), "at"),
             (g.Program(), "decls"),
-            (Token("name", "x", 1, 2), "text"),
         ],
     )
     def test_frozen_fields(self, record, field):
