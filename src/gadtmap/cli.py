@@ -103,10 +103,9 @@ def fun_to_json(e: FunExpr) -> dict:
         return {"t": "var", "name": e.display}
     if isinstance(e, Id):
         return {"t": "id", "at": pretty_type(e.at)}
-    if isinstance(e, ProdF):
-        return {"t": "prod", "left": fun_to_json(e.left), "right": fun_to_json(e.right)}
-    if isinstance(e, SumF):
-        return {"t": "sum", "left": fun_to_json(e.left), "right": fun_to_json(e.right)}
+    if isinstance(e, (ProdF, SumF)):
+        tag = "prod" if isinstance(e, ProdF) else "sum"
+        return {"t": tag, "left": fun_to_json(e.left), "right": fun_to_json(e.right)}
     if isinstance(e, Lift):
         return {"t": "map", "ctor": e.ctor, "args": [fun_to_json(a) for a in e.args]}
     if isinstance(e, Opaque):
@@ -267,8 +266,6 @@ def _write_json(
     else:
         prefix = "{" + nl
         for k, v in o.items():
-            if type(k) is not str:
-                raise TypeError(f"keys must be str, not {type(k).__name__}")
             enc = _SCALARS.get(type(v))
             if enc is None:
                 append(prefix + _quote(k) + ": ")

@@ -235,21 +235,17 @@ def _lift_open(t: TypeExpr, env: dict[str, FunExpr]) -> FunExpr | None:
     if all(e is None for e in lifted):
         return None
     args = tuple(Id(kid) if e is None else e for kid, e in zip(kids, lifted))
-    if isinstance(t, Prod):
-        return ProdF(*args)
-    if isinstance(t, Sum):
-        return SumF(*args)
-    return Lift(t.ctor, args)
+    if isinstance(t, App):
+        return Lift(t.ctor, args)
+    return (ProdF if isinstance(t, Prod) else SumF)(*args)
 
 
 def expand_id(e: Id) -> FunExpr | None:
     """One-step expansion of an identity at a composite type, or None if the
     type is atomic (a base type or rigid atom)."""
     t = e.at
-    if isinstance(t, Prod):
-        return ProdF(Id(t.left), Id(t.right))
-    if isinstance(t, Sum):
-        return SumF(Id(t.left), Id(t.right))
+    if isinstance(t, (Prod, Sum)):
+        return (ProdF if isinstance(t, Prod) else SumF)(Id(t.left), Id(t.right))
     if isinstance(t, App):
         return Lift(t.ctor, tuple(Id(a) for a in t.args))
     return None
@@ -261,10 +257,8 @@ def normalize(e: FunExpr) -> FunExpr:
     if isinstance(e, Id):
         step = expand_id(e)
         return e if step is None else normalize(step)
-    if isinstance(e, ProdF):
-        return ProdF(normalize(e.left), normalize(e.right))
-    if isinstance(e, SumF):
-        return SumF(normalize(e.left), normalize(e.right))
+    if isinstance(e, (ProdF, SumF)):
+        return type(e)(normalize(e.left), normalize(e.right))
     if isinstance(e, Lift):
         return Lift(e.ctor, tuple(normalize(a) for a in e.args))
     return e
@@ -306,13 +300,9 @@ def fun_type(e: FunExpr, codomain: bool) -> TypeExpr | None:
     kids = [fun_type(c, codomain) for c in fun_children(e)]
     if any(k is None for k in kids):
         return None
-    if isinstance(e, ProdF):
-        return Prod(kids[0], kids[1])
-    if isinstance(e, SumF):
-        return Sum(kids[0], kids[1])
     if isinstance(e, Lift):
         return App(e.ctor, tuple(kids))
-    return None
+    return (Prod if isinstance(e, ProdF) else Sum)(*kids)
 
 
 def canonical_rename(exprs: tuple[FunExpr, ...]) -> tuple[FunExpr, ...]:
@@ -327,10 +317,8 @@ def canonical_rename(exprs: tuple[FunExpr, ...]) -> tuple[FunExpr, ...]:
                     "f", None, len(mapping) + 1, intro=e.intro, prime=True, domain=e.domain
                 )
             return mapping[e]
-        if isinstance(e, ProdF):
-            return ProdF(go(e.left), go(e.right))
-        if isinstance(e, SumF):
-            return SumF(go(e.left), go(e.right))
+        if isinstance(e, (ProdF, SumF)):
+            return type(e)(go(e.left), go(e.right))
         if isinstance(e, Lift):
             return Lift(e.ctor, tuple(go(a) for a in e.args))
         return e

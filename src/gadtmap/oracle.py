@@ -115,25 +115,18 @@ def match_fun(
         if expanded is None:
             return None
         phi = expanded
-    if isinstance(k_expr, Prod):
-        if not isinstance(phi, ProdF):
+    if isinstance(k_expr, (Prod, Sum)):
+        if not isinstance(phi, ProdF if isinstance(k_expr, Prod) else SumF):
             return None
         env2 = match_fun(k_expr.left, phi.left, env, normal)
         return None if env2 is None else match_fun(k_expr.right, phi.right, env2, normal)
-    if isinstance(k_expr, Sum):
-        if not isinstance(phi, SumF):
+    if not (isinstance(phi, Lift) and phi.ctor == k_expr.ctor):
+        return None
+    for sub_k, sub_phi in zip(k_expr.args, phi.args):
+        env = match_fun(sub_k, sub_phi, env, normal)
+        if env is None:
             return None
-        env2 = match_fun(k_expr.left, phi.left, env, normal)
-        return None if env2 is None else match_fun(k_expr.right, phi.right, env2, normal)
-    if isinstance(k_expr, App):
-        if not (isinstance(phi, Lift) and phi.ctor == k_expr.ctor):
-            return None
-        for sub_k, sub_phi in zip(k_expr.args, phi.args):
-            env = match_fun(sub_k, sub_phi, env, normal)
-            if env is None:
-                return None
-        return env
-    return None
+    return env
 
 
 def match_type(pattern: TypeExpr, ty: TypeExpr, subst: dict[str, TypeExpr]) -> bool:
@@ -321,10 +314,8 @@ class Checker:
         """`normalize(phi)`, memoised per distinct sub-expression."""
         n = self._normals.get(phi)
         if n is None:
-            if isinstance(phi, ProdF):
-                n = ProdF(self.normal(phi.left), self.normal(phi.right))
-            elif isinstance(phi, SumF):
-                n = SumF(self.normal(phi.left), self.normal(phi.right))
+            if isinstance(phi, (ProdF, SumF)):
+                n = type(phi)(self.normal(phi.left), self.normal(phi.right))
             elif isinstance(phi, Lift):
                 n = Lift(phi.ctor, tuple(map(self.normal, phi.args)))
             else:

@@ -78,10 +78,8 @@ def _parts(t: Term) -> list[str | tuple[Term, bool]]:
         return parts
     if isinstance(t, Pair):
         return ["(", (t.left, False), ", ", (t.right, False), ")"]
-    if isinstance(t, Inl):
-        return ["inl ", (t.inner, True)]
-    if isinstance(t, Inr):
-        return ["inr ", (t.inner, True)]
+    if isinstance(t, (Inl, Inr)):
+        return ["inl " if isinstance(t, Inl) else "inr ", (t.inner, True)]
     if isinstance(t, Lit):
         return [t.value]
     if isinstance(t, Ann):

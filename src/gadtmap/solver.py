@@ -163,10 +163,8 @@ def unify_all(atomics: list[AtomicConstraint]) -> SolvedSystem:
                 nxt = raw.get(e)
                 r = resolved[e] = e if nxt is None else resolve(nxt)
             return r
-        if isinstance(e, ProdF):
-            return ProdF(resolve(e.left), resolve(e.right))
-        if isinstance(e, SumF):
-            return SumF(resolve(e.left), resolve(e.right))
+        if isinstance(e, (ProdF, SumF)):
+            return type(e)(resolve(e.left), resolve(e.right))
         if isinstance(e, Lift):
             return Lift(e.ctor, tuple(map(resolve, e.args)))
         return e

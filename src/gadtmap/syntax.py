@@ -174,10 +174,8 @@ def subst_type(t: TypeExpr, env: dict[str, TypeExpr]) -> TypeExpr:
     """Capture-free substitution of variables (there are no binders in types)."""
     if isinstance(t, Var):
         return env.get(t.name, t)
-    if isinstance(t, Prod):
-        return Prod(subst_type(t.left, env), subst_type(t.right, env))
-    if isinstance(t, Sum):
-        return Sum(subst_type(t.left, env), subst_type(t.right, env))
+    if isinstance(t, (Prod, Sum)):
+        return type(t)(subst_type(t.left, env), subst_type(t.right, env))
     if isinstance(t, App):
         return App(t.ctor, tuple(subst_type(a, env) for a in t.args))
     return t
@@ -267,9 +265,7 @@ def term_children(t: Term) -> tuple[Term, ...]:
         return t.args
     if isinstance(t, Pair):
         return (t.left, t.right)
-    if isinstance(t, (Inl, Inr)):
-        return (t.inner,)
-    if isinstance(t, Ann):
+    if isinstance(t, (Inl, Inr, Ann)):
         return (t.inner,)
     return ()
 

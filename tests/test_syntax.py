@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import gadtmap as g
 from gadtmap.cli import AnalysisReport
@@ -567,6 +567,7 @@ def test_shared_table_matches_standalone_rendering(term):
 
 
 @given(_terms_strategy())
+@example(g.Inl(g.Ann(g.Inr(g.Lit("0")), Sum(Base("Bool"), Base("Nat")))))  # the strategy has no Ann
 @settings(max_examples=100)
 def test_annotated_rendering_brackets_exactly_the_incidental_subtrees(term):
     assert pretty_annotated(term, {id(t) for t in _subterms(term)}) == g.pretty(term)
