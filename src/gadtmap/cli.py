@@ -13,11 +13,10 @@ than a million candidate tuples, 3 verification failure or an internal error
 """
 from __future__ import annotations
 
-import argparse
 import functools
 import re
 import sys
-from json.encoder import encode_basestring_ascii as _quote
+from _json import encode_basestring_ascii as _quote  # what `json.encoder` uses
 
 from . import constraints as cgen
 from .funexpr import Constraint, FunExpr, FunVar, Id, Lift, Opaque, ProdF, SumF, fun_vars
@@ -35,6 +34,10 @@ from .typecheck import (
     spec_head_arity,
 )
 from .wellformed import ValidatedProgram, WellformedError, validate
+
+TYPE_CHECKING = False  # as in `syntax`
+if TYPE_CHECKING:
+    import argparse
 
 
 class AnalysisReport(Record):
@@ -393,13 +396,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0 if vp else 1
 
 
-_VERIFY_RE = re.compile(r"^depth=([0-9]+)$")
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     verify_depth = None
     if args.verify is not None:
-        m = _VERIFY_RE.match(args.verify)
+        m = re.fullmatch(r"depth=([0-9]+)", args.verify)
         if not m:
             print("error: --verify expects depth=N", file=sys.stderr)
             return 2
@@ -443,7 +443,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every later
-    `main` call of the process."""
+    `main` call of the process. `argparse` is imported here, so importing
+    gadtmap as a library does not load it."""
+    import argparse
+
     ap = argparse.ArgumentParser(prog="gadtmap", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
     v = sub.add_parser("validate", help="check a program file")

@@ -11,7 +11,7 @@ checked at the token that names them.
 from __future__ import annotations
 
 import re
-from typing import Callable
+from collections.abc import Callable
 
 from .funexpr import FunExpr, FunVar, Id, Lift, ProdF, SumF
 from .syntax import (
@@ -471,9 +471,6 @@ def parse_type(text: str, vp: ValidatedProgram | None = None) -> TypeExpr:
 # ---------------------------------------------------------------------------
 # Function expressions (round-trip support for analysis output)
 
-_FUNVAR_RE = re.compile(r"([fgh])(')?([0-9]+)(?:\^([0-9]+(?:\.[0-9]+)*))?$")
-
-
 def parse_funexpr(text: str) -> FunExpr:
     """Parse a rendered function expression back into its AST.
 
@@ -504,7 +501,7 @@ def _parse_fun_atom(c: _Cursor, app: bool = True) -> FunExpr:
         if tok.text == "id":
             c.expect("@")
             return Id(_parse_type_atom(c, False))
-        m = _FUNVAR_RE.match(tok.text)
+        m = re.fullmatch(r"([fgh])(')?([0-9]+)(?:\^([0-9]+(?:\.[0-9]+)*))?", tok.text)
         if m:
             kind, prime, index, label = m.groups()
             return FunVar(kind, label or "", int(index), prime=bool(prime))

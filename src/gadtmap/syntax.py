@@ -8,8 +8,8 @@ specification variables, in first-occurrence order (`free_type_vars`).
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import TYPE_CHECKING
 
+TYPE_CHECKING = False  # True to a type checker, without importing `typing`
 if TYPE_CHECKING:
     from .constraints import IndexName
 

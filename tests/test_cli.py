@@ -141,20 +141,11 @@ class TestAnalyzeCommand:
         assert code == 0
         assert "agrees" in capsys.readouterr().out
 
-    def test_verify_flag_format(self, program_files, capsys):
-        code = main(
-            [
-                "analyze",
-                program_files["g"],
-                "--term",
-                "const",
-                "--spec",
-                "G b1",
-                "--verify",
-                "3",
-            ]
-        )
-        assert code == 2
+    @pytest.mark.parametrize("value", ["3", "depth=1\n", "depth="])
+    def test_verify_flag_format(self, program_files, capsys, value):
+        argv = ["analyze", program_files["g"], "--term", "const", "--spec", "G b1"]
+        assert main([*argv, "--verify", value]) == 2
+        assert capsys.readouterr().err == "error: --verify expects depth=N\n"
 
     def test_verify_candidate_space_is_bounded(self, program_files, capsys):
         # Pools grow doubly exponentially with the domain's depth: 1444 tuples
@@ -264,6 +255,26 @@ class TestVerifyExitCode:
         )
         assert code == 3
         assert "DISAGREES" in capsys.readouterr().out
+
+    def test_opaque_candidate_in_json(self, program_files, capsys, monkeypatch):
+        # A disagreement's candidates may hold opaque functions, which render
+        # with their domain and codomain.
+        from gadtmap import cli as cli_mod
+        from gadtmap.oracle import AgreementReport, Disagreement
+
+        phi = g.Opaque(g.Base("Nat"), g.App("List", (g.Base("Nat"),)))
+        fake = AgreementReport(False, 1, [Disagreement((phi,), False, True)])
+        monkeypatch.setattr(cli_mod, "agrees", lambda *a, **k: fake)
+        argv = ["analyze", program_files["nested"], "--term", "cons 1 nil", "--spec", "List b1"]
+        assert main([*argv, "--json", "--verify", "depth=1"]) == 3
+        verify = json.loads(capsys.readouterr().out)["verify"]
+        assert verify["disagreements"] == [
+            {
+                "candidates": [{"t": "fun", "domain": "Nat", "codomain": "List Nat"}],
+                "mappable": False,
+                "instance": True,
+            }
+        ]
 
 
 def test_module_entry_point(program_files):

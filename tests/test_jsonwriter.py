@@ -36,6 +36,12 @@ _trees = st.recursive(
 )
 
 
+def test_string_encoder_is_stdlib():
+    # `cli` takes the C string encoder from `_json`; where `json.encoder`
+    # uses another, strings could render differently.
+    assert cli._quote is json.encoder.encode_basestring_ascii
+
+
 @given(_trees)
 @settings(max_examples=200)
 def test_equals_stdlib(value):

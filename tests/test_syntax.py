@@ -402,6 +402,25 @@ class TestPretty:
         c = g.Constraint(g.FunVar("g", "1", 1), g.FunVar("f", "", 1), "1:i")
         assert g.pretty(c) == "<g1^1, f1>"
 
+    def test_const_rendering(self):
+        # Map application's opaque constants render as tag and type.
+        t = g.Ctor("cons", (g.Const("c0", Base("Nat")), g.Ctor("nil")))
+        assert pretty_term(t) == "cons <c0:Nat> nil"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "cons (1 : Nat) nil",
+            "inl (inr 0 : Bool + Nat)",
+            "((1, tt) : Nat * Bool)",
+            "cons (nil : List Nat) nil",
+        ],
+    )
+    def test_annotation_round_trip(self, nested_vp, text):
+        t = g.parse_term(text, nested_vp)
+        assert pretty_term(t) == text
+        assert g.parse_term(pretty_term(t), nested_vp) == t
+
 
 # ---------------------------------------------------------------------------
 # Round trips
@@ -925,6 +944,13 @@ class TestRecords:
             delattr(record, field)
         assert repr(record) == before
 
+    def test_index_name_hash_is_stored(self):
+        a = IndexName(2, Call.from_label("1.2"))
+        b = IndexName(2, Call.from_label("1.2"))
+        assert a.call is not b.call
+        assert a == b and hash(a) == hash(b) == hash((2, a.call))
+        assert a != IndexName(1, a.call)
+
     def test_fun_var_ignores_bookkeeping(self):
         a = g.FunVar("g", "1.2", 1, intro=7, domain=Base("Nat"))
         b = g.FunVar("g", "1.2", 1)
@@ -980,3 +1006,26 @@ def test_import_loads_no_code_generation():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("flags", [["-I"], ["-I", "-S"]])
+def test_import_loads_only_what_the_library_runs(flags):
+    """Importing gadtmap loads none of the modules only the command line or
+    type checkers use, with or without `site` (which may preload some), and
+    compiles one regular expression, the tokenizer's."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    unwanted = (
+        "argparse", "gettext", "json", "json.decoder", "json.encoder", "json.scanner",
+        "typing", "dataclasses", "inspect",
+    )
+    code = (
+        f"import re, sys; sys.path.insert(0, {src!r}); before = set(sys.modules); "
+        "patterns = set(re._cache); import gadtmap; "
+        f"print([m for m in {unwanted!r} if m in sys.modules and m not in before]); "
+        "print(sum(k not in patterns for k in re._cache))"
+    )
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "1"]
