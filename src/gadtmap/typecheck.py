@@ -12,11 +12,10 @@ variables become fresh metavariables in first-occurrence order. Metavariables
 that survive inference (e.g. the element type of a bare `nil`) may be
 instantiated by the specification here; anything still unsolved afterwards is
 frozen to a rigid atom and every node's type is overwritten with its ground
-type, so the analysis itself never sees a metavariable. Each metavariable is resolved
-once and its ground type shared, so grounding is linear in the raw typing
-even where types are as deep as the term. The substitution it
-finds is recorded on the typing once (`InstanceWitness`), and fixes the domain
-of every input function.
+type, so the analysis itself never sees a metavariable. Grounding builds each
+part of the raw typing once, from an explicit stack: it is linear in the raw
+typing at any type depth. The substitution it finds is recorded on the typing
+once (`InstanceWitness`), and fixes the domain of every input function.
 """
 from __future__ import annotations
 
@@ -72,10 +71,6 @@ class _Store:
         self.solutions: dict[int, TypeExpr] = {}
         self.numeric: set[int] = set()
         self._next = 0
-        # Each metavariable's resolution, valid while the solutions number
-        # `_resolved_at`: an added solution can only refine a resolution.
-        self._resolved: dict[int, TypeExpr] = {}
-        self._resolved_at = 0
 
     def fresh(self, numeric: bool = False) -> Meta:
         m = Meta(self._next)
@@ -90,50 +85,21 @@ class _Store:
         return t
 
     def resolve(self, t: TypeExpr) -> TypeExpr:
-        """`t` with every solved metavariable replaced by its resolution.
-
-        Each metavariable is resolved once, and its resolution is one object
-        shared by every type that reaches it, so resolving many types that
-        share metavariables costs their raw size, not their resolved size."""
-        if self._resolved_at != len(self.solutions):
-            self._resolved.clear()
-            self._resolved_at = len(self.solutions)
-        return self._resolve(t)
-
-    def _resolve(self, t: TypeExpr) -> TypeExpr:
-        # A metavariable is followed to its solution, which is rebuilt in
-        # this frame: one frame per level of the type.
-        metas: list[int] = []
-        while isinstance(t, Meta):
-            r = self._resolved.get(t.ident)
-            if r is not None:
-                t = r
-                break
-            s = self.solutions.get(t.ident)
-            if s is None:
-                break
-            metas.append(t.ident)
-            t = s
-        else:
-            if isinstance(t, (Prod, Sum)):
-                t = type(t)(self._resolve(t.left), self._resolve(t.right))
-            elif isinstance(t, App):
-                t = App(t.ctor, tuple(map(self._resolve, t.args)))
-        for ident in metas:
-            self._resolved[ident] = t
-        return t
+        """`t` with every solved metavariable replaced by its resolution."""
+        return _ground(self, [t])[0]
 
     def _occurs(self, ident: int, t: TypeExpr) -> bool:
-        t = self.walk(t)
-        if isinstance(t, Meta):
-            return t.ident == ident
-        if isinstance(t, Prod) or isinstance(t, Sum):
-            return self._occurs(ident, t.left) or self._occurs(ident, t.right)
-        if isinstance(t, App):
-            # A loop, not `any(<genexpr>)`: one frame per level of the type.
-            for a in t.args:
-                if self._occurs(ident, a):
+        stack = [t]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, Meta):
+                if t.ident == ident:
                     return True
+                t = self.solutions.get(t.ident)
+                if t is not None:
+                    stack.append(t)
+            else:
+                stack += type_children(t)
         return False
 
     def _bind(self, m: Meta, t: TypeExpr) -> None:
@@ -182,9 +148,10 @@ class TypedNode(Record):
 
     After inference the type and instance are raw (metavariables unresolved;
     read them through `TypedTerm.type_of`/`instance_of`). Freezing the typing
-    overwrites both with ground types, which are shared structure: nodes
-    whose types reach one metavariable hold one object for its resolution,
-    so treat them as immutable. Nodes compare by identity."""
+    overwrites both with ground types, which share structure wherever the
+    raw types do (a pair's type holds its kids' types; a solved metavariable
+    is one object for every type that reaches it), so treat them as
+    immutable. Nodes compare by identity."""
 
     __slots__ = ("term", "type", "instance", "kids")
     __eq__ = object.__eq__
@@ -425,73 +392,85 @@ def check_call_invariants(typed: TypedTerm, spec: TypeExpr, fun_arity: int) -> I
         raise FunArityMismatch(
             f"specification head expects {k} input function(s), got {fun_arity}"
         )
-    store = typed._store
     try:
-        mus = spec_instance(spec, typed.root.type, store)
+        mus = spec_instance(spec, typed.root.type, typed._store)
     except TypeCheckError as e:
         raise SpecMismatch(
             f"term of type {typed.type_of(typed.root)} does not match specification "
             f"{spec}: {e}"
         ) from None
 
-    _freeze(typed)
-    subst = {v: store.resolve(m) for v, m in mus.items()}
+    subst = _freeze(typed, mus)
     # The root type is the specification under `subst`, so its head's
     # components are the specification head's components under `subst`.
     typed.witness = InstanceWitness(subst, type_children(typed.root.type))
     return typed.witness
 
 
-def _freeze(typed: TypedTerm) -> None:
+def _freeze(typed: TypedTerm, mus: dict[str, Meta]) -> dict[str, TypeExpr]:
     """Ground the typing: overwrite every node's type and instance with its
-    resolved type. Ground types are shared structure: each metavariable is
-    resolved once, and every node type, constructor instance and witness
-    entry that reaches it holds that one object.
-
-    When some metavariable is still unsolved, each unsolved one is first
-    bound to a fresh rigid atom `?N`, numbered where it is first met: node
-    types in preorder, then constructor instances in preorder, by ident
-    within one type. When every metavariable is solved, this pass is
-    skipped."""
-    store = typed._store
+    ground type, and return the ground types of the specification variables
+    `mus`, all from one `_ground` call. Each unsolved metavariable becomes an
+    atom `?N`, numbered where first met: node types in preorder, then
+    constructor instances in preorder, by ident within one type."""
     nodes = list(typed.nodes())
     raw = [n.type for n in nodes] + [t for n in nodes for t in n.instance]
-    if len(store.solutions) < store._next:
-        for k, ident in enumerate(_unsolved(store, raw)):
-            store.solutions[ident] = Atom(f"?{k}")
-    # Resolved last to first, so that a node's metavariables are resolved
-    # before its ancestors reach them and the recursion stays shallow. `map`,
-    # not a comprehension, which takes a frame of its own before CPython 3.12.
-    ground = reversed(list(map(store.resolve, reversed(raw))))
+    ground = iter(_ground(typed._store, raw + list(mus.values()), freeze=True))
     for n in nodes:
         n.type = next(ground)
     for n in nodes:
         n.instance = tuple(itertools.islice(ground, len(n.instance)))
+    return dict(zip(mus, ground))
 
 
-def _unsolved(store: _Store, types: list[TypeExpr]) -> dict[int, None]:
-    """The unsolved metavariables the resolved `types` contain, in order of
-    first occurrence, by ident within one type. One scan from an explicit
-    stack over the raw types and the solutions they reach, which visits each
-    shared sub-expression once (by `id`): its metavariables are already
-    numbered, or pending in the type that met it first."""
-    seen: set[int] = set()
-    numbered: dict[int, None] = {}
+def _ground(store: _Store, types: list[TypeExpr], freeze: bool = False) -> list[TypeExpr]:
+    """`types` with every solved metavariable replaced by its resolution;
+    with `freeze`, each unsolved one is first bound to a rigid atom `?N`,
+    numbered where it is first met: type by type, by ident within one type.
+
+    One scan from an explicit stack lists each composite and metavariable of
+    `types` and of the solutions they reach once (by `id`), after its parts,
+    which the occurs check keeps acyclic; each is then built once from its
+    parts' results, so types that share raw structure share ground types."""
+    solutions = store.solutions
+    ground: dict[int, TypeExpr] = {}  # by id, in post-order: raw, then ground
+    atoms = 0
     for root in types:
-        met: set[int] = set()
+        met: set[int] = set()  # the unsolved metavariables first met in `root`
         stack = [root]
         while stack:
             t = stack.pop()
-            if id(t) in seen:
+            if t is None:  # the parts of the entry under this marker are listed
+                t = stack.pop()
+                ground[id(t)] = t
                 continue
-            seen.add(id(t))
+            key = id(t)
+            if key in ground:
+                continue
             if isinstance(t, Meta):
-                s = store.solutions.get(t.ident)
+                s = solutions.get(t.ident)
                 if s is None:
+                    ground[key] = t
                     met.add(t.ident)
-                else:
-                    stack.append(s)
+                    continue
+                parts = (s,)
             else:
-                stack.extend(type_children(t))
-        numbered.update(dict.fromkeys(sorted(met - numbered.keys())))
-    return numbered
+                parts = type_children(t)
+                if not parts:
+                    continue
+            stack += (t, None)
+            stack += parts
+        if freeze and met:
+            for ident in sorted(met):
+                solutions[ident] = Atom(f"?{atoms}")
+                atoms += 1
+    get = ground.get
+    for key, t in ground.items():
+        if isinstance(t, Meta):
+            s = solutions.get(t.ident)
+            ground[key] = t if s is None else get(id(s), s)
+        elif isinstance(t, App):
+            ground[key] = App(t.ctor, tuple([get(id(a), a) for a in t.args]))
+        else:
+            ground[key] = type(t)(get(id(t.left), t.left), get(id(t.right), t.right))
+    return [get(id(t), t) for t in types]

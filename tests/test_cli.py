@@ -360,10 +360,21 @@ class TestDeepInput:
         assert out["verify"]["agrees"] is True
         assert out["verify"]["checked"] == 2
 
-    def test_deep_type_fails_with_one_line(self, program_files):
-        n = 1000
+    def test_deep_pair_nest_type_renders_as_json(self, program_files):
+        # The nest's type is as deep as the term; grounding it takes no frame
+        # per level.
+        n = 3000
         nest = "(0, " * (n - 1) + "0" + ")" * (n - 1)
         proc = self.run_cli(program_files["nested"], nest, "b1 * b2", "--json")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["status"] == "Mappable"
+
+    def test_deep_type_fails_with_one_line(self, program_files):
+        # A `Seq` chain's type is as deep as the term, and the solver's
+        # free-variable scan recurses over it.
+        n = 1000
+        chain = "pair (" * (n - 1) + "pair (const 0) (const 0)" + ") (const 0)" * (n - 1)
+        proc = self.run_cli(program_files["seq"], chain, "Seq b1")
         assert proc.returncode == 2
         assert proc.stderr == "error: input nested too deeply\n"
         assert "Traceback" not in proc.stderr
@@ -375,23 +386,22 @@ class TestDeepInput:
         return "cons (" * (n - 1) + "cons nil nil" + ") nil" * (n - 1)
 
     def test_deep_nested_list_type_passes(self, program_files):
-        # `infer`'s occurs check takes one frame per type application.
         proc = self.run_cli(program_files["nested"], self.nested_list(400), "List b1")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("status: Mappable\n")
 
     def test_deep_nested_list_type_passes_at_800_levels(self, program_files):
-        # Grounding the typing takes one frame per type level, as `infer`'s
-        # occurs check does.
+        # Neither grounding the typing nor `infer`'s occurs check takes a
+        # frame per type level.
         proc = self.run_cli(program_files["nested"], self.nested_list(800), "List b1")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("status: Mappable\n")
 
-    def test_deep_nested_list_type_fails_with_one_line(self, program_files):
-        # Past ~985 levels `infer`'s occurs check recurses too deeply.
-        proc = self.run_cli(program_files["nested"], self.nested_list(1000), "List b1")
-        assert proc.returncode == 2
-        assert proc.stderr == "error: input nested too deeply\n"
+    def test_deep_nested_list_type_passes_at_2000_levels(self, program_files):
+        # Past the ~986 levels that grounding reached with a frame per level.
+        proc = self.run_cli(program_files["nested"], self.nested_list(2000), "List b1")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("status: Mappable\n")
 
     def test_deep_bush_spine_fails_with_one_line(self, program_files):
         # The k-th element of a `bcons` spine is a k-deep `Bush`; the walk's

@@ -177,6 +177,8 @@ UNSOLVED = [
     ("nested", "inl (cons 1 nil)", "List b1 + b2"),
     ("both", "pair (pair (const nil) (const 2)) (const (cons nil nil))", "Seq b1"),
     ("both", "pair (const (nil, inr nil)) (pair (const nil) (const (inl 1)))", "Seq (b1 * b2)"),
+    # Atoms ?0 ... ?30 in node types that share their raw structure.
+    ("nested", "(nil, " * 30 + "nil" + ")" * 30, "b1 * b2"),
 ]
 
 
@@ -272,26 +274,40 @@ class TestSharedGrounding:
         assert w.subst["b1"].left is typed.root.instance[0]
         assert inner.instance[0] is inner.kids[0].instance[0]
 
+    def test_pair_type_holds_its_kids_types(self, nested_vp):
+        # A pair's raw type holds its kids' raw types; each is grounded once.
+        typed = g.infer(g.parse_term("((0, tt), (1, 2))", nested_vp), nested_vp)
+        g.check_call_invariants(typed, g.parse_spec("b1 * b2", nested_vp), 2)
+        root = typed.root
+        assert root.type.left is root.kids[0].type and root.type.right is root.kids[1].type
+
     def test_cost_is_linear_in_type_depth(self, nested_vp):
-        # A list of lists n levels deep has node types n levels deep that
-        # share their structure: a scan of every resolved type on its own
-        # costs n^2, one scan of the shared structure costs n. Counted in
-        # Python function calls, which do not depend on the machine.
-        spec = g.parse_spec("List b1", nested_vp)
-        counts = []
-        for n in (100, 200, 400):
-            text = "cons (" * (n - 1) + "cons nil nil" + ") nil" * (n - 1)
-            typed = g.infer(g.parse_term(text, nested_vp), nested_vp)
-            calls = 0
+        # A list of lists or a pair nest n levels deep has node types n
+        # levels deep that share their structure: a scan of every resolved
+        # type on its own costs n^2, one scan of the shared structure costs n.
+        # Counted in Python function calls, which do not depend on the machine.
+        ladders = {
+            "List b1": lambda n: "cons (" * (n - 1) + "cons nil nil" + ") nil" * (n - 1),
+            "b1 * b2": lambda n: "(0, " * (n - 1) + "0" + ")" * (n - 1),
+        }
+        for spec_text, ladder in ladders.items():
+            spec = g.parse_spec(spec_text, nested_vp)
+            counts = []
+            for n in (100, 200, 400):
+                typed = g.infer(g.parse_term(ladder(n), nested_vp), nested_vp)
+                calls = 0
 
-            def profile(frame, event, arg):
-                nonlocal calls
-                calls += event == "call"
+                def profile(frame, event, arg):
+                    nonlocal calls
+                    calls += event == "call"
 
-            sys.setprofile(profile)
-            try:
-                g.check_call_invariants(typed, spec, 1)
-            finally:
-                sys.setprofile(None)
-            counts.append(calls)
-        assert all(big <= 2.2 * small for small, big in zip(counts, counts[1:])), counts
+                sys.setprofile(profile)
+                try:
+                    g.check_call_invariants(typed, spec, g.spec_head_arity(spec, nested_vp))
+                finally:
+                    sys.setprofile(None)
+                counts.append(calls)
+            assert all(big <= 2.2 * small for small, big in zip(counts, counts[1:])), (
+                spec_text,
+                counts,
+            )
