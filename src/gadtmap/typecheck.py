@@ -435,8 +435,8 @@ def _ground(store: _Store, types: list[TypeExpr], freeze: bool = False) -> list[
     solutions = store.solutions
     ground: dict[int, TypeExpr] = {}  # by id, in post-order: raw, then ground
     atoms = 0
+    met: set[int] = set()  # the unsolved metavariables first met in `root`
     for root in types:
-        met: set[int] = set()  # the unsolved metavariables first met in `root`
         stack = [root]
         while stack:
             t = stack.pop()
@@ -464,6 +464,7 @@ def _ground(store: _Store, types: list[TypeExpr], freeze: bool = False) -> list[
             for ident in sorted(met):
                 solutions[ident] = Atom(f"?{atoms}")
                 atoms += 1
+        met.clear()
     get = ground.get
     for key, t in ground.items():
         if isinstance(t, Meta):

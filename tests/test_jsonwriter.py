@@ -3,6 +3,7 @@ for the value kinds reports are made of, and rejects every other kind."""
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,7 +52,10 @@ def test_equals_stdlib(value):
 @pytest.mark.parametrize(
     "value",
     [[], {}, [[]], [{}], {"a": []}, {"a": {}}, [[[1, 2], []], {"b": [None]}], [True, 1, False, 0],
-     ["x", 1], [None, None], [[True], [1]]],
+     ["x", 1], [None, None], [[True], [1]],
+     # lists of ints are written from their `repr`; a bool among them is not an int
+     [-1, 0, -(2**63)], [2**64, -(2**64) - 1, 3**90], [1, True, 0, False], [[0]], [[], [1]],
+     {"p": [[1, 2], [-3]], "q": []}],
 )
 def test_edge_shapes_equal_stdlib(value):
     assert json_text(value) == json.dumps(value, indent=2)
@@ -119,3 +123,50 @@ def test_shared_subtree_is_not_a_cycle():
     leaf = {"lhs": {"t": "id", "at": "Nat"}, "origin": "1:i", "tags": [1, "a"]}
     value = {"constraints": [leaf, leaf], "calls": [{"emitted": [leaf]}, [[leaf], []]]}
     assert json_text(value) == json.dumps(value, indent=2)
+
+
+def _dict_value_loop() -> dict:
+    loop: dict = {"a": 1}
+    loop["b"] = [loop]
+    return loop
+
+
+def _list_item_loop() -> dict:
+    inner: list = [1]
+    loop = {"k": [inner, "x"]}
+    inner.append([{"back": loop["k"]}])
+    return loop
+
+
+@pytest.mark.parametrize("make", [_dict_value_loop, _list_item_loop], ids=["dict value", "list item"])
+def test_cycle_through_container_raises_value_error(make):
+    with pytest.raises(ValueError, match="Circular reference"):
+        json.dumps(make(), indent=2)
+    with pytest.raises(ValueError, match="Circular reference"):
+        json_text(make())
+
+
+@pytest.mark.parametrize("wrap", [lambda v: [v], lambda v: {"a": v}], ids=["list", "dict"])
+def test_nesting_past_recursion_limit_raises_recursion_error(wrap):
+    value: object = []
+    for _ in range(sys.getrecursionlimit() + 10):
+        value = wrap(value)
+    with pytest.raises(RecursionError):
+        json.dumps(value, indent=2)
+    with pytest.raises(RecursionError):
+        json_text(value)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [lambda k: [{"a": 1, "b": 2}, {k: 1}], lambda k: [{"a": 1, "b": 2}, {"a": 1, k: 2}],
+     lambda k: [{"a": {"b": 1}}, {"a": {"b": 2, k: 3}}]],
+    ids=["first key", "later key", "deeper"],
+)
+def test_non_str_key_after_cached_keys_raises_type_error(shape):
+    with pytest.raises(TypeError):
+        json.dumps(shape(("a",)), indent=2)
+    for key in [("a",), 1]:  # the stdlib writes an int key as a string
+        with pytest.raises(TypeError):
+            json_text(shape(key))
+
