@@ -189,6 +189,9 @@ def _free_var_names(form: tuple[FunExpr, ...]) -> list[str]:
     return list(dict.fromkeys(v.display for f in form for v in fun_vars(f)))
 
 
+# Deeper values raise `RecursionError` at any recursion limit, so a cycle
+# stops here; CPython's default limit, far past a report's nesting.
+_MAX_DEPTH = 1000
 _LITERALS = {None: "null", True: "true", False: "false"}
 # The encoder of each scalar kind, by exact type; each runs in C.
 _SCALARS = {
@@ -207,14 +210,12 @@ def json_text(value: object) -> str:
     Any other value, a float or a tuple included, raises `TypeError`, so a
     report field of a new kind fails instead of being rendered differently
     from the standard library. A cycle raises `ValueError` as `json.dumps`
-    does: the writer keeps no set of open containers (tracking each one cost
-    about 6% of its time), so a cycle first shows up as a `RecursionError`,
-    and one iterative check then tells it from a value nested too deeply,
-    which still raises `RecursionError`. A cycle is thus caught only after
-    `sys.getrecursionlimit()` frames, each writing again the items ahead of
-    the self-reference; under a raised limit that costs time and memory in
-    proportion, where `json.dumps` stops at the first repeat. With an
-    indent the standard library runs its pure-Python encoder, which takes
+    does, and a value nested past the recursion limit or past `_MAX_DEPTH`
+    levels, even under a raised limit, raises `RecursionError` (no report
+    comes near). The writer keeps no set of open containers (tracking each
+    one cost about 6% of its time), so a cycle first shows up as a
+    `RecursionError`, and `json.dumps` then tells it from deep nesting. With
+    an indent the standard library runs its pure-Python encoder, which takes
     about 2.3 to 2.5 times as long on lists-deep reports (`scripts/ab.py`'s
     `encode` block: 6.8 to 7.5 against 2.9 to 3.0 ms per report, CPython
     3.11).
@@ -226,8 +227,9 @@ def json_text(value: object) -> str:
     try:
         _write_json(value, 0, out.append, [("\n", ",\n", {}, {}, "")])
     except RecursionError:
-        if _cyclic(value):
-            raise ValueError("Circular reference detected") from None
+        import json
+
+        json.dumps(value)  # raises ValueError at a cycle's first repeat
         raise
     return "".join(out)
 
@@ -263,6 +265,8 @@ def _write_json(
         raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
     depth += 1
     if depth == len(levels):
+        if depth > _MAX_DEPTH:
+            raise RecursionError("JSON value nested too deeply")
         close = levels[-1][0]
         nl = close + "  "
         levels.append((nl, "," + nl, {}, {}, close))
@@ -297,31 +301,6 @@ def _write_json(
                 append(prefix + enc(v))
             prefixes = laters
         append(close + "}")
-
-
-def _cyclic(value: object) -> bool:
-    """Whether a list or dict in `value` contains itself, found from an
-    explicit stack; a subtree shared by several parents is walked once."""
-    open_: set[int] = set()  # ids of the containers on the current path
-    done: set[int] = set()  # ids of the containers walked in full
-    stack = [(0, iter((value,)))]  # (id, items left) of each open container
-    while stack:
-        key, items = stack[-1]
-        for o in items:
-            t = type(o)
-            if t is list or t is dict:
-                k = id(o)
-                if k in open_:
-                    return True
-                if k not in done:
-                    open_.add(k)
-                    stack.append((k, iter(o if t is list else o.values())))
-                    break
-        else:
-            stack.pop()
-            open_.discard(key)
-            done.add(key)
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -406,15 +385,17 @@ def cmd_validate(args: argparse.Namespace) -> int:
     text = _read(args.program)
     if text is None:
         return 2
-    try:
-        program = parse_program(text)
-    except ParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return 2
     errors = []
     vp = None
     try:
+        program = parse_program(text)
         vp = validate(program)
+    except ParseError as e:
+        print(f"parse error: {e}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
+        return 2
     except WellformedError as e:
         errors = e.errors
     if args.json:

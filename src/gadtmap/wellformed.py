@@ -1,10 +1,11 @@
 """Validation of parsed programs and the proper/ordinary classification.
 
 A program is accepted when every constructor type fits the supported shape:
-argument types are closed, a single bound variable, or an application of a
-declared constructor / product / sum with at least one open argument; return
-indices use only the constructor's bound variables and mention neither the
-data type being declared nor any data type classified as proper.
+constructor names are distinct, every data type applied is declared and
+given its arity, and return indices mention neither the data type being
+declared nor any data type classified as proper. Every argument type the
+parser produces has a supported form; only a hand-built one, such as a
+metavariable, is reported as unsupported.
 
 A data type is *proper* when at least one of its constructors is restricted,
 i.e. its return indices differ from the plain tuple of bound variables. The
@@ -108,8 +109,8 @@ def _check_arities(t: TypeExpr, program: Program, errors: list[Diagnostic], wher
 
 
 def _check_arg_form(t: TypeExpr, where: str, errors: list[Diagnostic]) -> None:
-    # Accepted argument forms: a closed type; a single bound variable; an
-    # application of a declared constructor or * / + with an open argument.
+    # Accepted argument forms: a closed type, a variable, an application, a
+    # product or a sum, so every parsed type; a metavariable is not one.
     if is_closed(t) or isinstance(t, Var):
         return
     if isinstance(t, (Prod, Sum, App)):

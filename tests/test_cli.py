@@ -55,6 +55,15 @@ class TestValidateCommand:
         bad.write_text("data : where")
         assert main(["validate", str(bad)]) == 2
 
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_deep_declaration_type_fails_with_one_line(self, tmp_path, capsys, flags):
+        # The type parser recurses once per level of parentheses.
+        n = 3000
+        deep = tmp_path / "deep.gadt"
+        deep.write_text(f"data T : Set -> Set where mk : forall a. {'(' * n}a{')' * n} -> T a")
+        assert main(["validate", str(deep), *flags]) == 2
+        assert capsys.readouterr() == ("", "error: input nested too deeply\n")
+
 
 class TestAnalyzeCommand:
     def test_mappable_exit_zero(self, program_files, capsys):

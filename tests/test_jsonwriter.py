@@ -146,6 +146,49 @@ def test_cycle_through_container_raises_value_error(make):
         json_text(make())
 
 
+def _self_loop() -> list:
+    loop: list = []
+    loop.append(loop)
+    return loop
+
+
+@pytest.fixture()
+def raised_limit():
+    """A recursion limit of 5 000, restored afterwards."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(5000)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("make", [_self_loop, _dict_value_loop], ids=["self", "dict value"])
+def test_cycle_stops_at_max_depth_under_raised_limit(make, monkeypatch, raised_limit):
+    # The writer gives up `_MAX_DEPTH` levels down, not at the recursion
+    # limit, so a cycle costs the same at any limit.
+    depths = []
+    write = cli._write_json
+
+    def counted(o, depth, append, levels):
+        depths.append(depth + 1)
+        write(o, depth, append, levels)
+
+    monkeypatch.setattr(cli, "_write_json", counted)
+    with pytest.raises(ValueError, match="Circular reference"):
+        json_text(make())
+    assert max(depths) <= 1001
+
+
+def test_nesting_past_max_depth_raises_recursion_error_under_raised_limit(raised_limit):
+    value: object = [0]  # one level per list
+    for _ in range(cli._MAX_DEPTH):
+        value = [value]
+    with pytest.raises(RecursionError):
+        json_text(value)
+    assert json_text(value[0]) == json.dumps(value[0], indent=2)
+
+
 @pytest.mark.parametrize("wrap", [lambda v: [v], lambda v: {"a": v}], ids=["list", "dict"])
 def test_nesting_past_recursion_limit_raises_recursion_error(wrap):
     value: object = []

@@ -71,6 +71,16 @@ class TestInfer:
         report = g.analyze(nested_vp, term, g.parse_spec("List b1", nested_vp))
         assert (report.status, report.detail) == ("IllTyped", expected)
 
+    def test_unknown_constructor_is_reported(self, nested_vp):
+        # The parser rejects an unknown constructor first, with a position.
+        with pytest.raises(g.TypeCheckError, match="unknown constructor 'snoc'"):
+            g.infer(g.Ctor("snoc", ()), nested_vp)
+
+    def test_non_term_cannot_be_typed(self, nested_vp):
+        term = g.Ctor("cons", (Base("Nat"), g.Ctor("nil", ())))
+        with pytest.raises(g.TypeCheckError, match=re.escape("cannot type Base(name='Nat')")):
+            g.infer(term, nested_vp)
+
     def test_inference_is_deterministic(self, g_vp):
         t = g.parse_term("projpair (inj (inj (cons 2 nil), pairing (inj 2) const))", g_vp)
         a, b = g.infer(t, g_vp), g.infer(t, g_vp)

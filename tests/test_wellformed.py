@@ -117,3 +117,22 @@ class TestValidate:
         )
         vp = g.validate(g.parse_program(src))
         assert vp.proper_flags == {"Even": False, "Odd": False}
+
+
+class TestHandBuiltPrograms:
+    """Diagnostics the parser pre-empts: only a `Program` built through the
+    library reaches them."""
+
+    @staticmethod
+    def errors(*ctors: g.ConstructorSig) -> list[str]:
+        with pytest.raises(g.WellformedError) as ei:
+            g.validate(g.Program((g.GadtDecl("L", 1, ctors),)))
+        return [str(d) for d in ei.value.errors]
+
+    def test_duplicate_constructor_name(self):
+        nil = g.ConstructorSig("nil", ("a",), (), (g.Var("a"),))
+        assert self.errors(nil, nil) == ["BadArgForm: duplicate constructor name 'nil'"]
+
+    def test_metavariable_argument_is_unsupported(self):
+        mk = g.ConstructorSig("mk", ("a",), (g.Var("a"), g.Meta(0)), (g.Var("a"),))
+        assert self.errors(mk) == ["BadArgForm: unsupported argument type in argument 2 of 'mk'"]
