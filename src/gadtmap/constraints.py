@@ -26,6 +26,21 @@ The subterm of every call is recorded by identity as an essential head
 (`AnnotatedTerm.heads`); the renderers read the heads, and only
 `AnnotatedTerm.essential` builds term paths, for the JSON `essentialPaths`.
 
+What a call matches, emits and recurses on depends only on its key: its
+specification up to renaming its variables by first occurrence, and its
+subterm's constructor (or the pair or injection). So the first call of each
+key compiles a plan (`_Plan`) from the derivation above, making every check
+the key decides on the way: the constructor (or pair or injection) against
+the specification, and clashes in the matching. A plan holds that derivation as
+templates over the call's slots (its specification variables, then its
+index variables), with compiled lifters and instantiators, and a link per
+child call. Every call, the first included, then only instantiates its
+plan: its fresh `g` and `h` variables, index names and `Call`, its emitted
+constraints, its trace, and its child calls, which find their plans on the
+link by constructor. Each call still re-checks its instantiated
+specification against its subterm's type and its input functions' domains
+against the constructor's instance. Plans live for one `run`.
+
 The walk runs its calls in preorder from an explicit stack, so the depth of
 a term is bounded by memory, not by the interpreter's recursion limit. Each
 call is named by a `Call` node of constant size; the labels that name calls,
@@ -36,8 +51,9 @@ its typed node, which `check_call_invariants` left frozen.
 from __future__ import annotations
 
 import itertools
+from operator import attrgetter, itemgetter
 
-from .funexpr import Call, Constraint, FunExpr, FunVar, fun_type, lift_type
+from .funexpr import Call, Constraint, FunExpr, FunVar, _constant, fun_type, lifter
 from .syntax import (
     App,
     Ctor,
@@ -62,6 +78,10 @@ from .syntax import (
 from .typecheck import TypedNode, TypedTerm
 from .wellformed import ValidatedProgram
 
+TYPE_CHECKING = False  # as in `syntax`
+if TYPE_CHECKING:
+    from collections.abc import Callable
+
 
 class InternalInvariantViolation(Exception):
     """A call precondition failed mid-run; indicates a bug, not bad input."""
@@ -82,7 +102,7 @@ class IndexName(Frozen):
     def __init__(self, index: int, call: Call) -> None:
         _set(self, "index", index)
         _set(self, "call", call)
-        # Index names key the walk's environments and maps: hash once.
+        # Index names key the matching's maps: hash once.
         _set(self, "_hash", hash((index, call)))
 
     def __hash__(self) -> int:
@@ -214,19 +234,113 @@ def match_spec(
     return defs, pins
 
 
+def _instantiator(t: TypeExpr) -> Callable[[tuple], TypeExpr] | None:
+    """`subst_type` on `t` as a function of a tuple `vals`, for a template
+    whose variables are slot numbers: slot `i` stands for `vals[i]`. None
+    when `t` is closed, which is decided bottom-up in the same pass, so
+    closed parts are kept, not rebuilt."""
+    if isinstance(t, Var):
+        return itemgetter(t.name)
+    kids = type_children(t)
+    fs = [_instantiator(kid) for kid in kids]
+    if fs.count(None) == len(fs):
+        return None
+    if isinstance(t, App):
+        ctor, args = t.ctor, _tupled(kids, fs)
+        return lambda vals: App(ctor, args(vals))
+    node = type(t)
+    left, right = [_constant(kid) if f is None else f for kid, f in zip(kids, fs)]
+    return lambda vals: node(left(vals), right(vals))
+
+
+def _instantiate_each(ts: tuple[TypeExpr, ...]) -> Callable[[tuple], tuple[TypeExpr, ...]]:
+    return _tupled(ts, list(map(_instantiator, ts)))
+
+
+def _tupled(ts: tuple[TypeExpr, ...], fs: list[Callable | None]) -> Callable[[tuple], tuple]:
+    """One function giving the results of `fs` as a tuple, where `fs` are
+    the compiled templates `ts` (None for a closed one, which stands for
+    itself). When every template is a variable, the tuple is picked in C."""
+    if set(map(type, ts)) <= {Var}:
+        return _pick(tuple(map(_NAME, ts)))
+    fs = [_constant(t) if f is None else f for t, f in zip(ts, fs)]
+    if len(fs) == 1:
+        f = fs[0]
+        return lambda vals: (f(vals),)
+    if len(fs) == 2:
+        f, g = fs
+        return lambda vals: (f(vals), g(vals))
+    return lambda vals: tuple([f(vals) for f in fs])
+
+
+def _pick(slots: tuple[int, ...]) -> Callable[[tuple], tuple]:
+    """The items of a tuple at `slots`, as a tuple, picked in C."""
+    if len(slots) == 1:
+        return itemgetter(slice(slots[0], slots[0] + 1))
+    return itemgetter(*slots) if slots else itemgetter(slice(0, 0))
+
+
+class _Edge:
+    """Where calls find their plans: one per specification template met in
+    a run, with the number of its components (-1 when it has none to call
+    on), its instantiator, and its plans so far, keyed by the subterm's
+    constructor name (its class for a pair or an injection)."""
+
+    __slots__ = ("template", "arity", "spec", "plans")
+
+    def __init__(self, template: TypeExpr) -> None:
+        self.template = template
+        self.arity = len(type_children(template)) if isinstance(template, (App, Prod, Sum)) else -1
+        self.spec = _instantiator(template) or _constant(template)
+        self.plans: dict[str | type, _Plan] = {}
+
+
+if TYPE_CHECKING:
+    # A child call of a plan: see `_Run._branch`.
+    _Branch = tuple[int, int, Callable, Callable, _Edge]
+
+
+class _Plan:
+    """What every call of one key does, compiled from the derivation of its
+    first call. Its templates number the call's slots: the specification
+    variables in first-occurrence order, then, at a constructor, one index
+    variable per binder. `lifts` lift the specification's components from
+    the function variables (step i). At a constructor, `rets` instantiates
+    the return indices over the index variables' slots, `step_v` and
+    `step_vi` lift the sides of the other constraints, `taus` and `rjs`
+    instantiate, and `zetas` reads the components off each rj that needs a
+    call (None otherwise). At a pair or an injection, `rets` is None and
+    the rjs are the specification's components. Each child call is a branch
+    (see `_Run._branch`)."""
+
+    __slots__ = ("lifts", "rets", "step_v", "step_vi", "taus", "rjs", "zetas", "branches")
+
+
 # A pending call: the typed subterm, its input functions, its specification,
-# the substitution instantiating that specification, and its name.
-_Pending = tuple[TypedNode, tuple[FunExpr, ...], TypeExpr, dict[VarName, TypeExpr], Call]
+# the domains and variables of its specification variables, its name, and
+# the edge to its plan.
+_Pending = tuple[TypedNode, tuple[FunExpr, ...], TypeExpr, tuple[TypeExpr, ...],
+                 tuple[Var, ...], Call, _Edge]
+_PARTS = attrgetter("left", "right")
+_NAME = attrgetter("name")
+_ARGS = attrgetter("args")
 
 
 class _Run:
+    """One run of the walk, holding its edges and plans (see the module
+    docstring) for as long as the run. `call` re-checks the call's shape and
+    specification instance, finds its plan on its edge by constructor
+    (`_compile` derives it on the key's first call, with the checks the key
+    decides), re-checks the input functions' domains and instantiates the
+    plan. Compiling a plan finds the edge of each child call's
+    specification template, hashing the template once; a call neither
+    renames nor hashes its specification."""
+
     def __init__(self, vp: ValidatedProgram):
         self.vp = vp
         self._intro = itertools.count()
+        self._edges: dict[TypeExpr, _Edge] = {}
         self.traces: list[CallTrace] = []
-
-    def fresh_fun(self, kind: str, call: Call | None, index: int, domain: TypeExpr) -> FunVar:
-        return FunVar(kind, call, index, intro=next(self._intro), domain=domain)
 
     def walk(self, root: _Pending) -> None:
         """Run `root` and every call below it in preorder, from an explicit
@@ -239,37 +353,92 @@ class _Run:
         self,
         node: TypedNode,
         funs: tuple[FunExpr, ...],
-        spec_te: TypeExpr,
-        cenv: dict[VarName, TypeExpr],
+        spec: TypeExpr,
+        doms: tuple[TypeExpr, ...],
+        names: tuple[Var, ...],
         call: Call,
+        edge: _Edge,
     ) -> list[_Pending]:
-        """Run one call; returns its child calls in order."""
-        term = node.term
-        components = type_children(spec_te)
-        if not isinstance(spec_te, (App, Prod, Sum)) or len(components) != len(funs):
+        """Run one call; returns its child calls in order. `doms` and `names`
+        give each specification variable's domain and variable."""
+        if len(funs) != edge.arity:
             raise InternalInvariantViolation(
-                f"call {call.label}: bad call on {spec_te} with {len(funs)} functions"
+                f"call {call.label}: bad call on {spec} with {len(funs)} functions"
             )
-        if subst_type(spec_te, cenv) != node.type:
+        instance = edge.spec(doms)
+        if instance != node.type:
             raise InternalInvariantViolation(
-                f"call {call.label}: instantiated specification {subst_type(spec_te, cenv)} "
+                f"call {call.label}: instantiated specification {instance} "
                 f"differs from subterm type {node.type}"
             )
+        term = node.term
+        case = term.name if term.__class__ is Ctor else term.__class__
+        plan = edge.plans.get(case)
+        if plan is None:
+            plan = edge.plans[case] = self._compile(node, spec, len(doms), call, edge.template)
+        betas = doms
+        rets = plan.rets
+        if rets is not None:
+            w = node.instance
+            doms += w
+            for ell, (f, expected) in enumerate(zip(funs, rets(doms)), 1):
+                got = f.domain if f.__class__ is FunVar else fun_type(f, codomain=False)
+                if got is not None and got is not expected and got != expected:
+                    raise InternalInvariantViolation(
+                        f"call {call.label}: input function {ell} has domain {got}, "
+                        f"expected {expected}"
+                    )
 
-        betas = free_type_vars(spec_te)
-        # The g variables, then (constructor case) the h variables: spec
-        # variable names and index names never clash.
-        env: dict[VarName, FunVar] = {
-            b: self.fresh_fun("g", call, i + 1, cenv[b]) for i, b in enumerate(betas)
-        }
+        # The g variables, then (constructor case) the h variables.
+        intro = self._intro
+        env = []
+        for i, dom in enumerate(betas, 1):
+            env.append(FunVar("g", call, i, next(intro), False, dom))
         emitted = []
-        for ell, comp in enumerate(components):
-            emitted.append(Constraint(lift_type(comp, env), funs[ell], "i", call))
+        for lift, f in zip(plan.lifts, funs):
+            emitted.append(Constraint(lift(env), f, "i", call))
+        if rets is None:
+            rjs = _PARTS(spec)
+            self.traces.append(CallTrace(call, term, funs, spec, tuple(emitted)))
+        else:
+            gammas = []
+            for i, dom in enumerate(w, 1):
+                gammas.append(Var(IndexName(i, call)))
+                env.append(FunVar("h", call, i, next(intro), False, dom))
+            for lift, b in plan.step_v:
+                emitted.append(Constraint(lift(env), env[b], "v", call))
+            for lift, first in plan.step_vi:
+                emitted.append(Constraint(lift(env), first(env), "vi", call))
+            names += tuple(gammas)
+            rjs = plan.rjs(names)
+            zetas = tuple([None if zeta is None else zeta(rj) for zeta, rj in zip(plan.zetas, rjs)])
+            self.traces.append(CallTrace(call, term, funs, spec, tuple(emitted),
+                                         tuple(zip(spec.args, rets(names))),
+                                         plan.taus(names), rjs, zetas))
 
-        # Each target of a child call: (branch, typed kid, instantiated type,
-        # zetas); the call is made when zetas is not None.
-        if isinstance(spec_te, (Prod, Sum)):
-            if isinstance(spec_te, Prod):
+        env = tuple(env)
+        kids = node.kids
+        children: list[_Pending] = []
+        for j, kid, lift, pick, child_edge in plan.branches:
+            children.append((kids[kid], lift(env), rjs[j], pick(doms), pick(names),
+                             Call(call, j + 1), child_edge))
+        return children
+
+    def _compile(
+        self, node: TypedNode, spec: TypeExpr, nb: int, call: Call, template: TypeExpr
+    ) -> _Plan:
+        """The plan of a call's key, derived on the key's first call, which
+        it names in its errors. `template` is the call's specification with
+        its `nb` variables numbered in first-occurrence order."""
+        term = node.term
+        parts = type_children(template)
+        plan = _Plan()
+        plan.lifts = tuple(map(lifter, parts))
+
+        # Each target of a child call: (branch, kid index, its specification,
+        # its components when the call is made).
+        if isinstance(template, (Prod, Sum)):
+            if isinstance(template, Prod):
                 if not isinstance(term, Pair):
                     raise InternalInvariantViolation(f"call {call.label}: expected a pair")
                 branches = ((0, 0), (1, 1))
@@ -279,69 +448,73 @@ class _Run:
                 branches = ((1, 0),)
             else:
                 raise InternalInvariantViolation(f"call {call.label}: expected an injection")
-            targets = [
-                (j, node.kids[i], components[j], recursion_target(components[j]))
-                for j, i in branches
-            ]
-            self.traces.append(CallTrace(call, term, funs, spec_te, tuple(emitted)))
+            plan.rets = None
+            targets = [(j, i, parts[j], recursion_target(parts[j])) for j, i in branches]
         else:
             if not isinstance(term, Ctor):
                 raise InternalInvariantViolation(
                     f"call {call.label}: expected a constructor application"
                 )
             decl, sig = self.vp.ctor(term.name)
-            if spec_te.ctor != decl.name:
+            if template.ctor != decl.name:
                 raise InternalInvariantViolation(
-                    f"call {call.label}: constructor {term.name!r} does not build {spec_te}"
+                    f"call {call.label}: constructor {term.name!r} does not build {spec}"
                 )
-            w = node.instance
-            inst = dict(zip(sig.type_vars, w))
-            for ell, k_expr in enumerate(sig.ret_indices):
-                expected = subst_type(k_expr, inst)
-                got = fun_type(funs[ell], codomain=False)
-                if got is not None and got != expected:
-                    raise InternalInvariantViolation(
-                        f"call {call.label}: input function {ell + 1} has domain {got}, "
-                        f"expected {expected}"
-                    )
-
-            gammas = tuple(IndexName(i + 1, call) for i in range(len(sig.type_vars)))
-            rename = {a: Var(g) for a, g in zip(sig.type_vars, gammas)}
-            matching = tuple(
-                (comp, subst_type(k_expr, rename))
-                for comp, k_expr in zip(components, sig.ret_indices)
-            )
-            defs, pins = match_spec(matching)
-            # Each index variable stands for its first pin, if it has one.
-            taus = tuple(pins[g][0] if g in pins else Var(g) for g in gammas)
-            for i, g in enumerate(gammas):
-                env[g] = self.fresh_fun("h", call, i + 1, w[i])
+            # The index variables take the slots after the specification's.
+            binders = sig.type_vars
+            gammas = range(nb, nb + len(binders))
+            rename = dict(zip(binders, map(Var, gammas)))
+            rets = tuple([subst_type(k_expr, rename) for k_expr in sig.ret_indices])
+            plan.rets = _instantiate_each(rets)
+            try:
+                defs, pins = match_spec(tuple(zip(parts, rets)))
+            except NotTopUnifiable:
+                # Raise the same clash, named by the call's own variables.
+                rename = {a: Var(IndexName(k, call)) for k, a in enumerate(binders, 1)}
+                match_spec(tuple([
+                    (comp, subst_type(k_expr, rename))
+                    for comp, k_expr in zip(type_children(spec), sig.ret_indices)
+                ]))
+                raise
             # Step v defines each specification variable by its index
             # expressions; step vi ties each further pin of an index to its first.
-            for b in betas:
-                for psi in defs.get(b, ()):
-                    emitted.append(Constraint(lift_type(psi, env), env[b], "v", call))
-            for g in gammas:
-                sigmas = pins.get(g, ())
-                for sigma in sigmas[1:]:
-                    emitted.append(
-                        Constraint(lift_type(sigma, env), lift_type(sigmas[0], env), "vi", call)
-                    )
+            plan.step_v = [(lifter(psi), b) for b in range(nb) for psi in defs.get(b, ())]
+            plan.step_vi = [
+                (lifter(sigma), lifter(pins[g][0])) for g in gammas for sigma in pins.get(g, ())[1:]
+            ]
+            # Each index variable stands for its first pin, if it has one.
+            taus = tuple([pins[g][0] if g in pins else Var(g) for g in gammas])
+            plan.taus = _instantiate_each(taus)
+            at_taus = dict(zip(binders, taus))
+            rjs = tuple([subst_type(arg_type, at_taus) for arg_type in sig.arg_types])
+            plan.rjs = _instantiate_each(rjs)
+            targets = [(j, j, rj, recursion_target(rj)) for j, rj in enumerate(rjs)]
+            plan.zetas = [
+                None if zeta is None else _PARTS if isinstance(rj, (Prod, Sum)) else _ARGS
+                for _, _, rj, zeta in targets
+            ]
+        plan.branches = [
+            self._branch(j, i, rj, zeta) for j, i, rj, zeta in targets if zeta is not None
+        ]
+        return plan
 
-            at_taus = dict(zip(sig.type_vars, taus))
-            rjs = tuple(subst_type(arg_type, at_taus) for arg_type in sig.arg_types)
-            zetas = tuple(recursion_target(rj) for rj in rjs)
-            targets = zip(itertools.count(), node.kids, rjs, zetas)
-            self.traces.append(CallTrace(call, term, funs, spec_te, tuple(emitted),
-                                         matching, taus, rjs, zetas))
+    def _branch(self, j: int, kid: int, rj: TypeExpr, zeta: tuple[TypeExpr, ...]) -> _Branch:
+        """A child call on `rj`, a template over the parent's slots: its
+        branch `j` (0-based), the kid it runs on, its input functions lifted
+        from the parent's function variables (`zeta`), the slots its
+        specification variables take their domains and variables from, in
+        first-occurrence order, and the edge of its renumbered `rj`."""
+        slots = free_type_vars(rj)
+        if slots != tuple(range(len(slots))):
+            rj = subst_type(rj, {s: Var(i) for i, s in enumerate(slots)})
+        return j, kid, _tupled(zeta, list(map(lifter, zeta))), _pick(slots), self.edge(rj)
 
-        children: list[_Pending] = []
-        for j, kid, rj, zs in targets:
-            if zs is not None:
-                child_funs = tuple(lift_type(z, env) for z in zs)
-                child_cenv = {v: env[v].domain for v in free_type_vars(rj)}
-                children.append((kid, child_funs, rj, child_cenv, Call(call, j + 1)))
-        return children
+    def edge(self, template: TypeExpr) -> _Edge:
+        edge = self._edges.get(template)
+        if edge is None:
+            edge = self._edges[template] = _Edge(template)
+        return edge
+
 
 def run(typed: TypedTerm, spec: TypeExpr) -> RunResult:
     """Run the analysis on a typed, frozen term.
@@ -355,13 +528,27 @@ def run(typed: TypedTerm, spec: TypeExpr) -> RunResult:
         raise InternalInvariantViolation("run requires a frozen typing; check invariants first")
     r = _Run(typed.vp)
     root_funs = tuple(
-        r.fresh_fun("f", None, ell + 1, domain) for ell, domain in enumerate(witness.domains)
+        FunVar("f", None, ell + 1, next(r._intro), False, domain)
+        for ell, domain in enumerate(witness.domains)
     )
-    r.walk((typed.root, root_funs, spec, witness.subst, Call(None, 1)))
+    betas = free_type_vars(spec)
+    r.walk((
+        typed.root,
+        root_funs,
+        spec,
+        tuple(witness.subst[b] for b in betas),
+        tuple(map(Var, betas)),
+        Call(None, 1),
+        r.edge(subst_type(spec, {b: Var(i) for i, b in enumerate(betas)})),
+    ))
+    # A plan's branches lead back to edges, its own among them on a
+    # recursive type: break those cycles so the plans are freed now.
+    for edge in r._edges.values():
+        edge.plans.clear()
     return RunResult(
         # Calls run in preorder and each emits its constraints in one block.
         [c for t in r.traces for c in t.emitted],
         r.traces,
-        AnnotatedTerm(typed.term, frozenset(id(t.term) for t in r.traces)),
+        AnnotatedTerm(typed.term, frozenset([id(t.term) for t in r.traces])),
         root_funs,
     )

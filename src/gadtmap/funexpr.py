@@ -7,7 +7,15 @@ functions (`Lift("List", (f,))` is the usual map of `f` over lists).
 """
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .syntax import App, Frozen, Meta, Prod, Sum, TypeExpr, Var, _set, type_children
+
+TYPE_CHECKING = False  # True to a type checker, without importing `typing`
+if TYPE_CHECKING:
+    from collections.abc import Callable
+
+    Lifter = Callable[[object], "FunExpr"]
 
 
 class FunExpr(Frozen):
@@ -120,8 +128,9 @@ class FunVar(FunExpr):
         _set(self, "intro", intro)
         _set(self, "prime", prime)
         _set(self, "domain", domain)
-        # Variables key the solver's dictionaries: hash once.
-        _set(self, "_hash", hash((kind, call, index, prime)))
+        # Variables key the solver's dictionaries: hash once, reading the
+        # call's stored hash.
+        _set(self, "_hash", hash((kind, None if call is None else call._key, index, prime)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -238,6 +247,45 @@ def _lift_open(t: TypeExpr, env: dict[str, FunExpr]) -> FunExpr | None:
     if isinstance(t, App):
         return Lift(t.ctor, args)
     return (ProdF if isinstance(t, Prod) else SumF)(*args)
+
+
+def lifter(t: TypeExpr) -> Lifter:
+    """`lift_type(t, env)` as a function of `env`, with `t` walked once.
+
+    `env` is anything a variable's name indexes: a dict by name, or a tuple
+    when the variables are named by position. Closedness is decided
+    bottom-up, as in `lift_type`, and each maximal closed part becomes one
+    identity built here, which every lifted result shares (so it keeps its
+    hash). A metavariable raises `ValueError` here, not when lifting.
+    """
+    lift = _open_lifter(t)
+    return _constant(Id(t)) if lift is None else lift
+
+
+def _open_lifter(t: TypeExpr) -> Lifter | None:
+    """`lifter(t)`, or None when `t` is closed."""
+    if isinstance(t, Var):
+        return itemgetter(t.name)
+    if isinstance(t, Meta):
+        raise ValueError(f"cannot lift type expression {t!r}")
+    kids = type_children(t)
+    lifts = [_open_lifter(kid) for kid in kids]
+    if lifts.count(None) == len(lifts):
+        return None
+    args = [_constant(Id(kid)) if lift is None else lift for kid, lift in zip(kids, lifts)]
+    if isinstance(t, App):
+        ctor = t.ctor
+        if len(args) == 1:
+            arg = args[0]
+            return lambda env: Lift(ctor, (arg(env),))
+        return lambda env: Lift(ctor, tuple([arg(env) for arg in args]))
+    node = ProdF if isinstance(t, Prod) else SumF
+    left, right = args
+    return lambda env: node(left(env), right(env))
+
+
+def _constant(value: object) -> Callable[[object], object]:
+    return lambda env: value
 
 
 def expand_id(e: Id) -> FunExpr | None:

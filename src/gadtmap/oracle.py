@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from collections.abc import Callable
 
 from .funexpr import (
@@ -43,6 +42,7 @@ from .funexpr import (
     expand_id,
     fun_type,
     lift_type,
+    lifter,
     normalize,
 )
 from .pretty import pretty_term
@@ -62,11 +62,14 @@ from .syntax import (
     Term,
     TypeExpr,
     Var,
-    is_closed,
     type_children,
 )
 from .typecheck import TypeCheckError, TypedNode, TypedTerm, infer
 from .wellformed import ValidatedProgram
+
+TYPE_CHECKING = False  # as in `syntax`
+if TYPE_CHECKING:
+    from .funexpr import Lifter
 
 
 class OracleInconsistency(Exception):
@@ -174,28 +177,6 @@ def _binder_functions(
     return env
 
 
-Lifter = Callable[[dict[str, FunExpr]], FunExpr]
-
-
-def _lifter(t: TypeExpr) -> Lifter:
-    """`lift_type(t, env)` as a function of `env`, with `t` walked once:
-    closed parts are identities built here, so each keeps its hash, and
-    variables read `env`."""
-    if isinstance(t, Var):
-        return operator.itemgetter(t.name)
-    if is_closed(t):
-        ident = Id(t)
-        return lambda env: ident
-    if isinstance(t, (Prod, Sum)):
-        node = ProdF if isinstance(t, Prod) else SumF
-        left, right = _lifter(t.left), _lifter(t.right)
-        return lambda env: node(left(env), right(env))
-    if isinstance(t, App):
-        ctor, args = t.ctor, tuple(map(_lifter, t.args))
-        return lambda env: Lift(ctor, tuple([arg(env) for arg in args]))
-    raise ValueError(f"cannot lift type expression {t!r}")
-
-
 class _Fail(Exception):
     pass
 
@@ -282,7 +263,7 @@ class Checker:
     normal forms are memoised per distinct sub-expression, and component
     recovery compares memoised normal forms. The first push through a
     constructor stores its plan: the declaration's name, the signature and
-    each argument type compiled into a lifter (`_lifter`), so a push neither
+    each argument type compiled into a lifter (`funexpr.lifter`), so a push neither
     looks the constructor up nor re-walks its argument types.
     """
 
@@ -375,7 +356,7 @@ class Checker:
         """How to push a lifted application through constructor `ctor`: its
         declaration's name, its signature, and a lifter per argument type."""
         decl, sig = self.vp.ctor(ctor)
-        return decl.name, sig, tuple(map(_lifter, sig.arg_types))
+        return decl.name, sig, tuple(map(lifter, sig.arg_types))
 
 
 def enumerate_candidates(domain: TypeExpr, depth: int, vp: ValidatedProgram) -> list[FunExpr]:

@@ -167,7 +167,10 @@ def is_closed(t: TypeExpr) -> bool:
         return False
     if isinstance(t, Meta):
         return False
-    return all(is_closed(c) for c in type_children(t))
+    for c in type_children(t):
+        if not is_closed(c):
+            return False
+    return True
 
 
 def subst_type(t: TypeExpr, env: dict[str, TypeExpr]) -> TypeExpr:
@@ -177,7 +180,7 @@ def subst_type(t: TypeExpr, env: dict[str, TypeExpr]) -> TypeExpr:
     if isinstance(t, (Prod, Sum)):
         return type(t)(subst_type(t.left, env), subst_type(t.right, env))
     if isinstance(t, App):
-        return App(t.ctor, tuple(subst_type(a, env) for a in t.args))
+        return App(t.ctor, tuple([subst_type(a, env) for a in t.args]))
     return t
 
 

@@ -2,6 +2,7 @@
 worked examples (compared in this implementation's deterministic labeling)."""
 from __future__ import annotations
 
+import itertools
 import sys
 from dataclasses import dataclass
 
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gadtmap as g
-from gadtmap.constraints import IndexName, NotTopUnifiable, match_spec
+from gadtmap.constraints import CallTrace, IndexName, NotTopUnifiable, match_spec
+from gadtmap.funexpr import fun_children, fun_type, lifter
 from gadtmap.syntax import (
     App,
     Atom,
@@ -23,6 +25,7 @@ from gadtmap.syntax import (
     subst_type,
     type_children,
 )
+from gadtmap.typecheck import InstanceWitness
 
 from conftest import (
     CORPUS,
@@ -97,6 +100,22 @@ class TestLiftType:
                 g.lift_type(ty, env)
             return
         assert g.lift_type(ty, env) == want
+
+    @given(_LIFT_TYPES, _LIFT_ENVS)
+    @settings(max_examples=300)
+    def test_compiled_lifter_matches_lift_type(self, ty, env):
+        # by name, as the oracle's push plans lift, and by position, as the
+        # walk's plans do
+        try:
+            want = g.lift_type(ty, env)
+        except ValueError:
+            with pytest.raises(ValueError):
+                lifter(ty)
+            return
+        assert lifter(ty)(env) == want
+        names = free_type_vars(ty)
+        numbered = subst_type(ty, {v: Var(i) for i, v in enumerate(names)})
+        assert lifter(numbered)(tuple(env[v] for v in names)) == want
 
     def test_visits_each_subexpression_once(self):
         depth = 300
@@ -404,6 +423,235 @@ class TestCallsMatchAssignmentListReference:
     def _check(vp, report):
         for t in report.run.traces:
             assert (t.emitted, t.matching, t.taus, t.rjs, t.zetas) == _reference_call(vp, t)
+
+
+class _ReferenceRun:
+    """The walk as one derivation per call: every call works out from its
+    specification and inputs what the walk's plans derive once per key."""
+
+    def __init__(self, vp):
+        self.vp = vp
+        self._intro = itertools.count()
+        self.traces = []
+
+    def fresh_fun(self, kind, call, index, domain):
+        return g.FunVar(kind, call, index, intro=next(self._intro), domain=domain)
+
+    def call(self, node, funs, spec_te, cenv, call):
+        term = node.term
+        components = type_children(spec_te)
+        assert isinstance(spec_te, (App, Prod, Sum)) and len(components) == len(funs)
+        assert subst_type(spec_te, cenv) == node.type
+        betas = free_type_vars(spec_te)
+        env = {b: self.fresh_fun("g", call, i + 1, cenv[b]) for i, b in enumerate(betas)}
+        emitted = []
+        for ell, comp in enumerate(components):
+            emitted.append(g.Constraint(g.lift_type(comp, env), funs[ell], "i", call))
+        if isinstance(spec_te, (Prod, Sum)):
+            if isinstance(spec_te, Prod):
+                assert isinstance(term, g.Pair)
+                branches = ((0, 0), (1, 1))
+            elif isinstance(term, g.Inl):
+                branches = ((0, 0),)
+            else:
+                assert isinstance(term, g.Inr)
+                branches = ((1, 0),)
+            targets = [
+                (j, node.kids[i], components[j], g.recursion_target(components[j]))
+                for j, i in branches
+            ]
+            self.traces.append(CallTrace(call, term, funs, spec_te, tuple(emitted)))
+        else:
+            decl, sig = self.vp.ctor(term.name)
+            assert spec_te.ctor == decl.name
+            w = node.instance
+            inst = dict(zip(sig.type_vars, w))
+            for ell, k_expr in enumerate(sig.ret_indices):
+                got = fun_type(funs[ell], codomain=False)
+                assert got is None or got == subst_type(k_expr, inst)
+            gammas = tuple(IndexName(i + 1, call) for i in range(len(sig.type_vars)))
+            rename = {a: Var(y) for a, y in zip(sig.type_vars, gammas)}
+            matching = tuple(
+                (comp, subst_type(k_expr, rename))
+                for comp, k_expr in zip(components, sig.ret_indices)
+            )
+            defs, pins = match_spec(matching)
+            taus = tuple(pins[y][0] if y in pins else Var(y) for y in gammas)
+            for i, y in enumerate(gammas):
+                env[y] = self.fresh_fun("h", call, i + 1, w[i])
+            for b in betas:
+                for psi in defs.get(b, ()):
+                    emitted.append(g.Constraint(g.lift_type(psi, env), env[b], "v", call))
+            for y in gammas:
+                sigmas = pins.get(y, ())
+                for sigma in sigmas[1:]:
+                    emitted.append(g.Constraint(
+                        g.lift_type(sigma, env), g.lift_type(sigmas[0], env), "vi", call
+                    ))
+            at_taus = dict(zip(sig.type_vars, taus))
+            rjs = tuple(subst_type(arg_type, at_taus) for arg_type in sig.arg_types)
+            zetas = tuple(g.recursion_target(rj) for rj in rjs)
+            targets = zip(itertools.count(), node.kids, rjs, zetas)
+            self.traces.append(CallTrace(call, term, funs, spec_te, tuple(emitted),
+                                         matching, taus, rjs, zetas))
+        children = []
+        for j, kid, rj, zs in targets:
+            if zs is not None:
+                child_funs = tuple(g.lift_type(z, env) for z in zs)
+                child_cenv = {v: env[v].domain for v in free_type_vars(rj)}
+                children.append((kid, child_funs, rj, child_cenv, g.Call(call, j + 1)))
+        return children
+
+
+def _reference_run(typed, spec):
+    r = _ReferenceRun(typed.vp)
+    witness = typed.witness
+    root_funs = tuple(
+        r.fresh_fun("f", None, ell + 1, domain) for ell, domain in enumerate(witness.domains)
+    )
+    stack = [(typed.root, root_funs, spec, witness.subst, g.Call(None, 1))]
+    while stack:
+        stack.extend(reversed(r.call(*stack.pop())))
+    heads = frozenset(id(t.term) for t in r.traces)
+    return g.RunResult([c for t in r.traces for c in t.emitted], r.traces,
+                       g.AnnotatedTerm(typed.term, heads), root_funs)
+
+
+def _fun_var_facts(exprs):
+    """Every function variable occurrence in `exprs`, in order, with the
+    creation rank and domain that equality leaves out."""
+    out = []
+    stack = list(reversed(exprs))
+    while stack:
+        e = stack.pop()
+        if isinstance(e, g.FunVar):
+            out.append((e, e.intro, e.domain))
+        stack += reversed(fun_children(e))
+    return out
+
+
+def _call_sides(t):
+    return [*t.funs, *(side for c in t.emitted for side in (c.lhs, c.rhs))]
+
+
+# Runs where one key recurs under different ancestors (`projpair` and `flat`
+# below both branches of a `pairing`), where keys differ only in a closed
+# leaf, and where one branch meets different constructors.
+_PLAN_KEY_CASES = [
+    ("g", "pairing (" + G_TERM_FLAT + ") (" + G_TERM_FLAT.replace("nil", "(cons const nil)")
+     + ")", "G b1"),
+    ("g", "pairing (" + G_TERM_FLAT + ") (" + G_TERM_INJ + ")", "G (b1 * b2)"),
+    ("nested", "((cons (1, 2) nil), (cons (3, true) nil))", "List (b1 * Nat) * List (b1 * Bool)"),
+    ("nested", "((cons (1, 2) nil), (cons (3, 4) nil))", "List (b1 * Nat) * List (Nat * b1)"),
+    ("nested", "cons (cons 1 nil) (cons nil (cons (cons 2 (cons 3 nil)) nil))", "List (List b1)"),
+]
+
+
+class TestWalkMatchesPerCallDerivation:
+    """The walk, with one plan per key, does what a derivation per call
+    does: call by call in preorder, the same subterm and label, the same
+    trace fields, and the same creation rank and domain for every function
+    variable; and the same roots, constraints and essential heads."""
+
+    @pytest.mark.parametrize("key,term,spec,int_lits", list(_reference_cases()))
+    def test_examples(self, programs, key, term, spec, int_lits):
+        vp = {"probe": _PROBE_VP, "step": _STEP_VP}.get(key) or programs[key]
+        self._check(run_pipeline(vp, term, spec, int_lits))
+
+    @pytest.mark.parametrize("key,term,spec", _PLAN_KEY_CASES)
+    def test_recurring_keys(self, programs, key, term, spec):
+        self._check(run_pipeline(programs[key], term, spec))
+
+    def test_random_values(self, nested_vp):
+        for term, spec in random_values(nested_vp, 40):
+            report = g.analyze(nested_vp, term, g.parse_spec(spec, nested_vp))
+            assert report.status == "Mappable", report.detail
+            self._check(report)
+
+    @staticmethod
+    def _check(report):
+        got, want = report.run, _reference_run(report.typed, report.spec)
+        assert [t.label for t in got.traces] == [t.label for t in want.traces]
+        for t, r in zip(got.traces, want.traces):
+            assert t.term is r.term, t.label
+            assert (t.funs, t.spec, t.emitted, t.matching, t.taus, t.rjs, t.zetas) == (
+                r.funs, r.spec, r.emitted, r.matching, r.taus, r.rjs, r.zetas
+            ), t.label
+            assert _fun_var_facts(_call_sides(t)) == _fun_var_facts(_call_sides(r)), t.label
+        assert _fun_var_facts(got.root_funs) == _fun_var_facts(want.root_funs)
+        assert got.constraints == want.constraints
+        assert got.annotation.heads == want.annotation.heads
+
+
+def _frozen(vp, term_text, spec_text):
+    term = g.parse_term(term_text, vp)
+    spec = g.parse_spec(spec_text, vp)
+    typed = g.infer(term, vp)
+    g.check_call_invariants(typed, spec, g.spec_head_arity(spec, vp))
+    return typed, spec
+
+
+class TestReChecksAfterCompiling:
+    """The walk's invariant re-checks fire on every call: the third `cons`
+    (call 1.2.2) is a later call of a key whose plan the first compiled."""
+
+    @pytest.fixture
+    def third_cons(self, nested_vp):
+        typed, spec = _frozen(nested_vp, "cons 1 (cons 2 (cons 3 nil))", "List b1")
+        return typed, spec, typed.root.kids[1].kids[1]
+
+    def test_specification_against_type(self, third_cons):
+        typed, spec, node = third_cons
+        node.type = App("List", (Base("Bool"),))
+        with pytest.raises(g.InternalInvariantViolation) as e:
+            g.run(typed, spec)
+        assert str(e.value) == (
+            "call 1.2.2: instantiated specification List Nat differs from subterm type List Bool"
+        )
+
+    def test_input_domain_against_instance(self, third_cons):
+        typed, spec, node = third_cons
+        node.instance = (Base("Bool"),)
+        with pytest.raises(g.InternalInvariantViolation) as e:
+            g.run(typed, spec)
+        assert str(e.value) == "call 1.2.2: input function 1 has domain Nat, expected Bool"
+
+
+class TestCompileTimeChecks:
+    """The checks a key decides fire on its first call, with the messages of
+    a derivation per call. Each root is frozen under one specification, then
+    retyped by hand for another, with input functions of no recorded domain,
+    so the checks before them pass."""
+
+    @pytest.mark.parametrize(
+        "key,term,frozen_as,spec,retyped,funs,message",
+        [
+            ("g", "cons 1 nil", "List b1", "List b1", "List Nat", 2,
+             "call 1: bad call on List b1 with 2 functions"),
+            ("g", "cons 1 nil", "List b1", "G b1", "G Nat", 1,
+             "call 1: constructor 'cons' does not build G b1"),
+            ("g", "(1, 2)", "b1 * b2", "G b1", "G Nat", 1,
+             "call 1: expected a constructor application"),
+            ("g", "(1, 2)", "b1 * b2", "b1 + b2", "Nat + Nat", 2,
+             "call 1: expected an injection"),
+            ("g", "inl 1", "b1 + b2", "b1 * b2", "Nat * Nat", 2, "call 1: expected a pair"),
+            ("g", "const", "G b1", "G Bool", "G Bool", 1, "cannot match Bool against Nat"),
+            ("g", "flat nil", "G b1", "G (b1 * b2)", "G (Nat * Bool)", 1,
+             "cannot match b1 * b2 against List y1^1"),
+        ],
+    )
+    def test_first_call_of_a_key(self, programs, key, term, frozen_as, spec, retyped, funs,
+                                 message):
+        vp = programs[key]
+        typed, _ = _frozen(vp, term, frozen_as)
+        spec = g.parse_spec(spec, vp)
+        typed.root.type = g.parse_type(retyped, vp)
+        subst = {}
+        assert g.oracle.match_type(spec, typed.root.type, subst)
+        typed.witness = InstanceWitness(subst, (None,) * funs)
+        with pytest.raises(g.InternalInvariantViolation) as e:
+            g.run(typed, spec)
+        assert str(e.value) == message
 
 
 class TestCallSteps:

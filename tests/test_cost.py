@@ -1,6 +1,8 @@
 """Deterministic cost gates: on inputs whose depth doubles, each stage's
 count of Python function calls, which does not depend on the machine or on
-string hashing, may grow at most 2.2 times per doubling."""
+string hashing, may grow at most 2.2 times per doubling. The constraint walk
+also has a budget of calls per walk call, and compiles as many plans at every
+depth."""
 from __future__ import annotations
 
 import functools
@@ -27,6 +29,10 @@ RUNGS = (100, 200, 400)
 # `infer`'s occurs check walks the whole type on every bind, so on a type as
 # deep as the term its calls grow about 3 times per doubling.
 QUADRATIC = {("seq", "infer"), ("nested", "infer")}
+# The most calls `constraints.run` may make per call of the walk: each call
+# only instantiates the plan its key compiled once.
+WALK_CALL_BUDGET = {"list": 45, "seq": 65}
+_COMPILE = cgen._Run._compile.__code__
 
 
 @functools.cache
@@ -35,14 +41,16 @@ def _counts(ladder: str) -> dict[str, list[int]]:
     src, spec_text, make = LADDERS[ladder]
     vp = g.validate(g.parse_program(src))
     spec = g.parse_spec(spec_text, vp)
-    counts: dict[str, list[int]] = {s: [] for s in STAGES}
+    counts: dict[str, list[int]] = {s: [] for s in (*STAGES, "walk calls", "plans")}
 
     def stage(name, f, *args):
-        calls = 0
+        calls = plans = 0
 
         def profile(frame, event, arg):
-            nonlocal calls
-            calls += event == "call"
+            nonlocal calls, plans
+            if event == "call":
+                calls += 1
+                plans += frame.f_code is _COMPILE
 
         sys.setprofile(profile)
         try:
@@ -50,6 +58,9 @@ def _counts(ladder: str) -> dict[str, list[int]]:
         finally:
             sys.setprofile(None)
         counts[name].append(calls)
+        if name == "constraints.run":
+            counts["walk calls"].append(len(result.traces))
+            counts["plans"].append(plans)
         return result
 
     for n in RUNGS:
@@ -79,3 +90,16 @@ def _counts(ladder: str) -> dict[str, list[int]]:
 def test_calls_grow_at_most_linearly(ladder, stage):
     counts = _counts(ladder)[stage]
     assert all(big <= 2.2 * small for small, big in zip(counts, counts[1:])), counts
+
+
+@pytest.mark.parametrize("ladder,budget", WALK_CALL_BUDGET.items())
+def test_walk_calls_are_cheap(ladder, budget):
+    counts = _counts(ladder)
+    for calls, walk_calls in zip(counts["constraints.run"], counts["walk calls"]):
+        assert calls <= budget * walk_calls, (calls, walk_calls)
+
+
+@pytest.mark.parametrize("ladder", WALK_CALL_BUDGET)
+def test_plans_do_not_grow_with_depth(ladder):
+    plans = _counts(ladder)["plans"]
+    assert len(set(plans)) == 1 and plans[0] > 0, plans
