@@ -22,6 +22,11 @@ make the parent with `git archive <commit> | tar -x -C DIR`. Output:
   passes, not the fastest: a pass whose kernel timing caught a stall reads
   too fast. N pairs of interpreters, one per checkout, alternate which runs
   first; `pairs` and `summary` are as for the runs, without a bound.
+* `agrees` (with oracle-verify): per checkout, one interpreter captures the
+  seed's `oracle.agrees` calls through `cli.main` and reports ms per call
+  (fastest of 15 passes over all of them), Python calls per checked tuple
+  and a digest of the `AgreementReport`s; `same_reports` compares the
+  digests.
 * `encode` (per workload with `--json` requests): ms per request to encode
   the change's report dicts with `json.dumps(value, indent=2)` and with
   `cli.json_text`, after checking both give the same bytes; fastest of 15.
@@ -96,6 +101,40 @@ for name in names:
                  "bytes_per_report": sum(map(len, map(cli.json_text, reports))) / len(reports),
                  **{f"{k}_ms": 1000 * t / len(reports) for k, t in best.items()}}
 print(json.dumps(out))
+"""
+
+
+AGREES_CHILD = r"""
+import contextlib, hashlib, io, json, sys, time
+tree, seed = sys.argv[1], int(sys.argv[2])
+sys.path[:0] = [tree + "/src", tree + "/bench"]
+from gadtmap import cli
+from workloads import WORKLOADS
+calls, agrees = [], cli.agrees
+def capture(*args):
+    calls.append(args)
+    return agrees(*args)
+cli.agrees = capture
+for req in WORKLOADS["oracle-verify"](seed):
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(req.argv(tree))
+best = float("inf")
+for _ in range(15):
+    start = time.perf_counter()
+    reports = [agrees(*args) for args in calls]
+    best = min(best, time.perf_counter() - start)
+n = 0
+def profile(frame, event, arg):
+    global n
+    n += event == "call"
+sys.setprofile(profile)
+for args in calls:
+    agrees(*args)
+sys.setprofile(None)
+tuples = sum(r.checked for r in reports)
+print(json.dumps({"calls": len(calls), "tuples": tuples, "ms_per_call": 1000 * best / len(calls),
+                  "calls_per_tuple": n / tuples,
+                  "digest": hashlib.sha256(repr(reports).encode()).hexdigest()}))
 """
 
 
@@ -187,6 +226,9 @@ def main() -> None:
         }
     if "oracle-verify" in args.workloads:
         doc["corpus"] = corpus_rates(trees, args.pairs)
+        sides = {side: child(AGREES_CHILD, tree, args.seed) for side, tree in trees.items()}
+        doc["agrees"] = {**sides,
+                         "same_reports": sides["parent"]["digest"] == sides["change"]["digest"]}
     doc["encode"] = child(ENCODE_CHILD, trees["change"], args.seed, *args.workloads)
 
     text = json.dumps(doc, indent=2)

@@ -7,7 +7,7 @@
 Exit codes: 0 success, 1 analysis-level rejection (invalid program, ill-typed
 term, or specification mismatch), 2 I/O or parse error, a type nested too
 deeply for the interpreter's recursion limit, or a `--verify` depth with more
-than a million candidate tuples, 3 verification failure or an internal error
+than a million candidate tuples or more digits than Python reads, 3 verification failure or an internal error
 (a fault of the analysis, reported on one line as `internal error: <stage>:
 <message>`).
 """
@@ -428,7 +428,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if not m:
             print("error: --verify expects depth=N", file=sys.stderr)
             return 2
-        verify_depth = int(m.group(1))
+        try:
+            verify_depth = int(m.group(1))
+        except ValueError:  # more digits than `int` reads from text
+            print("error: --verify: the depth has too many digits", file=sys.stderr)
+            return 2
     text = _read(args.program)
     if text is None:
         return 2

@@ -11,13 +11,16 @@ binder of `c` from the constructor's return indices (the semantic inverse of
 
 Candidates are checked against the codomain, not rebuilt and re-inferred.
 The type expected of each subterm is the codomain of the function pushed
-through it, so `Checker` needs no types beyond the subterms' own: it
-memoises the verdict per subterm and function, and derives each candidate's
-codomain and normal form once. Candidates share their sub-candidates (one
-pool per sub-domain), so those memos hit across candidate tuples. `map_apply`
-is the reference semantics: it rebuilds the term and types it with `infer`.
-`agrees` runs it on the identity tuple of every call and stops with
-`OracleInconsistency` when the two differ.
+through it, so `Checker` needs no types beyond the subterms' own. It
+memoises the verdict of a push below a constructor per (argument subterm,
+argument type's lifter, the recovered functions the lifter reads), so a
+repeated push builds no function expression, and of a push through a pair
+or injection per subterm and function. Candidates share their
+sub-candidates (one pool per sub-domain), so those memos hit across
+candidate tuples, and each candidate's normal form is built alongside it.
+`map_apply` is the reference semantics: it rebuilds the term and types it
+with `infer`. `agrees` runs it on the identity tuple of every call and stops
+with `OracleInconsistency` when the two differ.
 
 Candidates are built from arbitrary opaque functions, identities, products,
 sums, and maps over data types that are not proper GADTs; what it means to map
@@ -29,7 +32,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable
+from functools import partial
+from operator import is_, itemgetter
 
 from .funexpr import (
     FunExpr,
@@ -62,14 +66,11 @@ from .syntax import (
     Term,
     TypeExpr,
     Var,
+    free_type_vars,
     type_children,
 )
 from .typecheck import TypeCheckError, TypedNode, TypedTerm, infer
 from .wellformed import ValidatedProgram
-
-TYPE_CHECKING = False  # as in `syntax`
-if TYPE_CHECKING:
-    from .funexpr import Lifter
 
 
 class OracleInconsistency(Exception):
@@ -93,7 +94,6 @@ def match_fun(
     k_expr: TypeExpr,
     phi: FunExpr,
     env: dict[str, FunExpr],
-    normal: Callable[[FunExpr], FunExpr] = normalize,
 ) -> dict[str, FunExpr] | None:
     """Recover component functions from a function expression along a return
     index expression; None when the expression does not decompose.
@@ -103,16 +103,15 @@ def match_fun(
     products, sums, and applications require the matching composite form,
     expanding identities as needed, so a closed composite index is matched
     level by level down to its leaves. Return indices never mention proper
-    GADTs, so every composite case has forced semantics. `normal` is
-    `normalize` or a memoised equivalent.
+    GADTs, so every composite case has forced semantics.
     """
     if isinstance(k_expr, Var):
         prev = env.get(k_expr.name)
         if prev is None:
             return {**env, k_expr.name: phi}
-        return env if normal(prev) == normal(phi) else None
+        return env if normalize(prev) == normalize(phi) else None
     if not isinstance(k_expr, (Prod, Sum, App)):
-        return env if normal(phi) == normal(Id(k_expr)) else None
+        return env if normalize(phi) == Id(k_expr) else None
     if isinstance(phi, Id):
         expanded = expand_id(phi)
         if expanded is None:
@@ -121,12 +120,12 @@ def match_fun(
     if isinstance(k_expr, (Prod, Sum)):
         if not isinstance(phi, ProdF if isinstance(k_expr, Prod) else SumF):
             return None
-        env2 = match_fun(k_expr.left, phi.left, env, normal)
-        return None if env2 is None else match_fun(k_expr.right, phi.right, env2, normal)
+        env2 = match_fun(k_expr.left, phi.left, env)
+        return None if env2 is None else match_fun(k_expr.right, phi.right, env2)
     if not (isinstance(phi, Lift) and phi.ctor == k_expr.ctor):
         return None
     for sub_k, sub_phi in zip(k_expr.args, phi.args):
-        env = match_fun(sub_k, sub_phi, env, normal)
+        env = match_fun(sub_k, sub_phi, env)
         if env is None:
             return None
     return env
@@ -158,17 +157,16 @@ def _binder_functions(
     sig: ConstructorSig,
     components: tuple[FunExpr, ...],
     instance: tuple[TypeExpr, ...],
-    normal: Callable[[FunExpr], FunExpr] = normalize,
 ) -> dict[str, FunExpr] | None:
     """The function along each binder of a constructor that a lifted
     application with these components maps its arguments with, or None when
-    the components do not decompose along the return indices (`match_fun`,
-    comparing with `normal`). Binders absent from every return index carry
+    the components do not decompose along the return indices
+    (`match_fun`). Binders absent from every return index carry
     incidental data, which is preserved unchanged: the identity at the
     binder's `instance`."""
     env: dict[str, FunExpr] | None = {}
     for k_expr, component in zip(sig.ret_indices, components):
-        env = match_fun(k_expr, component, env, normal)
+        env = match_fun(k_expr, component, env)
         if env is None:
             return None
     for binder, t in zip(sig.type_vars, instance):
@@ -255,24 +253,35 @@ class Checker:
     the subterm's own type, and a constructor needs only its components to
     decompose.
 
-    The verdicts on proper subterms are memoised per (subterm, function),
-    so one checker shared by every candidate tuple of an `agrees` call pushes
-    each sub-candidate through each subterm once. (Each tuple pushes a
-    function of its own through the root, so `check` itself is not
-    memoised.) Candidates share their sub-expressions, so codomains and
-    normal forms are memoised per distinct sub-expression, and component
-    recovery compares memoised normal forms. The first push through a
-    constructor stores its plan: the declaration's name, the signature and
-    each argument type compiled into a lifter (`funexpr.lifter`), so a push neither
-    looks the constructor up nor re-walks its argument types.
+    One checker is shared by every candidate tuple of an `agrees` call, and
+    its memos live as long as it does. (Each tuple pushes a function of its
+    own through the root, so `check` itself is not memoised.) The push of an
+    argument below a constructor is memoised per (argument subterm, argument
+    type's lifter, the recovered functions that lifter reads): a repeated
+    push builds no function expression and hashes none but those it reads,
+    which are candidates' sub-expressions, shared identities and shared
+    expansions, each hashed once. The pushes through a product or sum are
+    memoised per (subterm, function). Codomains, normal forms and identity
+    expansions are memoised per distinct sub-expression, and component
+    recovery compares memoised normal forms into one environment per push.
+    The first push through a constructor stores its plan (the declaration's
+    name, its return indices and each argument type compiled into a lifter,
+    `funexpr.lifter`), and the first push through a node stores the node's
+    own: the identities at the instances of the binders no return index
+    mentions, and each argument's memo key prefix.
     """
 
     def __init__(self, typed: TypedTerm) -> None:
         self.vp = typed.vp
         self._memo: dict[tuple[int, FunExpr], bool] = {}
+        self._pushes: dict[tuple[object, ...], bool] = {}
         self._codomains: dict[FunExpr, TypeExpr] = {}
         self._normals: dict[FunExpr, FunExpr] = {}
-        self._plans: dict[str, tuple[str, ConstructorSig, tuple[Lifter, ...]]] = {}
+        self._expansions: dict[Id, FunExpr | None] = {}
+        self._plans: dict[str, tuple] = {}
+        self._nodes: dict[int, tuple] = {}
+        # By id: each value holds its specification, so no id is reused.
+        self._heads: dict[int, tuple] = {}
 
     def codomain(self, phi: FunExpr) -> TypeExpr:
         """`fun_type(phi, codomain=True)`, for an expression without
@@ -304,6 +313,15 @@ class Checker:
             self._normals[phi] = n
         return n
 
+    def expand(self, phi: Id) -> FunExpr | None:
+        """`expand_id(phi)`, memoised per distinct identity, so that equal
+        identities expand to one shared expression."""
+        try:
+            return self._expansions[phi]
+        except KeyError:
+            expanded = self._expansions[phi] = expand_id(phi)
+            return expanded
+
     def _sub(self, phi: FunExpr, node: TypedNode) -> bool:
         key = (id(node), phi)
         ok = self._memo.get(key)
@@ -318,7 +336,7 @@ class Checker:
             # An unchanged subterm checks at its own type.
             if phi.at == node.type:
                 return True
-            phi = expand_id(phi)
+            phi = self.expand(phi)
         term = node.term
         if isinstance(phi, ProdF):
             return (
@@ -335,28 +353,97 @@ class Checker:
         if isinstance(phi, Lift):
             if not isinstance(term, Ctor):
                 return False
-            plan = self._plans.get(term.name)
+            plan = self._nodes.get(id(node))
             if plan is None:
-                plan = self._plans[term.name] = self._plan(term.name)
-            decl_name, sig, lifters = plan
+                plan = self._nodes[id(node)] = self._node_plan(node)
+            decl_name, indices, env, pushes = plan
             if decl_name != phi.ctor:
                 return False
-            env = _binder_functions(sig, phi.args, node.instance, self.normal)
-            if env is None:
-                return False
-            # A loop, not `all` over a generator: two frames per term level,
-            # as in `map_apply`, keep the reachable depth the same.
-            for lifter, kid in zip(lifters, node.kids):
-                if not self._sub(lifter(env), kid):
+            # `_binder_functions`, into one environment per push.
+            env = env.copy()
+            for k_expr, component in zip(indices, phi.args):
+                if isinstance(k_expr, Var):
+                    prev = env.setdefault(k_expr.name, component)
+                    if prev is not component and not self._same(prev, component):
+                        return False
+                elif not self._recover(k_expr, component, env):
+                    return False
+            # A loop, not `all` over a generator: one frame per term level.
+            memo = self._pushes
+            for kid, kid_id, lift, lift_id, read in pushes:
+                key = (kid_id, lift_id) if read is None else (kid_id, lift_id, read(env))
+                ok = memo.get(key)
+                if ok is None:
+                    ok = memo[key] = self.check(lift(env), kid)
+                if not ok:
                     return False
             return True
         return False
 
-    def _plan(self, ctor: str) -> tuple[str, ConstructorSig, tuple[Lifter, ...]]:
+    def _same(self, a: FunExpr, b: FunExpr) -> bool:
+        """Whether two functions are equal up to identity expansion."""
+        a, b = self.normal(a), self.normal(b)
+        return a is b or a == b
+
+    def _recover(self, k_expr: TypeExpr, phi: FunExpr, env: dict[str, FunExpr]) -> bool:
+        """`match_fun` of a return index that is not a variable, into `env`
+        in place, with memoised normal forms and expansions; False when the
+        function does not decompose. Variable parts bind here, not in a
+        call of their own."""
+        if not isinstance(k_expr, (Prod, Sum, App)):
+            # A base type or atom: only the identity at it normalises to the
+            # identity at it.
+            return isinstance(phi, Id) and phi.at == k_expr
+        if isinstance(phi, Id):
+            phi = self.expand(phi)
+            if phi is None:
+                return False
+        if isinstance(k_expr, (Prod, Sum)):
+            if not isinstance(phi, ProdF if isinstance(k_expr, Prod) else SumF):
+                return False
+            parts = ((k_expr.left, phi.left), (k_expr.right, phi.right))
+        elif isinstance(phi, Lift) and phi.ctor == k_expr.ctor:
+            parts = zip(k_expr.args, phi.args)
+        else:
+            return False
+        for sub_k, sub_phi in parts:
+            if isinstance(sub_k, Var):
+                prev = env.setdefault(sub_k.name, sub_phi)
+                if prev is not sub_phi and not self._same(prev, sub_phi):
+                    return False
+            elif not self._recover(sub_k, sub_phi, env):
+                return False
+        return True
+
+    def _node_plan(self, node: TypedNode) -> tuple:
+        """How to push a lifted application through constructor node
+        `node`: its constructor's plan, with the environment every push
+        starts from (the identity at the instance of each binder no return
+        index mentions) and, per argument, the subterm, its lifter and the
+        memo key prefix."""
+        ctor = node.term.name
+        plan = self._plans.get(ctor)
+        if plan is None:
+            plan = self._plans[ctor] = self._plan(ctor)
+        decl_name, indices, type_vars, bound, args = plan
+        env = {b: Id(t) for b, t in zip(type_vars, node.instance) if b not in bound}
+        pushes = tuple(
+            (kid, id(kid), lift, id(lift), read) for (lift, read), kid in zip(args, node.kids)
+        )
+        return decl_name, indices, env, pushes
+
+    def _plan(self, ctor: str) -> tuple:
         """How to push a lifted application through constructor `ctor`: its
-        declaration's name, its signature, and a lifter per argument type."""
+        declaration's name, its return indices, its binders and those the
+        return indices mention, and per argument type a lifter and a reader
+        of the variables the lifter reads (None for a closed type)."""
         decl, sig = self.vp.ctor(ctor)
-        return decl.name, sig, tuple(map(lifter, sig.arg_types))
+        bound = {v for k in sig.ret_indices for v in free_type_vars(k)}
+        args = []
+        for t in sig.arg_types:
+            names = free_type_vars(t)
+            args.append((lifter(t), itemgetter(*names) if names else None))
+        return decl.name, sig.ret_indices, sig.type_vars, bound, tuple(args)
 
 
 def enumerate_candidates(domain: TypeExpr, depth: int, vp: ValidatedProgram) -> list[FunExpr]:
@@ -381,22 +468,40 @@ def candidate_pools(
 ) -> list[list[FunExpr]]:
     """`enumerate_candidates` of each domain, with the atoms numbered once
     across all of them, so that no two pools share an opaque function."""
+    return [list(map(_FIRST, pool)) for pool in _normal_pools(domains, depth, vp)]
+
+
+_FIRST, _SECOND = itemgetter(0), itemgetter(1)
+
+
+def _normal_pools(
+    domains: tuple[TypeExpr, ...], depth: int, vp: ValidatedProgram
+) -> list[list[tuple[FunExpr, FunExpr]]]:
+    """`candidate_pools`, each candidate paired with its normal form
+    (`normalize`), which is built from its parts' normal forms as the
+    candidate is built from its parts; a candidate whose parts are normal
+    is its own normal form."""
     counter = itertools.count()
 
-    def enum(domain: TypeExpr, depth: int) -> list[FunExpr]:
-        out: list[FunExpr] = [Opaque(domain, Atom(f"X{next(counter)}")), Id(domain)]
+    def enum(domain: TypeExpr, depth: int) -> list[tuple[FunExpr, FunExpr]]:
+        leaf, ident = Opaque(domain, Atom(f"X{next(counter)}")), Id(domain)
+        out: list[tuple[FunExpr, FunExpr]] = [(leaf, leaf), (ident, normalize(ident))]
         if depth >= 1:
             if isinstance(domain, (Prod, Sum)):
                 node = ProdF if isinstance(domain, Prod) else SumF
-                for l, r in itertools.product(
+                for (l, nl), (r, nr) in itertools.product(
                     enum(domain.left, depth - 1), enum(domain.right, depth - 1)
                 ):
-                    out.append(node(l, r))
+                    c = node(l, r)
+                    out.append((c, c if nl is l and nr is r else node(nl, nr)))
             elif isinstance(domain, App) and not vp.is_proper(domain.ctor):
                 for combo in itertools.product(
                     *(enum(a, depth - 1) for a in domain.args)
                 ):
-                    out.append(Lift(domain.ctor, combo))
+                    args, normals = tuple(map(_FIRST, combo)), tuple(map(_SECOND, combo))
+                    c = Lift(domain.ctor, args)
+                    same = all(map(is_, args, normals))
+                    out.append((c, c if same else Lift(domain.ctor, normals)))
         return out
 
     return [enum(d, depth) for d in domains]
@@ -441,9 +546,12 @@ def _is_normal_instance(forms: tuple[FunExpr, ...], candidates: tuple[FunExpr, .
             return c.__class__ is f.__class__ and go(f.left, c.left) and go(f.right, c.right)
         if isinstance(f, Lift):
             return isinstance(c, Lift) and f.ctor == c.ctor and all(map(go, f.args, c.args))
-        return f == c  # compared only at the leaves
+        return f is c or f == c  # compared only at the leaves
 
-    return all(go(f, c) for f, c in zip(forms, candidates))
+    for f, c in zip(forms, candidates):
+        if not go(f, c):
+            return False
+    return True
 
 
 class Disagreement(Record):
@@ -473,6 +581,33 @@ def head_lift(shape: TypeExpr, candidates: tuple[FunExpr, ...]) -> FunExpr:
     raise ValueError(f"specification {shape} has no analyzable head")
 
 
+def _spec_head(spec: TypeExpr) -> tuple:
+    """What `mappable` reads of a specification, derived once per checker:
+    the specification, its head's components, the positions whose
+    candidate's codomain must match its component, and the head lift.
+
+    A component that is a variable occurring nowhere else in the
+    specification matches any codomain, so its position is left out. (A
+    variable that is a whole component but occurs again inside another,
+    as `b1` in `b1 * List b1`, is kept.)"""
+    occurrences: dict[str, int] = {}
+    stack = [spec]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Var):
+            occurrences[t.name] = occurrences.get(t.name, 0) + 1
+        else:
+            stack.extend(type_children(t))
+    components = type_children(spec)
+    matched = tuple(
+        i
+        for i, k in enumerate(components)
+        if not (isinstance(k, Var) and occurrences[k.name] == 1)
+    )
+    build = partial(Lift, spec.ctor) if isinstance(spec, App) else partial(head_lift, spec)
+    return spec, components, matched, build
+
+
 def mappable(
     candidates: tuple[FunExpr, ...],
     typed: TypedTerm,
@@ -492,14 +627,18 @@ def mappable(
     """
     if checker is None:
         checker = Checker(typed)
-    components = type_children(spec)
+    head = checker._heads.get(id(spec))
+    if head is None:
+        head = checker._heads[id(spec)] = _spec_head(spec)
+    _, components, matched, build = head
     if len(candidates) != len(components):
         return False
-    subst: dict[str, TypeExpr] = {}
-    for k, c in zip(components, candidates):
-        if not match_type(k, checker.codomain(c), subst):
-            return False
-    return checker.check(head_lift(spec, candidates), typed.root)
+    if matched:
+        subst: dict[str, TypeExpr] = {}
+        for i in matched:
+            if not match_type(components[i], checker.codomain(candidates[i]), subst):
+                return False
+    return checker.check(build(candidates), typed.root)
 
 
 def agrees(
@@ -523,7 +662,12 @@ def agrees(
         raise CandidateSpaceTooLarge(
             f"{tuples} candidate tuples at depth {depth}, more than the {MAX_TUPLES} checked"
         )
-    identity = tuple(Id(d) for d in domains)
+    paired = _normal_pools(domains, depth, typed.vp)
+    pools = [list(map(_FIRST, pool)) for pool in paired]
+    normal_pools = [list(map(_SECOND, pool)) for pool in paired]
+    # Each pool's identity comes second: the identity tuple is the one
+    # made of these very objects.
+    identity = tuple(pool[1] for pool in pools)
     rebuilt = map_apply(head_lift(spec, identity), typed)
     # Compared as text: the renderer is iterative, while `==` on terms
     # recurses several frames per level and would lower the depth reached.
@@ -537,22 +681,17 @@ def agrees(
 
     checker = Checker(typed)
     normal_forms = tuple(map(checker.normal, forms))
-    pools = [
-        [(c, checker.normal(c)) for c in pool]
-        for pool in candidate_pools(domains, depth, typed.vp)
-    ]
     disagreements: list[Disagreement] = []
     checked = 0
-    for pairs in itertools.product(*pools):
+    for combo, normals in zip(itertools.product(*pools), itertools.product(*normal_pools)):
         checked += 1
-        combo = tuple(c for c, _ in pairs)
         ok = mappable(combo, typed, spec, checker)
-        if ok != reference and combo == identity:
+        if ok != reference and all(map(is_, combo, identity)):
             raise OracleInconsistency(
                 f"identity tuple: the checker says {'' if ok else 'not '}mappable, "
                 f"the rebuilt term's typing says {'' if reference else 'not '}mappable"
             )
-        instance = _is_normal_instance(normal_forms, tuple(n for _, n in pairs))
+        instance = _is_normal_instance(normal_forms, normals)
         if ok != instance:
             disagreements.append(Disagreement(combo, ok, instance))
     return AgreementReport(not disagreements, checked, disagreements)

@@ -156,6 +156,14 @@ class TestAnalyzeCommand:
         assert main([*argv, "--verify", value]) == 2
         assert capsys.readouterr().err == "error: --verify expects depth=N\n"
 
+    def test_verify_depth_with_too_many_digits(self, program_files, capsys):
+        # Past `int`'s limit on digits read from text (4300 by default).
+        argv = ["analyze", program_files["g"], "--term", "const", "--spec", "G b1"]
+        assert main([*argv, "--verify", "depth=" + "9" * 5000]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --verify: the depth has too many digits\n"
+
     def test_verify_candidate_space_is_bounded(self, program_files, capsys):
         # Pools grow doubly exponentially with the domain's depth: 1444 tuples
         # at depth 2, 2090916 at depth 3, which are refused before enumerating.

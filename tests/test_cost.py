@@ -2,7 +2,7 @@
 count of Python function calls, which does not depend on the machine or on
 string hashing, may grow at most 2.2 times per doubling. The constraint walk
 also has a budget of calls per walk call, and compiles as many plans at every
-depth."""
+depth. The oracle has a budget of calls per candidate tuple it checks."""
 from __future__ import annotations
 
 import functools
@@ -13,7 +13,7 @@ import pytest
 import gadtmap as g
 from gadtmap import constraints as cgen
 
-from conftest import NESTED_SRC, SEQ_SRC
+from conftest import G_SRC, NESTED_SRC, SEQ_SRC
 
 # name: (program, spec, term n levels deep)
 LADDERS = {
@@ -33,6 +33,18 @@ QUADRATIC = {("seq", "infer"), ("nested", "infer")}
 # only instantiates the plan its key compiled once.
 WALK_CALL_BUDGET = {"list": 45, "seq": 65}
 _COMPILE = cgen._Run._compile.__code__
+# name: (program, spec, term), as the oracle-verify benchmark checks them at
+# depth 3: a `Seq` pair tree over pairs and lists, and a `G` term.
+ORACLE_INPUTS = {
+    "seq": (NESTED_SRC + SEQ_SRC, "Seq b1",
+            "pair (pair (const (17, tt)) (const (cons 32 (cons 15 nil)))) (const (63, false))"),
+    "g": (G_SRC, "G b1", "pairing (pairing (inj 12) (flat (cons (inj 22) nil)))"
+          " (pairing (flat (cons const (cons (inj 90) nil))) const)"),
+}
+# The most calls `agrees` may make per candidate tuple, all its work
+# included: 28.9 (seq) and 37.3 (g) now; 76.7 and 85.0 when each tuple
+# rebuilt its pushed functions to look their verdicts up.
+ORACLE_TUPLE_BUDGET = 45
 
 
 @functools.cache
@@ -103,3 +115,23 @@ def test_walk_calls_are_cheap(ladder, budget):
 def test_plans_do_not_grow_with_depth(ladder):
     plans = _counts(ladder)["plans"]
     assert len(set(plans)) == 1 and plans[0] > 0, plans
+
+
+@pytest.mark.parametrize("name", ORACLE_INPUTS)
+def test_oracle_tuples_are_cheap(name):
+    src, spec_text, term_text = ORACLE_INPUTS[name]
+    vp = g.validate(g.parse_program(src))
+    report = g.analyze(vp, g.parse_term(term_text, vp), g.parse_spec(spec_text, vp))
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        verified = g.agrees(report.form, report.typed, report.spec, 3)
+    finally:
+        sys.setprofile(None)
+    assert verified.agrees and verified.checked > 100, verified
+    assert calls <= ORACLE_TUPLE_BUDGET * verified.checked, (calls, verified.checked)

@@ -111,6 +111,9 @@ REPEATED_SPEC_VARIABLES = [
     ("seq", "const (1, 1)", "Seq (b1 * b1)"),
     ("seq", "pair (const (1, 2)) (const 1)", "Seq ((b1 * b2) * b1)"),
     ("nested", "(cons 1 nil, cons 2 nil)", "List b1 * List b1"),
+    # `b1` is a whole component and occurs again inside the other: its
+    # codomain must still be matched, or an opaque first candidate passes.
+    ("nested", "(1, cons 2 nil)", "b1 * List b1"),
 ]
 
 
@@ -488,7 +491,7 @@ class TestAgreement:
     @pytest.mark.parametrize("depth", [2, 3])
     @pytest.mark.parametrize(
         "key,term,spec,checked",
-        [(*case, n) for case, n in zip(REPEATED_SPEC_VARIABLES, (4, 4, 6, 6, 6, 14, 16))],
+        [(*case, n) for case, n in zip(REPEATED_SPEC_VARIABLES, (4, 4, 6, 6, 6, 14, 16, 8))],
     )
     def test_repeated_spec_variables_agree(self, programs, key, term, spec, checked, depth):
         # A repeated variable makes the codomain check in `mappable` decide:
@@ -852,3 +855,60 @@ class TestSharedCandidatesMatchReference:
             expected, verdicts = reference_agrees(p, depth)
             assert [ok for _, ok in tuples] == verdicts, (term, spec)
             assert report_flags(report) == report_flags(expected), (term, spec)
+
+
+def extended_pools(domains, depth, vp):
+    """`candidate_pools` plus one type-preserving opaque function,
+    `Opaque(d, d)`, at every pool level."""
+    counter = itertools.count()
+
+    def enum(domain, depth):
+        out = [g.Opaque(domain, Atom(f"X{next(counter)}")), g.Id(domain)]
+        out.append(g.Opaque(domain, domain))
+        if depth >= 1:
+            if isinstance(domain, (Prod, Sum)):
+                node = g.ProdF if isinstance(domain, Prod) else g.SumF
+                lefts, rights = enum(domain.left, depth - 1), enum(domain.right, depth - 1)
+                for l, r in itertools.product(lefts, rights):
+                    out.append(node(l, r))
+            elif isinstance(domain, App) and not vp.is_proper(domain.ctor):
+                for combo in itertools.product(*(enum(a, depth - 1) for a in domain.args)):
+                    out.append(g.Lift(domain.ctor, combo))
+        return out
+
+    return [enum(d, depth) for d in domains]
+
+
+def disagreements_over(p, pools):
+    """The tuples over `pools` on which `mappable` and the most general form
+    disagree, checked with one checker as `agrees` checks them."""
+    checker = Checker(p.typed)
+    return [
+        combo
+        for combo in itertools.product(*pools)
+        if mappable(combo, p.typed, p.spec, checker) != g.is_instance(p.form, combo)
+    ]
+
+
+class TestExtendedPools:
+    """With a type-preserving opaque candidate at every pool level, the
+    oracle should still agree with the analysis on every case."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP open item 1: `mappable` judges an opaque candidate by its codomain "
+        "type, so a type-preserving one passes where the form asks for a map or an identity",
+    )
+    def test_all_cases_agree_at_depth_two(self, programs, sum_vp, probe_vp, closed_args_vp):
+        cases = [(programs[k], t, s, lits) for k, t, s, lits in CORPUS]
+        cases += [(probe_vp, t, s, False) for t, s, _checked in PROBE_TERMS]
+        cases += [(sum_vp, t, s, False) for t, s in SUM_INDEXED_TERMS]
+        cases += [(closed_args_vp, t, s, False) for t, s, _form, _checked in CLOSED_ARGS_TERMS]
+        assert len(cases) == 40
+        disagreeing = []
+        for vp, term, spec, lits in cases:
+            p = run_pipeline(vp, term, spec, lits)
+            bad = disagreements_over(p, extended_pools(p.typed.witness.domains, 2, vp))
+            if bad:
+                disagreeing.append((term, spec, len(bad)))
+        assert not disagreeing, disagreeing
