@@ -7,9 +7,9 @@
 Exit codes: 0 success, 1 analysis-level rejection (invalid program, ill-typed
 term, or specification mismatch), 2 I/O or parse error, a type nested too
 deeply for the interpreter's recursion limit, or a `--verify` depth with more
-than a million candidate tuples or more digits than Python reads, 3 verification failure or an internal error
-(a fault of the analysis, reported on one line as `internal error: <stage>:
-<message>`).
+than a million candidate tuples or more digits than Python reads,
+3 verification failure or an internal error (a fault of the analysis,
+reported on one line as `internal error: <stage>: <message>`).
 """
 from __future__ import annotations
 
@@ -476,7 +476,9 @@ def build_parser() -> argparse.ArgumentParser:
     gadtmap as a library does not load it."""
     import argparse
 
-    ap = argparse.ArgumentParser(prog="gadtmap", description=__doc__)
+    ap = argparse.ArgumentParser(
+        prog="gadtmap", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     sub = ap.add_subparsers(dest="command", required=True)
     v = sub.add_parser("validate", help="check a program file")
     v.add_argument("program")

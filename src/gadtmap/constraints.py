@@ -97,16 +97,11 @@ class IndexName(Frozen):
     """The name of a call's index variable: `y<index>^<call label>` when
     rendered."""
 
-    __slots__ = ("index", "call", "_hash")
+    __slots__ = ("index", "call")
 
     def __init__(self, index: int, call: Call) -> None:
         _set(self, "index", index)
         _set(self, "call", call)
-        # Index names key the matching's maps: hash once.
-        _set(self, "_hash", hash((index, call)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __str__(self) -> str:
         return f"y{self.index}^{self.call.label}"

@@ -11,13 +11,13 @@ binder of `c` from the constructor's return indices (the semantic inverse of
 
 Candidates are checked against the codomain, not rebuilt and re-inferred.
 The type expected of each subterm is the codomain of the function pushed
-through it, so `Checker` needs no types beyond the subterms' own. It
-memoises the verdict of a push below a constructor per (argument subterm,
-argument type's lifter, the recovered functions the lifter reads), so a
-repeated push builds no function expression, and of a push through a pair
-or injection per subterm and function. Candidates share their
-sub-candidates (one pool per sub-domain), so those memos hit across
-candidate tuples, and each candidate's normal form is built alongside it.
+through it, so `Checker` needs no types beyond the subterms' own. Its one
+push memo holds the verdict of a push below a constructor per (argument
+subterm, argument type's lifter, the recovered functions the lifter reads),
+so a repeated push builds no function expression, and of a push through a
+pair or injection per (subterm, function). Candidates share their
+sub-candidates (one pool per sub-domain), so that memo hits across candidate
+tuples, and each candidate's normal form is built alongside it.
 `map_apply` is the reference semantics: it rebuilds the term and types it
 with `infer`. `agrees` runs it on the identity tuple of every call and stops
 with `OracleInconsistency` when the two differ.
@@ -258,14 +258,16 @@ class Checker:
     own through the root, so `check` itself is not memoised.) The push of an
     argument below a constructor is memoised per (argument subterm, argument
     type's lifter, the recovered functions that lifter reads): a repeated
-    push builds no function expression and hashes none but those it reads,
-    which are candidates' sub-expressions, shared identities and shared
-    expansions, each hashed once. The pushes through a product or sum are
-    memoised per (subterm, function). Codomains, normal forms and identity
-    expansions are memoised per distinct sub-expression, and component
-    recovery compares memoised normal forms into one environment per push.
-    The first push through a constructor stores its plan (the declaration's
-    name, its return indices and each argument type compiled into a lifter,
+    push builds no function expression and hashes none but those it reads:
+    candidates' sub-expressions and shared identities, each hashed once, and
+    the parts of an identity the push expanded. The pushes through a product
+    or sum are memoised per (subterm, function) in the same map, whose two
+    key shapes cannot collide. Codomains, normal forms and identity
+    expansions are not memoised, since few are asked for twice: component
+    recovery binds into one environment per push, and normalises only where
+    two components bind one binder to different objects. The first push
+    through a constructor stores its plan (the declaration's name, its
+    return indices and each argument type compiled into a lifter,
     `funexpr.lifter`), and the first push through a node stores the node's
     own: the identities at the instances of the binders no return index
     mentions, and each argument's memo key prefix.
@@ -273,60 +275,17 @@ class Checker:
 
     def __init__(self, typed: TypedTerm) -> None:
         self.vp = typed.vp
-        self._memo: dict[tuple[int, FunExpr], bool] = {}
         self._pushes: dict[tuple[object, ...], bool] = {}
-        self._codomains: dict[FunExpr, TypeExpr] = {}
-        self._normals: dict[FunExpr, FunExpr] = {}
-        self._expansions: dict[Id, FunExpr | None] = {}
         self._plans: dict[str, tuple] = {}
         self._nodes: dict[int, tuple] = {}
         # By id: each value holds its specification, so no id is reused.
         self._heads: dict[int, tuple] = {}
 
-    def codomain(self, phi: FunExpr) -> TypeExpr:
-        """`fun_type(phi, codomain=True)`, for an expression without
-        function variables, memoised per distinct sub-expression."""
-        cod = self._codomains.get(phi)
-        if cod is None:
-            if isinstance(phi, (ProdF, SumF)):
-                node = Prod if isinstance(phi, ProdF) else Sum
-                cod = node(self.codomain(phi.left), self.codomain(phi.right))
-            elif isinstance(phi, (Id, Opaque)):
-                cod = fun_type(phi, codomain=True)
-            elif isinstance(phi, Lift):
-                cod = App(phi.ctor, tuple(map(self.codomain, phi.args)))
-            else:
-                raise ValueError(f"{phi!r} has no derivable codomain")
-            self._codomains[phi] = cod
-        return cod
-
-    def normal(self, phi: FunExpr) -> FunExpr:
-        """`normalize(phi)`, memoised per distinct sub-expression."""
-        n = self._normals.get(phi)
-        if n is None:
-            if isinstance(phi, (ProdF, SumF)):
-                n = type(phi)(self.normal(phi.left), self.normal(phi.right))
-            elif isinstance(phi, Lift):
-                n = Lift(phi.ctor, tuple(map(self.normal, phi.args)))
-            else:
-                n = normalize(phi)
-            self._normals[phi] = n
-        return n
-
-    def expand(self, phi: Id) -> FunExpr | None:
-        """`expand_id(phi)`, memoised per distinct identity, so that equal
-        identities expand to one shared expression."""
-        try:
-            return self._expansions[phi]
-        except KeyError:
-            expanded = self._expansions[phi] = expand_id(phi)
-            return expanded
-
     def _sub(self, phi: FunExpr, node: TypedNode) -> bool:
         key = (id(node), phi)
-        ok = self._memo.get(key)
+        ok = self._pushes.get(key)
         if ok is None:
-            ok = self._memo[key] = self.check(phi, node)
+            ok = self._pushes[key] = self.check(phi, node)
         return ok
 
     def check(self, phi: FunExpr, node: TypedNode) -> bool:
@@ -336,7 +295,7 @@ class Checker:
             # An unchanged subterm checks at its own type.
             if phi.at == node.type:
                 return True
-            phi = self.expand(phi)
+            phi = expand_id(phi)
         term = node.term
         if isinstance(phi, ProdF):
             return (
@@ -364,7 +323,7 @@ class Checker:
             for k_expr, component in zip(indices, phi.args):
                 if isinstance(k_expr, Var):
                     prev = env.setdefault(k_expr.name, component)
-                    if prev is not component and not self._same(prev, component):
+                    if prev is not component and normalize(prev) != normalize(component):
                         return False
                 elif not self._recover(k_expr, component, env):
                     return False
@@ -380,22 +339,16 @@ class Checker:
             return True
         return False
 
-    def _same(self, a: FunExpr, b: FunExpr) -> bool:
-        """Whether two functions are equal up to identity expansion."""
-        a, b = self.normal(a), self.normal(b)
-        return a is b or a == b
-
     def _recover(self, k_expr: TypeExpr, phi: FunExpr, env: dict[str, FunExpr]) -> bool:
         """`match_fun` of a return index that is not a variable, into `env`
-        in place, with memoised normal forms and expansions; False when the
-        function does not decompose. Variable parts bind here, not in a
-        call of their own."""
+        in place; False when the function does not decompose. Variable parts
+        bind here, not in a call of their own."""
         if not isinstance(k_expr, (Prod, Sum, App)):
             # A base type or atom: only the identity at it normalises to the
             # identity at it.
             return isinstance(phi, Id) and phi.at == k_expr
         if isinstance(phi, Id):
-            phi = self.expand(phi)
+            phi = expand_id(phi)
             if phi is None:
                 return False
         if isinstance(k_expr, (Prod, Sum)):
@@ -409,7 +362,7 @@ class Checker:
         for sub_k, sub_phi in parts:
             if isinstance(sub_k, Var):
                 prev = env.setdefault(sub_k.name, sub_phi)
-                if prev is not sub_phi and not self._same(prev, sub_phi):
+                if prev is not sub_phi and normalize(prev) != normalize(sub_phi):
                     return False
             elif not self._recover(sub_k, sub_phi, env):
                 return False
@@ -460,15 +413,7 @@ def enumerate_candidates(domain: TypeExpr, depth: int, vp: ValidatedProgram) -> 
     candidate: the opaque leaves of one candidate are pairwise distinct,
     while candidates share theirs.
     """
-    return candidate_pools((domain,), depth, vp)[0]
-
-
-def candidate_pools(
-    domains: tuple[TypeExpr, ...], depth: int, vp: ValidatedProgram
-) -> list[list[FunExpr]]:
-    """`enumerate_candidates` of each domain, with the atoms numbered once
-    across all of them, so that no two pools share an opaque function."""
-    return [list(map(_FIRST, pool)) for pool in _normal_pools(domains, depth, vp)]
+    return list(map(_FIRST, _normal_pools((domain,), depth, vp)[0]))
 
 
 _FIRST, _SECOND = itemgetter(0), itemgetter(1)
@@ -477,10 +422,11 @@ _FIRST, _SECOND = itemgetter(0), itemgetter(1)
 def _normal_pools(
     domains: tuple[TypeExpr, ...], depth: int, vp: ValidatedProgram
 ) -> list[list[tuple[FunExpr, FunExpr]]]:
-    """`candidate_pools`, each candidate paired with its normal form
-    (`normalize`), which is built from its parts' normal forms as the
-    candidate is built from its parts; a candidate whose parts are normal
-    is its own normal form."""
+    """`enumerate_candidates` of each domain, with the atoms numbered once
+    across all of them, so that no two pools share an opaque function. Each
+    candidate is paired with its normal form (`normalize`), which is built
+    from its parts' normal forms as the candidate is built from its parts; a
+    candidate whose parts are normal is its own normal form."""
     counter = itertools.count()
 
     def enum(domain: TypeExpr, depth: int) -> list[tuple[FunExpr, FunExpr]]:
@@ -622,8 +568,9 @@ def mappable(
     and the lifted head pushes through the term's structure to a term of that
     codomain (checked, not inferred, so nullary constructors cannot
     re-generalize and hide it). A tuple not of the head's arity is not
-    mappable. `checker`, when given, must be over `typed` and shares its
-    memo across calls.
+    mappable. `checker`, when given, must be over `typed`; its memos, among
+    them what `_spec_head` derives of the specification, last across calls.
+    The candidates' codomains are `fun_type`'s and are not memoised.
     """
     if checker is None:
         checker = Checker(typed)
@@ -636,7 +583,7 @@ def mappable(
     if matched:
         subst: dict[str, TypeExpr] = {}
         for i in matched:
-            if not match_type(components[i], checker.codomain(candidates[i]), subst):
+            if not match_type(components[i], fun_type(candidates[i], codomain=True), subst):
                 return False
     return checker.check(build(candidates), typed.root)
 
@@ -680,7 +627,7 @@ def agrees(
         reference = False
 
     checker = Checker(typed)
-    normal_forms = tuple(map(checker.normal, forms))
+    normal_forms = tuple(map(normalize, forms))
     disagreements: list[Disagreement] = []
     checked = 0
     for combo, normals in zip(itertools.product(*pools), itertools.product(*normal_pools)):

@@ -294,6 +294,16 @@ class TestVerifyExitCode:
         ]
 
 
+def test_help_prints_the_docstring_line_for_line(capsys):
+    # Not refilled into one paragraph: the usage lines and exit codes keep
+    # their line breaks and indentation.
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    out = capsys.readouterr().out
+    assert "\n    gadtmap validate PROGRAM [--json]\n" in out
+    assert g.cli.__doc__.strip() in out
+
+
 def test_module_entry_point(program_files):
     import subprocess
     import sys

@@ -368,9 +368,9 @@ class TestSharedCandidates:
 
 
 class TestCheckerDerivations:
-    """The checker's memoised codomains and normal forms are `fun_type` and
-    `normalize` of every candidate, and the enumeration they are derived
-    over keeps its order and its atom names."""
+    """The checker's push memo is bounded by the candidates' sub-expressions,
+    and the enumeration the candidates come from keeps its order and its
+    atom names."""
 
     DOMAINS = [
         ("nested", NAT),
@@ -380,20 +380,10 @@ class TestCheckerDerivations:
         ("seq", App("Seq", (NAT,))),
     ]
 
-    def test_codomain_and_normal_form(self, programs):
-        for key, domain in self.DOMAINS:
-            vp = programs[key]
-            for depth in range(4):
-                checker = Checker(g.infer(g.parse_term("1", vp), vp))
-                cands = g.enumerate_candidates(domain, depth, vp)
-                # twice: the second pass reads the memo
-                for c in cands + cands:
-                    assert checker.codomain(c) == fun_type(c, codomain=True), g.pretty(c)
-                    assert checker.normal(c) == normalize(c), g.pretty(c)
-
-    def test_head_codomains_are_not_kept(self, nested_vp):
-        # One head lift per candidate tuple: the codomain memo must hold
-        # only the candidates' own sub-expressions, however many tuples.
+    def test_push_memo_does_not_grow_per_tuple(self, nested_vp):
+        # One head lift per candidate tuple, pushed through the root without
+        # a memo: below it, the pushes must be keyed on the candidates' own
+        # sub-expressions, so there are fewer of them than tuples.
         report = run_pipeline(nested_vp, "((1, 2), (3, tt))", "b1 * b2")
         typed, checker = report.typed, Checker(report.typed)
         pools = [g.enumerate_candidates(d, 2, nested_vp) for d in typed.witness.domains]
@@ -405,8 +395,8 @@ class TestCheckerDerivations:
         tuples = list(itertools.product(*pools))
         for combo in tuples:
             mappable(combo, typed, report.spec, checker)
-        assert set(checker._codomains) <= subexpressions
-        assert len(subexpressions) < len(tuples)
+        assert 0 < len(checker._pushes) < len(tuples)
+        assert all(phi in subexpressions for _, phi in checker._pushes)
 
     def test_enumeration_order_and_atom_names(self, programs):
         rendered = {
@@ -764,6 +754,29 @@ class TestCheckerNeedsNoExpectedType:
                 assert_same_as_three_argument_checker(nested_vp, term, spec)
 
 
+class TestIdentityAtAnotherType:
+    """An identity at a type other than its subterm's is expanded one step
+    and the expansion pushed through. No candidate tuple of CORPUS or
+    PROBE_TERMS pushes one at depths 2 and 3, so the branch is checked here
+    directly, against the checker that is passed the expected type."""
+
+    @pytest.mark.parametrize(
+        "term,at,expected",
+        [
+            ("(1, tt)", "Nat * Nat", False),
+            ("(1, 2)", "List Nat", False),
+            # The expansion recovers `id@Bool`, and `nil` holds no data.
+            ("(nil : List Nat)", "List Bool", True),
+        ],
+    )
+    def test_verdict(self, nested_vp, term, at, expected):
+        typed = g.infer(g.parse_term(term, nested_vp), nested_vp)
+        phi = g.Id(g.parse_spec(at, nested_vp))
+        assert phi.at != typed.root.type
+        assert Checker(typed).check(phi, typed.root) is expected
+        assert ThreeArgumentChecker(typed).check(phi, typed.root, phi.at) is expected
+
+
 def reference_pools(domains, depth, vp):
     """The enumeration before sub-pools were shared: the right pool of a
     product or sum is enumerated again for every left candidate, each time
@@ -858,7 +871,8 @@ class TestSharedCandidatesMatchReference:
 
 
 def extended_pools(domains, depth, vp):
-    """`candidate_pools` plus one type-preserving opaque function,
+    """`enumerate_candidates` of each domain, with the atoms numbered once
+    across all of them, plus one type-preserving opaque function,
     `Opaque(d, d)`, at every pool level."""
     counter = itertools.count()
 

@@ -944,7 +944,7 @@ class TestRecords:
             delattr(record, field)
         assert repr(record) == before
 
-    def test_index_name_hash_is_stored(self):
+    def test_index_name_hash(self):
         a = IndexName(2, Call.from_label("1.2"))
         b = IndexName(2, Call.from_label("1.2"))
         assert a.call is not b.call
