@@ -498,8 +498,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    The command runs with CPython's cyclic garbage collector paused, and the
+    caller's collector state is restored on every exit. The pipeline makes no
+    reference cycles, so reference counting frees everything a command
+    allocates as it goes, and a collection would only trace live objects. A
+    library caller running many analyses may pause the collector around them
+    the same way. `gc` is imported here, as `build_parser` imports
+    `argparse`."""
+    import gc
+
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return args.func(args)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -323,16 +323,16 @@ def fun_children(e: FunExpr) -> tuple[FunExpr, ...]:
 def fun_vars(e: FunExpr) -> tuple[FunVar, ...]:
     """Function variables of an expression, in left-to-right order, deduplicated."""
     seen: dict[FunVar, None] = {}
-
-    def go(e: FunExpr) -> None:
-        if isinstance(e, FunVar):
-            seen.setdefault(e, None)
-        else:
-            for c in fun_children(e):
-                go(c)
-
-    go(e)
+    _fun_vars(e, seen)
     return tuple(seen)
+
+
+def _fun_vars(e: FunExpr, seen: dict[FunVar, None]) -> None:
+    if isinstance(e, FunVar):
+        seen.setdefault(e, None)
+    else:
+        for c in fun_children(e):
+            _fun_vars(c, seen)
 
 
 def fun_type(e: FunExpr, codomain: bool) -> TypeExpr | None:
@@ -355,20 +355,37 @@ def fun_type(e: FunExpr, codomain: bool) -> TypeExpr | None:
 
 def canonical_rename(exprs: tuple[FunExpr, ...]) -> tuple[FunExpr, ...]:
     """Rename the function variables of `exprs` to f'1, f'2, ... in order of
-    first occurrence across the whole tuple."""
-    mapping: dict[FunVar, FunVar] = {}
+    first occurrence across the whole tuple.
 
-    def go(e: FunExpr) -> FunExpr:
-        if isinstance(e, FunVar):
-            if e not in mapping:
-                mapping[e] = FunVar(
+    Rebuilt in post-order from an explicit stack, so an expression of any
+    depth takes no frame per level: a composite is pushed as a one-tuple
+    marker below its children (right to left, so variables are met in
+    order), and the marker rebuilds it from its children's results."""
+    mapping: dict[FunVar, FunVar] = {}
+    done: list[FunExpr] = []
+    stack: list = list(reversed(exprs))
+    while stack:
+        e = stack.pop()
+        if e.__class__ is tuple:
+            e = e[0]
+            if isinstance(e, Lift):
+                cut = len(done) - len(e.args)
+                args = tuple(done[cut:])
+                del done[cut:]
+                done.append(Lift(e.ctor, args))
+            else:
+                right = done.pop()
+                done[-1] = type(e)(done[-1], right)
+        elif isinstance(e, FunVar):
+            r = mapping.get(e)
+            if r is None:
+                r = mapping[e] = FunVar(
                     "f", None, len(mapping) + 1, intro=e.intro, prime=True, domain=e.domain
                 )
-            return mapping[e]
-        if isinstance(e, (ProdF, SumF)):
-            return type(e)(go(e.left), go(e.right))
-        if isinstance(e, Lift):
-            return Lift(e.ctor, tuple(go(a) for a in e.args))
-        return e
-
-    return tuple(go(e) for e in exprs)
+            done.append(r)
+        elif isinstance(e, (ProdF, SumF, Lift)):
+            stack.append((e,))
+            stack.extend(reversed(fun_children(e)))
+        else:
+            done.append(e)
+    return tuple(done)

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from functools import partial
 from operator import is_, itemgetter
 
@@ -190,50 +191,54 @@ def map_apply(phi: FunExpr, typed: TypedTerm) -> TypedTerm | None:
     rebuilt term is re-typechecked, with failures reported as None.
     """
     vp = typed.vp
-    counter = itertools.count()
-
-    def apply(phi: FunExpr, node: TypedNode) -> Term:
-        term = node.term
-        if isinstance(phi, Id):
-            # The annotation keeps the type the subterm had, which annotations
-            # dropped from the typed tree may have fixed (`(1 : Int)`).
-            return Ann(term, phi.at)
-        if isinstance(phi, Opaque):
-            return Const(f"c{next(counter)}", phi.codomain)
-        if isinstance(phi, ProdF):
-            if not isinstance(term, Pair):
-                raise _Fail
-            return Pair(apply(phi.left, node.kids[0]), apply(phi.right, node.kids[1]))
-        if isinstance(phi, SumF):
-            if isinstance(term, Inl):
-                return Inl(apply(phi.left, node.kids[0]))
-            if isinstance(term, Inr):
-                return Inr(apply(phi.right, node.kids[0]))
-            raise _Fail
-        if isinstance(phi, Lift):
-            if not isinstance(term, Ctor):
-                raise _Fail
-            decl, sig = vp.ctor(term.name)
-            if decl.name != phi.ctor:
-                raise _Fail
-            env = _binder_functions(sig, phi.args, node.instance)
-            if env is None:
-                raise _Fail
-            new_args = tuple(
-                apply(lift_type(arg_ty, env), kid)
-                for arg_ty, kid in zip(sig.arg_types, node.kids)
-            )
-            return Ctor(term.name, new_args)
-        raise _Fail
-
     try:
-        result = apply(phi, typed.root)
+        result = _apply(phi, typed.root, vp, itertools.count())
     except _Fail:
         return None
     try:
         return infer(result, vp, typed.int_literals)
     except TypeCheckError:
         return None
+
+
+def _apply(phi: FunExpr, node: TypedNode, vp: ValidatedProgram, counter: Iterator[int]) -> Term:
+    """`map_apply`'s rebuilt term for one node; raises `_Fail` when the
+    function does not apply. `counter` numbers the opaque constants."""
+    term = node.term
+    if isinstance(phi, Id):
+        # The annotation keeps the type the subterm had, which annotations
+        # dropped from the typed tree may have fixed (`(1 : Int)`).
+        return Ann(term, phi.at)
+    if isinstance(phi, Opaque):
+        return Const(f"c{next(counter)}", phi.codomain)
+    if isinstance(phi, ProdF):
+        if not isinstance(term, Pair):
+            raise _Fail
+        return Pair(
+            _apply(phi.left, node.kids[0], vp, counter),
+            _apply(phi.right, node.kids[1], vp, counter),
+        )
+    if isinstance(phi, SumF):
+        if isinstance(term, Inl):
+            return Inl(_apply(phi.left, node.kids[0], vp, counter))
+        if isinstance(term, Inr):
+            return Inr(_apply(phi.right, node.kids[0], vp, counter))
+        raise _Fail
+    if isinstance(phi, Lift):
+        if not isinstance(term, Ctor):
+            raise _Fail
+        decl, sig = vp.ctor(term.name)
+        if decl.name != phi.ctor:
+            raise _Fail
+        env = _binder_functions(sig, phi.args, node.instance)
+        if env is None:
+            raise _Fail
+        new_args = tuple(
+            _apply(lift_type(arg_ty, env), kid, vp, counter)
+            for arg_ty, kid in zip(sig.arg_types, node.kids)
+        )
+        return Ctor(term.name, new_args)
+    raise _Fail
 
 
 class Checker:
@@ -428,29 +433,33 @@ def _normal_pools(
     from its parts' normal forms as the candidate is built from its parts; a
     candidate whose parts are normal is its own normal form."""
     counter = itertools.count()
+    return [_enum(d, depth, vp, counter) for d in domains]
 
-    def enum(domain: TypeExpr, depth: int) -> list[tuple[FunExpr, FunExpr]]:
-        leaf, ident = Opaque(domain, Atom(f"X{next(counter)}")), Id(domain)
-        out: list[tuple[FunExpr, FunExpr]] = [(leaf, leaf), (ident, normalize(ident))]
-        if depth >= 1:
-            if isinstance(domain, (Prod, Sum)):
-                node = ProdF if isinstance(domain, Prod) else SumF
-                for (l, nl), (r, nr) in itertools.product(
-                    enum(domain.left, depth - 1), enum(domain.right, depth - 1)
-                ):
-                    c = node(l, r)
-                    out.append((c, c if nl is l and nr is r else node(nl, nr)))
-            elif isinstance(domain, App) and not vp.is_proper(domain.ctor):
-                for combo in itertools.product(
-                    *(enum(a, depth - 1) for a in domain.args)
-                ):
-                    args, normals = tuple(map(_FIRST, combo)), tuple(map(_SECOND, combo))
-                    c = Lift(domain.ctor, args)
-                    same = all(map(is_, args, normals))
-                    out.append((c, c if same else Lift(domain.ctor, normals)))
-        return out
 
-    return [enum(d, depth) for d in domains]
+def _enum(
+    domain: TypeExpr, depth: int, vp: ValidatedProgram, counter: Iterator[int]
+) -> list[tuple[FunExpr, FunExpr]]:
+    """One domain's pool of `_normal_pools`, its atoms numbered by `counter`."""
+    leaf, ident = Opaque(domain, Atom(f"X{next(counter)}")), Id(domain)
+    out: list[tuple[FunExpr, FunExpr]] = [(leaf, leaf), (ident, normalize(ident))]
+    if depth >= 1:
+        if isinstance(domain, (Prod, Sum)):
+            node = ProdF if isinstance(domain, Prod) else SumF
+            for (l, nl), (r, nr) in itertools.product(
+                _enum(domain.left, depth - 1, vp, counter),
+                _enum(domain.right, depth - 1, vp, counter),
+            ):
+                c = node(l, r)
+                out.append((c, c if nl is l and nr is r else node(nl, nr)))
+        elif isinstance(domain, App) and not vp.is_proper(domain.ctor):
+            for combo in itertools.product(
+                *(_enum(a, depth - 1, vp, counter) for a in domain.args)
+            ):
+                args, normals = tuple(map(_FIRST, combo)), tuple(map(_SECOND, combo))
+                c = Lift(domain.ctor, args)
+                same = all(map(is_, args, normals))
+                out.append((c, c if same else Lift(domain.ctor, normals)))
+    return out
 
 
 def count_candidates(domain: TypeExpr, depth: int, vp: ValidatedProgram) -> int:
@@ -480,24 +489,34 @@ def is_instance(forms: tuple[FunExpr, ...], candidates: tuple[FunExpr, ...]) -> 
 def _is_normal_instance(forms: tuple[FunExpr, ...], candidates: tuple[FunExpr, ...]) -> bool:
     """`is_instance` on forms and candidates already normalised."""
     subst: dict[FunVar, FunExpr] = {}
-
-    def go(f: FunExpr, c: FunExpr) -> bool:
-        if isinstance(f, FunVar):
-            prev = subst.get(f)
-            if prev is None:
-                subst[f] = c
-                return True
-            return prev == c
-        if isinstance(f, (ProdF, SumF)):
-            return c.__class__ is f.__class__ and go(f.left, c.left) and go(f.right, c.right)
-        if isinstance(f, Lift):
-            return isinstance(c, Lift) and f.ctor == c.ctor and all(map(go, f.args, c.args))
-        return f is c or f == c  # compared only at the leaves
-
     for f, c in zip(forms, candidates):
-        if not go(f, c):
+        if not _instance(f, c, subst):
             return False
     return True
+
+
+def _instance(f: FunExpr, c: FunExpr, subst: dict[FunVar, FunExpr]) -> bool:
+    """Whether `c` instantiates `f`, extending `subst`, which binds the
+    form's variables."""
+    if isinstance(f, FunVar):
+        prev = subst.get(f)
+        if prev is None:
+            subst[f] = c
+            return True
+        return prev == c
+    if isinstance(f, (ProdF, SumF)):
+        return (
+            c.__class__ is f.__class__
+            and _instance(f.left, c.left, subst)
+            and _instance(f.right, c.right, subst)
+        )
+    if isinstance(f, Lift):
+        return (
+            isinstance(c, Lift)
+            and f.ctor == c.ctor
+            and all(map(_instance, f.args, c.args, itertools.repeat(subst)))
+        )
+    return f is c or f == c  # compared only at the leaves
 
 
 class Disagreement(Record):

@@ -70,18 +70,18 @@ def _peel(a: FunExpr, b: FunExpr) -> list[tuple[FunExpr, FunExpr]]:
 def decompose(c: Constraint) -> list[AtomicConstraint]:
     """Peel identical head symbols from both sides until one is a variable."""
     out: list[AtomicConstraint] = []
-
-    def peel(a: FunExpr, b: FunExpr) -> None:
-        if isinstance(b, FunVar):
-            out.append(AtomicConstraint(a, b))
-        elif isinstance(a, FunVar):
-            out.append(AtomicConstraint(b, a))
-        else:
-            for x, y in _peel(a, b):
-                peel(x, y)
-
-    peel(c.lhs, c.rhs)
+    _decompose(c.lhs, c.rhs, out)
     return out
+
+
+def _decompose(a: FunExpr, b: FunExpr, out: list[AtomicConstraint]) -> None:
+    if isinstance(b, FunVar):
+        out.append(AtomicConstraint(a, b))
+    elif isinstance(a, FunVar):
+        out.append(AtomicConstraint(b, a))
+    else:
+        for x, y in _peel(a, b):
+            _decompose(x, y, out)
 
 
 class SolvedSystem(Record):
@@ -108,91 +108,90 @@ def unify_all(atomics: list[AtomicConstraint]) -> SolvedSystem:
     chains are path-compressed as they are walked (union-find, Tarjan 1975).
     """
     raw: dict[FunVar, FunExpr] = {}
-
-    def walk(e: FunExpr) -> FunExpr:
-        # Path compression: every variable passed is repointed to the end of
-        # its chain. This keeps the keys of `raw` and the value each of them
-        # resolves to, so the solved system is the same.
-        passed = []
-        while isinstance(e, FunVar):
-            nxt = raw.get(e)
-            if nxt is None:
-                break
-            passed.append(e)
-            e = nxt
-        for v in passed:
-            raw[v] = e
-        return e
-
-    def occurs(v: FunVar, e: FunExpr) -> bool:
-        e = walk(e)
-        if isinstance(e, FunVar):
-            return e == v
-        return any(occurs(v, c) for c in fun_children(e))
-
-    def bind(v: FunVar, e: FunExpr) -> None:
-        if occurs(v, e):
-            raise SpecUnsatisfiable(f"occurs check failed binding {v} to {e}")
-        raw[v] = e
-
-    def unite(a: FunExpr, b: FunExpr) -> None:
-        a, b = walk(a), walk(b)
-        if isinstance(a, FunVar) and isinstance(b, FunVar):
-            if a != b:
-                lo, hi = (a, b) if a.intro < b.intro else (b, a)
-                raw[lo] = hi
-        elif isinstance(a, FunVar):
-            bind(a, b)
-        elif isinstance(b, FunVar):
-            bind(b, a)
-        else:
-            for x, y in _peel(a, b):
-                unite(x, y)
-
     for ac in atomics:
-        unite(ac.lhs, ac.rhs)
+        _unite(raw, ac.lhs, ac.rhs)
 
     # Each variable is resolved once, and its resolution is one object shared
     # by every binding that mentions it.
     resolved: dict[FunVar, FunExpr] = {}
-
-    def resolve(e: FunExpr) -> FunExpr:
-        if isinstance(e, FunVar):
-            r = resolved.get(e)
-            if r is None:
-                nxt = raw.get(e)
-                r = resolved[e] = e if nxt is None else resolve(nxt)
-            return r
-        if isinstance(e, (ProdF, SumF)):
-            return type(e)(resolve(e.left), resolve(e.right))
-        if isinstance(e, Lift):
-            return Lift(e.ctor, tuple(map(resolve, e.args)))
-        return e
-
     ordered = sorted(raw, key=lambda v: v.intro)
     # Latest first: a later variable's resolution is met by earlier ones, so
     # resolving it first keeps the recursion shallow.
     for v in reversed(ordered):
-        resolve(v)
+        _resolve(raw, resolved, v)
     bindings = {v: resolved[v] for v in ordered}
 
     # The variables of resolutions are unbound. They are listed in order of
     # first occurrence, scanning each shared sub-expression once: a repeat
-    # holds no variable not already met.
+    # holds no variable not already met. The stack holds children right to
+    # left, so they are popped in order.
     free: dict[FunVar, None] = {}
     scanned: set[int] = set()
-
-    def scan(e: FunExpr) -> None:
+    stack = list(reversed(bindings.values()))
+    while stack:
+        e = stack.pop()
         if isinstance(e, FunVar):
             free[e] = None
         elif id(e) not in scanned:
             scanned.add(id(e))
-            for c in fun_children(e):
-                scan(c)
-
-    for value in bindings.values():
-        scan(value)
+            stack.extend(reversed(fun_children(e)))
     return SolvedSystem(bindings, tuple(free))
+
+
+def _walk(raw: dict[FunVar, FunExpr], e: FunExpr) -> FunExpr:
+    """The end of `e`'s binding chain in `raw`. Path compression: every
+    variable passed is repointed to the end of its chain. This keeps the keys
+    of `raw` and the value each of them resolves to, so the solved system is
+    the same."""
+    passed = []
+    while isinstance(e, FunVar):
+        nxt = raw.get(e)
+        if nxt is None:
+            break
+        passed.append(e)
+        e = nxt
+    for v in passed:
+        raw[v] = e
+    return e
+
+
+def _occurs(raw: dict[FunVar, FunExpr], v: FunVar, e: FunExpr) -> bool:
+    e = _walk(raw, e)
+    if isinstance(e, FunVar):
+        return e == v
+    return any(_occurs(raw, v, c) for c in fun_children(e))
+
+
+def _unite(raw: dict[FunVar, FunExpr], a: FunExpr, b: FunExpr) -> None:
+    a, b = _walk(raw, a), _walk(raw, b)
+    if isinstance(a, FunVar) and isinstance(b, FunVar):
+        if a != b:
+            lo, hi = (a, b) if a.intro < b.intro else (b, a)
+            raw[lo] = hi
+        return
+    if isinstance(b, FunVar):
+        a, b = b, a
+    if isinstance(a, FunVar):
+        if _occurs(raw, a, b):
+            raise SpecUnsatisfiable(f"occurs check failed binding {a} to {b}")
+        raw[a] = b
+    else:
+        for x, y in _peel(a, b):
+            _unite(raw, x, y)
+
+
+def _resolve(raw: dict[FunVar, FunExpr], resolved: dict[FunVar, FunExpr], e: FunExpr) -> FunExpr:
+    if isinstance(e, FunVar):
+        r = resolved.get(e)
+        if r is None:
+            nxt = raw.get(e)
+            r = resolved[e] = e if nxt is None else _resolve(raw, resolved, nxt)
+        return r
+    if isinstance(e, (ProdF, SumF)):
+        return type(e)(_resolve(raw, resolved, e.left), _resolve(raw, resolved, e.right))
+    if isinstance(e, Lift):
+        return Lift(e.ctor, tuple([_resolve(raw, resolved, a) for a in e.args]))
+    return e
 
 
 def most_general_form(solved: SolvedSystem, roots: tuple[FunVar, ...]) -> tuple[FunExpr, ...]:

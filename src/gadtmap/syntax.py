@@ -149,16 +149,16 @@ def type_children(t: TypeExpr) -> tuple[TypeExpr, ...]:
 def free_type_vars(t: TypeExpr) -> tuple[str, ...]:
     """Free variables of a type expression, in first-occurrence order."""
     seen: dict[str, None] = {}
-
-    def go(t: TypeExpr) -> None:
-        if isinstance(t, Var):
-            seen.setdefault(t.name, None)
-        else:
-            for c in type_children(t):
-                go(c)
-
-    go(t)
+    _type_vars(t, seen)
     return tuple(seen)
+
+
+def _type_vars(t: TypeExpr, seen: dict[str, None]) -> None:
+    if isinstance(t, Var):
+        seen.setdefault(t.name, None)
+    else:
+        for c in type_children(t):
+            _type_vars(c, seen)
 
 
 def is_closed(t: TypeExpr) -> bool:

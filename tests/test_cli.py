@@ -397,8 +397,8 @@ class TestDeepInput:
         assert json.loads(proc.stdout)["status"] == "Mappable"
 
     def test_deep_type_fails_with_one_line(self, program_files):
-        # A `Seq` chain's type is as deep as the term, and the solver's
-        # free-variable scan recurses over it.
+        # A `Seq` chain's type is as deep as the term, and so is its form,
+        # which the text renderer's `pretty_fun` recurses over.
         n = 1000
         chain = "pair (" * (n - 1) + "pair (const 0) (const 0)" + ") (const 0)" * (n - 1)
         proc = self.run_cli(program_files["seq"], chain, "Seq b1")

@@ -1,4 +1,4 @@
-"""The README's Library example runs as written."""
+"""The README's Library examples run as written."""
 from __future__ import annotations
 
 import re
@@ -10,7 +10,10 @@ ROOT = Path(__file__).resolve().parent.parent
 def test_library_example_runs(monkeypatch, capsys):
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     library = readme[readme.index("## Library"):]
-    block = re.search(r"```python\n(.*?)```", library, re.DOTALL).group(1)
+    library = library[:library.index("\n## ", 1)]
+    namespace: dict = {}
     monkeypatch.chdir(ROOT)
-    exec(compile(block, "README.md", "exec"), {})
+    for block in re.findall(r"```python\n(.*?)```", library, re.DOTALL):
+        exec(compile(block, "README.md", "exec"), namespace)
     assert capsys.readouterr().out == "Mappable [\"f'1 * id@Nat\"]\n"
+    assert [r.status for r in namespace["reports"]] == ["Mappable", "Mappable"]
