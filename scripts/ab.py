@@ -27,9 +27,10 @@ make the parent with `git archive <commit> | tar -x -C DIR`. Output:
   (fastest of 15 passes over all of them), Python calls per checked tuple
   and a digest of the `AgreementReport`s; `same_reports` compares the
   digests.
-* `encode` (per workload with `--json` requests): ms per request to encode
-  the change's report dicts with `json.dumps(value, indent=2)` and with
-  `cli.json_text`, after checking both give the same bytes; fastest of 15.
+* `encode` (per workload with `--json` requests): ms per request to write
+  the change's reports with `cli.report_to_json`, from the `AnalysisReport`,
+  and with `json.dumps(value, indent=2)`, from the value its text parses
+  to, after checking both give the same bytes; fastest of 15.
 
 gadtmap runs only in child interpreters: a run's `peak_rss_mb` counts the
 memory of the process it is forked from.
@@ -74,12 +75,11 @@ tree, seed, names = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
 sys.path[:0] = [tree + "/src", tree + "/bench"]
 from gadtmap import cli
 from workloads import WORKLOADS
-reports, original = [], cli.report_to_json
+reports, write = [], cli.report_to_json
 def capture(report):
-    reports.append(original(report))
-    return reports[-1]
+    reports.append(report)
+    return write(report)
 cli.report_to_json = capture
-encoders = {"stdlib": lambda v: json.dumps(v, indent=2), "json_text": cli.json_text}
 out = {}
 for name in names:
     reports.clear()
@@ -89,16 +89,19 @@ for name in names:
                 cli.main(req.argv(tree))
     if not reports:
         continue
-    assert all(encoders["stdlib"](v) == cli.json_text(v) for v in reports), name
+    texts = list(map(write, reports))
+    values = list(map(json.loads, texts))
+    assert all(json.dumps(v, indent=2) == t for v, t in zip(values, texts)), name
+    encoders = {"stdlib": (lambda v: json.dumps(v, indent=2), values),
+                "report_to_json": (write, reports)}
     best = dict.fromkeys(encoders, float("inf"))
     for _ in range(15):
-        for enc_name, enc in encoders.items():
+        for enc_name, (enc, inputs) in encoders.items():
             start = time.perf_counter()
-            for v in reports:
+            for v in inputs:
                 enc(v)
             best[enc_name] = min(best[enc_name], time.perf_counter() - start)
-    out[name] = {"reports": len(reports),
-                 "bytes_per_report": sum(map(len, map(cli.json_text, reports))) / len(reports),
+    out[name] = {"reports": len(reports), "bytes_per_report": sum(map(len, texts)) / len(texts),
                  **{f"{k}_ms": 1000 * t / len(reports) for k, t in best.items()}}
 print(json.dumps(out))
 """

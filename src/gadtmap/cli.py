@@ -40,6 +40,8 @@ if TYPE_CHECKING:
     import argparse
     from collections.abc import Callable
 
+    from .oracle import Disagreement
+
 
 class AnalysisReport(Record):
     """Everything one analysis produced, independent of output format."""
@@ -101,86 +103,166 @@ def analyze(
 # ---------------------------------------------------------------------------
 # JSON rendering
 
+# The line breaks of the report's first levels.
+_L1, _L2, _L3, _L4 = ("\n" + "  " * d for d in range(1, 5))
 
-def fun_to_json(e: FunExpr) -> dict:
+
+def report_to_json(report: AnalysisReport) -> str:
+    """The report's JSON text, written straight from the traces.
+
+    The bytes are those `json.dumps(value, indent=2)` writes for the report as
+    a tree of dicts and lists with the keys the README lists, in that order.
+    Each function below writes one JSON shape, given the line break `nl` of
+    its own level (a newline and the indent of its closing bracket; its
+    members sit two spaces deeper), and assembles each container with one
+    join. Every string is quoted by the standard library's C encoder. Each
+    function variable's name is quoted once per report, and each
+    constraint's origin once for both places it appears in.
+    """
+    names: dict[int, str] = {}  # `id` of a FunVar: its quoted display name
+    run = report.run
+    form = free = constraints = calls = annotation = "null"
+    if report.status == "Mappable" and run is not None and report.form is not None:
+        form = _list_json([_fun_json(f, _L2, names) for f in report.form], _L1)
+        free = _list_json(list(map(_quote, _free_var_names(report.form))), _L1)
+        constraints, calls, annotation = _run_json(run, names)
+    verify = ""
+    if report.verify is not None:
+        v = report.verify
+        disagreements = [_disagreement_json(d, _L3, names) for d in v.disagreements]
+        verify = (
+            f',{_L1}"verify": {{{_L2}"depth": {_scalar_json(report.verify_depth)},'
+            f'{_L2}"agrees": {_scalar_json(v.agrees)},{_L2}"checked": {_scalar_json(v.checked)},'
+            f'{_L2}"disagreements": {_list_json(disagreements, _L2)}{_L1}}}'
+        )
+    return (
+        f'{{{_L1}"status": {_quote(report.status)},{_L1}"detail": {_scalar_json(report.detail)},'
+        f'{_L1}"form": {form},{_L1}"freeVars": {free},{_L1}"constraints": {constraints},'
+        f'{_L1}"calls": {calls},{_L1}"annotation": {annotation}{verify}\n}}'
+    )
+
+
+def _run_json(run: cgen.RunResult, names: dict[int, str]) -> tuple[str, str, str]:
+    """The `constraints`, `calls` and `annotation` values.
+
+    Each intermediate is dropped as soon as it is joined into its container,
+    so rendering a large report allocates about twice its size at most (2.2
+    times for the largest lists-deep report, by `tracemalloc`)."""
+    shown = pretty_subterms(run.annotation.term, run.annotation.heads)
+    root = _quote(shown[id(run.annotation.term)])
+    # `run.constraints` is the traces' `emitted` blocks end to end, so each
+    # constraint is written at both levels from one trace's block.
+    listed, traced = [], []
+    for t in run.traces:
+        emitted = []
+        for c in t.emitted:
+            origin = _quote(c.origin)
+            listed.append(_constraint_json(c, origin, _L2, names))
+            emitted.append(_constraint_json(c, origin, _L4, names))
+        traced.append(_call_json(t, _quote(shown[id(t.term)]), emitted, _L2, names))
+    del shown
+    calls = _list_json(traced, _L1)
+    del traced
+    constraints = _list_json(listed, _L1)
+    del listed
+    paths = _list_json(_paths_json(run.annotation.essential), _L2)
+    return constraints, calls, f'{{{_L2}"term": {root},{_L2}"essentialPaths": {paths}{_L1}}}'
+
+
+def _scalar_json(v: str | int | bool | None) -> str:
+    return _SCALARS[type(v)](v)
+
+
+def _list_json(items: list[str], nl: str) -> str:
+    """A list whose items, one level below `nl`, are already written."""
+    if not items:
+        return "[]"
+    m = nl + "  "
+    return f"[{m}{(',' + m).join(items)}{nl}]"
+
+
+def _fun_json(e: FunExpr, nl: str, names: dict[int, str]) -> str:
+    m = nl + "  "
     if isinstance(e, FunVar):
-        return {"t": "var", "name": e.display}
+        name = names.get(id(e))
+        if name is None:
+            name = names[id(e)] = _quote(e.display)
+        return f'{{{m}"t": "var",{m}"name": {name}{nl}}}'
     if isinstance(e, Id):
-        return {"t": "id", "at": pretty_type(e.at)}
+        return f'{{{m}"t": "id",{m}"at": {_quote(pretty_type(e.at))}{nl}}}'
     if isinstance(e, (ProdF, SumF)):
         tag = "prod" if isinstance(e, ProdF) else "sum"
-        return {"t": tag, "left": fun_to_json(e.left), "right": fun_to_json(e.right)}
+        return (
+            f'{{{m}"t": "{tag}",{m}"left": {_fun_json(e.left, m, names)},'
+            f'{m}"right": {_fun_json(e.right, m, names)}{nl}}}'
+        )
     if isinstance(e, Lift):
-        return {"t": "map", "ctor": e.ctor, "args": [fun_to_json(a) for a in e.args]}
+        args = _list_json([_fun_json(a, m + "  ", names) for a in e.args], m)
+        return f'{{{m}"t": "map",{m}"ctor": {_quote(e.ctor)},{m}"args": {args}{nl}}}'
     if isinstance(e, Opaque):
-        return {
-            "t": "fun",
-            "domain": pretty_type(e.domain),
-            "codomain": pretty_type(e.codomain),
-        }
+        return (
+            f'{{{m}"t": "fun",{m}"domain": {_quote(pretty_type(e.domain))},'
+            f'{m}"codomain": {_quote(pretty_type(e.codomain))}{nl}}}'
+        )
     raise TypeError(f"not a function expression: {e!r}")
 
 
-def _constraint_json(c: Constraint) -> dict:
-    return {"lhs": fun_to_json(c.lhs), "rhs": fun_to_json(c.rhs), "origin": c.origin}
+def _constraint_json(c: Constraint, origin: str, nl: str, names: dict[int, str]) -> str:
+    m = nl + "  "
+    return (
+        f'{{{m}"lhs": {_fun_json(c.lhs, m, names)},{m}"rhs": {_fun_json(c.rhs, m, names)},'
+        f'{m}"origin": {origin}{nl}}}'
+    )
 
 
-def report_to_json(report: AnalysisReport) -> dict:
-    out: dict = {
-        "status": report.status,
-        "detail": report.detail,
-        "form": None,
-        "freeVars": None,
-        "constraints": None,
-        "calls": None,
-        "annotation": None,
-    }
-    run = report.run
-    if report.status == "Mappable" and run is not None and report.form is not None:
-        out["form"] = [fun_to_json(f) for f in report.form]
-        out["freeVars"] = _free_var_names(report.form)
-        # `run.constraints` is the traces' `emitted` blocks end to end, so each
-        # constraint's dict is built once and appears in both places.
-        emitted = [[_constraint_json(c) for c in t.emitted] for t in run.traces]
-        out["constraints"] = [d for ds in emitted for d in ds]
-        shown = pretty_subterms(run.annotation.term, run.annotation.heads)
-        out["calls"] = [
-            {
-                "label": t.label,
-                "term": shown[id(t.term)],
-                "funs": [fun_to_json(f) for f in t.funs],
-                "spec": pretty_type(t.spec),
-                "matching": [
-                    f"{pretty_type(l)} == {pretty_type(r)}" for l, r in t.matching
-                ],
-                "taus": [pretty_type(x) for x in t.taus],
-                "rjs": [pretty_type(x) for x in t.rjs],
-                "zetas": [
-                    None if z is None else [pretty_type(x) for x in z] for z in t.zetas
-                ],
-                "emitted": ds,
-            }
-            for t, ds in zip(run.traces, emitted)
-        ]
-        out["annotation"] = {
-            "term": shown[id(run.annotation.term)],
-            "essentialPaths": [list(p) for p in run.annotation.essential],
-        }
-    if report.verify is not None:
-        out["verify"] = {
-            "depth": report.verify_depth,
-            "agrees": report.verify.agrees,
-            "checked": report.verify.checked,
-            "disagreements": [
-                {
-                    "candidates": [fun_to_json(c) for c in d.candidates],
-                    "mappable": d.mappable,
-                    "instance": d.instance,
-                }
-                for d in report.verify.disagreements
-            ],
-        }
+def _paths_json(paths: tuple[tuple[int, ...], ...]) -> list[str]:
+    """The lists of `paths`, given in preorder, each one level below `_L3`.
+
+    In preorder the last path written one shorter than `p` is `p`'s parent,
+    so each path's items are its parent's and one more: one copy per path,
+    not one string per index."""
+    sep = "," + _L4
+    items: list[str] = []  # items[k - 1]: the items of the last path of length k
+    out = []
+    for p in paths:
+        if not p:
+            out.append("[]")
+            continue
+        del items[len(p) - 1:]
+        items.append(f"{items[-1]}{sep}{p[-1]!r}" if items else repr(p[0]))
+        out.append(f"[{_L4}{items[-1]}{_L3}]")
     return out
+
+
+def _types_json(ts: tuple[TypeExpr, ...], nl: str) -> str:
+    return _list_json([_quote(pretty_type(x)) for x in ts], nl)
+
+
+def _call_json(
+    t: cgen.CallTrace, term: str, emitted: list[str], nl: str, names: dict[int, str]
+) -> str:
+    m = nl + "  "
+    d = m + "  "
+    funs = _list_json([_fun_json(f, d, names) for f in t.funs], m)
+    matching = _list_json(
+        [_quote(f"{pretty_type(l)} == {pretty_type(r)}") for l, r in t.matching], m
+    )
+    zetas = _list_json(["null" if z is None else _types_json(z, d) for z in t.zetas], m)
+    return (
+        f'{{{m}"label": {_quote(t.label)},{m}"term": {term},{m}"funs": {funs},'
+        f'{m}"spec": {_quote(pretty_type(t.spec))},{m}"matching": {matching},'
+        f'{m}"taus": {_types_json(t.taus, m)},{m}"rjs": {_types_json(t.rjs, m)},'
+        f'{m}"zetas": {zetas},{m}"emitted": {_list_json(emitted, m)}{nl}}}'
+    )
+
+
+def _disagreement_json(d: Disagreement, nl: str, names: dict[int, str]) -> str:
+    m = nl + "  "
+    candidates = _list_json([_fun_json(c, m + "  ", names) for c in d.candidates], m)
+    return (
+        f'{{{m}"candidates": {candidates},{m}"mappable": {_scalar_json(d.mappable)},'
+        f'{m}"instance": {_scalar_json(d.instance)}{nl}}}'
+    )
 
 
 def _free_var_names(form: tuple[FunExpr, ...]) -> list[str]:
@@ -442,7 +524,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         spec = parse_spec(args.spec, vp)
         report = analyze(vp, term, spec, args.int_literals, verify_depth)
         if args.json:
-            rendered = json_text(report_to_json(report))
+            rendered = report_to_json(report)
         else:
             rendered = render_report(report, trace=args.trace, annotate=args.annotate)
     except ParseError as e:

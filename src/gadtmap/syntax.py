@@ -273,12 +273,6 @@ def term_children(t: Term) -> tuple[Term, ...]:
     return ()
 
 
-def subterm_at(t: Term, path: Path) -> Term:
-    for i in path:
-        t = term_children(t)[i]
-    return t
-
-
 # ---------------------------------------------------------------------------
 # Declarations
 

@@ -37,6 +37,13 @@ def run_pipeline(vp, term_text, spec_text, int_literals=False) -> g.AnalysisRepo
     return report
 
 
+def subterm_at(t: g.Term, path: tuple[int, ...]) -> g.Term:
+    """The subterm at a child-index path from `t`."""
+    for i in path:
+        t = g.syntax.term_children(t)[i]
+    return t
+
+
 def constraint_shape(c: g.Constraint) -> str:
     """Render a constraint with its variables canonically renamed, for
     comparing constraint multisets up to variable renaming."""

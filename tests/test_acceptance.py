@@ -27,6 +27,7 @@ from conftest import (
     constraint_shape,
     gen_value,
     run_pipeline,
+    subterm_at,
 )
 
 
@@ -157,8 +158,8 @@ def test_criterion_6_essential_structure(programs):
     g_ctor_paths = {
         path
         for path in _all_paths(p.typed.term)
-        if isinstance(g.syntax.subterm_at(p.typed.term, path), g.Ctor)
-        and g.syntax.subterm_at(p.typed.term, path).name
+        if isinstance(subterm_at(p.typed.term, path), g.Ctor)
+        and subterm_at(p.typed.term, path).name
         in ("const", "flat", "inj", "pairing", "projpair")
     }
     assert g_ctor_paths <= ess

@@ -2,7 +2,8 @@
 count of Python function calls, which does not depend on the machine or on
 string hashing, may grow at most 2.2 times per doubling. The constraint walk
 also has a budget of calls per walk call, and compiles as many plans at every
-depth. The oracle has a budget of calls per candidate tuple it checks."""
+depth. The JSON report has a budget of Python and C calls per walk call. The
+oracle has a budget of calls per candidate tuple it checks."""
 from __future__ import annotations
 
 import functools
@@ -24,7 +25,9 @@ LADDERS = {
     "nested": (NESTED_SRC, "List b1", lambda n: "cons (" * (n - 1) + "cons nil nil"
                + ") nil" * (n - 1)),
 }
-STAGES = ("parse_term", "infer", "check_call_invariants", "constraints.run", "solve")
+STAGES = (
+    "parse_term", "infer", "check_call_invariants", "constraints.run", "solve", "report_to_json"
+)
 RUNGS = (100, 200, 400)
 # `infer`'s occurs check walks the whole type on every bind, so on a type as
 # deep as the term its calls grow about 3 times per doubling.
@@ -32,6 +35,10 @@ QUADRATIC = {("seq", "infer"), ("nested", "infer")}
 # The most calls `constraints.run` may make per call of the walk: each call
 # only instantiates the plan its key compiled once.
 WALK_CALL_BUDGET = {"list": 45, "seq": 65}
+# The most Python and C calls `report_to_json` may make per call of the walk
+# on the `cons` list: 179 now, and 322 when the report was built as dicts and
+# then walked value by value by a generic writer.
+REPORT_CALL_BUDGET = 200
 _COMPILE = cgen._Run._compile.__code__
 # name: (program, spec, term), as the oracle-verify benchmark checks them at
 # depth 3: a `Seq` pair tree over pairs and lists, and a `G` term.
@@ -53,16 +60,18 @@ def _counts(ladder: str) -> dict[str, list[int]]:
     src, spec_text, make = LADDERS[ladder]
     vp = g.validate(g.parse_program(src))
     spec = g.parse_spec(spec_text, vp)
-    counts: dict[str, list[int]] = {s: [] for s in (*STAGES, "walk calls", "plans")}
+    counts: dict[str, list[int]] = {s: [] for s in (*STAGES, "walk calls", "plans", "C calls")}
 
     def stage(name, f, *args):
-        calls = plans = 0
+        calls = plans = c_calls = 0
 
         def profile(frame, event, arg):
-            nonlocal calls, plans
+            nonlocal calls, plans, c_calls
             if event == "call":
                 calls += 1
                 plans += frame.f_code is _COMPILE
+            elif event == "c_call":
+                c_calls += 1
 
         sys.setprofile(profile)
         try:
@@ -73,6 +82,8 @@ def _counts(ladder: str) -> dict[str, list[int]]:
         if name == "constraints.run":
             counts["walk calls"].append(len(result.traces))
             counts["plans"].append(plans)
+        elif name == "report_to_json":
+            counts["C calls"].append(c_calls)
         return result
 
     for n in RUNGS:
@@ -81,7 +92,9 @@ def _counts(ladder: str) -> dict[str, list[int]]:
         arity = g.spec_head_arity(spec, vp)
         stage("check_call_invariants", g.check_call_invariants, typed, spec, arity)
         run = stage("constraints.run", cgen.run, typed, spec)
-        stage("solve", g.solve, run.constraints, run.root_funs)
+        solved, form = stage("solve", g.solve, run.constraints, run.root_funs)
+        report = g.AnalysisReport("Mappable", form=form, solved=solved, run=run, spec=spec)
+        stage("report_to_json", g.report_to_json, report)
     return counts
 
 
@@ -115,6 +128,14 @@ def test_walk_calls_are_cheap(ladder, budget):
 def test_plans_do_not_grow_with_depth(ladder):
     plans = _counts(ladder)["plans"]
     assert len(set(plans)) == 1 and plans[0] > 0, plans
+
+
+def test_report_calls_are_cheap():
+    counts = _counts("list")
+    for calls, c_calls, walk_calls in zip(
+        counts["report_to_json"], counts["C calls"], counts["walk calls"]
+    ):
+        assert calls + c_calls <= REPORT_CALL_BUDGET * walk_calls, (calls, c_calls, walk_calls)
 
 
 @pytest.mark.parametrize("name", ORACLE_INPUTS)

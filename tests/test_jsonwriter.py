@@ -1,5 +1,6 @@
 """`cli.json_text` writes exactly what `json.dumps(value, indent=2)` writes,
-for the value kinds reports are made of, and rejects every other kind."""
+for the value kinds `validate --json` reports are made of, and rejects every
+other kind. The analysis report has its own writer (`test_report_json.py`)."""
 from __future__ import annotations
 
 import json
@@ -12,8 +13,6 @@ from hypothesis import strategies as st
 
 from gadtmap import cli
 from gadtmap.cli import json_text, main
-
-from conftest import CORPUS, PROGRAMS_DIR
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -107,19 +106,8 @@ def test_validate_json_equals_stdlib(path, spy, capsys):
     assert capsys.readouterr().out == json.dumps(value, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("key,term,spec,int_lits", CORPUS)
-def test_analyze_json_equals_stdlib(key, term, spec, int_lits, spy, capsys):
-    argv = ["analyze", str(PROGRAMS_DIR / f"{key}.gadt"), "--term", term, "--spec", spec, "--json"]
-    if int_lits:
-        argv.append("--int-literals")
-    main(argv)
-    (value,) = spy
-    assert capsys.readouterr().out == json.dumps(value, indent=2) + "\n"
-
-
 def test_shared_subtree_is_not_a_cycle():
-    # Reports share each constraint's dict between `constraints` and
-    # `calls[].emitted`, at different depths.
+    # A dict shared at different depths is written at each.
     leaf = {"lhs": {"t": "id", "at": "Nat"}, "origin": "1:i", "tags": [1, "a"]}
     value = {"constraints": [leaf, leaf], "calls": [{"emitted": [leaf]}, [[leaf], []]]}
     assert json_text(value) == json.dumps(value, indent=2)

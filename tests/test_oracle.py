@@ -16,7 +16,15 @@ from gadtmap.oracle import Checker, _binder_functions, head_lift, mappable, matc
 from gadtmap.syntax import App, Atom, Base, Prod, Sum, Var, subst_type
 from gadtmap.typecheck import _Store, spec_instance
 
-from conftest import CORPUS, G_TERM_INJ, LISTS_TERM, NESTED_SRC, gen_value, run_pipeline
+from conftest import (
+    CORPUS,
+    G_TERM_INJ,
+    LISTS_TERM,
+    NESTED_SRC,
+    gen_value,
+    run_pipeline,
+    subterm_at,
+)
 
 NAT = Base("Nat")
 LIST_NAT = App("List", (NAT,))
@@ -540,8 +548,8 @@ class TestAgreement:
                 continue
             result = g.map_apply(head_lift(p.spec, combo), p.typed).term
             for path in p.run.annotation.essential:
-                orig_node = g.syntax.subterm_at(original, path)
-                new_node = g.syntax.subterm_at(result, path)
+                orig_node = subterm_at(original, path)
+                new_node = subterm_at(result, path)
                 assert type(orig_node) is type(new_node)
                 if isinstance(orig_node, g.Ctor):
                     assert orig_node.name == new_node.name
