@@ -38,9 +38,10 @@ from .wellformed import ValidatedProgram, WellformedError, validate
 TYPE_CHECKING = False  # as in `syntax`
 if TYPE_CHECKING:
     import argparse
-    from collections.abc import Callable
 
     from .oracle import Disagreement
+    from .syntax import Program
+    from .wellformed import Diagnostic
 
 
 class AnalysisReport(Record):
@@ -271,9 +272,6 @@ def _free_var_names(form: tuple[FunExpr, ...]) -> list[str]:
     return list(dict.fromkeys(v.display for f in form for v in fun_vars(f)))
 
 
-# Deeper values raise `RecursionError` at any recursion limit, so a cycle
-# stops here; CPython's default limit, far past a report's nesting.
-_MAX_DEPTH = 1000
 _LITERALS = {None: "null", True: "true", False: "false"}
 # The encoder of each scalar kind, by exact type; each runs in C.
 _SCALARS = {
@@ -284,105 +282,30 @@ _SCALARS = {
 }
 
 
-def json_text(value: object) -> str:
-    """What `json.dumps` writes with an indent of two spaces, byte for byte,
-    for a tree of dicts with `str` keys, lists, `str`, `int`, `bool` and
-    `None` (exact types).
-
-    Any other value, a float or a tuple included, raises `TypeError`, so a
-    report field of a new kind fails instead of being rendered differently
-    from the standard library. A cycle raises `ValueError` as `json.dumps`
-    does, and a value nested past the recursion limit or past `_MAX_DEPTH`
-    levels, even under a raised limit, raises `RecursionError` (no report
-    comes near). The writer keeps no set of open containers (tracking each
-    one cost about 6% of its time), so a cycle first shows up as a
-    `RecursionError`, and `json.dumps` then tells it from deep nesting. With
-    an indent the standard library runs its pure-Python encoder, which takes
-    about 2.3 to 2.5 times as long on lists-deep reports (`scripts/ab.py`'s
-    `encode` block: 6.8 to 7.5 against 2.9 to 3.0 ms per report, CPython
-    3.11).
-    """
-    enc = _SCALARS.get(type(value))
-    if enc is not None:
-        return enc(value)
-    out: list[str] = []
-    try:
-        _write_json(value, 0, out.append, [("\n", ",\n", {}, {}, "")])
-    except RecursionError:
-        import json
-
-        json.dumps(value)  # raises ValueError at a cycle's first repeat
-        raise
-    return "".join(out)
-
-
-def _write_json(
-    o: list | dict,
-    depth: int,
-    append: Callable[[str], None],
-    levels: list[tuple[str, str, dict, dict, str]],
-) -> None:
-    """Pass the text of the list or dict `o`, nested `depth` deep, to `append`.
-
-    `levels[d]` holds the line break that indents level `d`, the item
-    separator there, the prefixes of the dict keys met there, and the line
-    break that closes a container holding level `d`, each built once: a
-    first key's prefix follows `{`, a later key's the separator. A list of
-    scalars of one type is written with one `join`, a list of `int`s from
-    its `repr`; otherwise there is one frame per level of nesting.
-    """
-    t = type(o)
-    if t is list:
-        if not o:
-            append("[]")
-            return
-        kinds = set(map(type, o))
-        enc = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
-    elif t is dict:
-        if not o:
-            append("{}")
-            return
-        enc = None
-    else:
-        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
-    depth += 1
-    if depth == len(levels):
-        if depth > _MAX_DEPTH:
-            raise RecursionError("JSON value nested too deeply")
-        close = levels[-1][0]
-        nl = close + "  "
-        levels.append((nl, "," + nl, {}, {}, close))
-    nl, sep, firsts, laters, close = levels[depth]
-    if enc is int.__repr__:  # ints print alike in a list's repr, ", " apart
-        append("[" + nl + repr(o)[1:-1].replace(", ", sep) + close + "]")
-    elif enc is not None:
-        append("[" + nl + sep.join(map(enc, o)) + close + "]")
-    elif t is list:
-        prefix = "[" + nl
-        for v in o:
-            enc = _SCALARS.get(type(v))
-            if enc is None:
-                append(prefix)
-                _write_json(v, depth, append, levels)
-            else:
-                append(prefix + enc(v))
-            prefix = sep
-        append(close + "]")
-    else:
-        prefixes = firsts
-        for k, v in o.items():
-            prefix = prefixes.get(k)
-            if prefix is None:
-                start = "{" + nl if prefixes is firsts else sep
-                prefix = prefixes[k] = start + _quote(k) + ": "
-            enc = _SCALARS.get(type(v))
-            if enc is None:
-                append(prefix)
-                _write_json(v, depth, append, levels)
-            else:
-                append(prefix + enc(v))
-            prefixes = laters
-        append(close + "}")
+def _validate_json(
+    program: Program, vp: ValidatedProgram | None, errors: list[Diagnostic]
+) -> str:
+    """The `validate --json` report's text, written as `report_to_json`
+    writes the analysis report: the bytes of `json.dumps(value, indent=2)`
+    for its `decls`, `properFlags` (null for an invalid program) and
+    `errors`."""
+    decls = [
+        f'{{{_L3}"name": {_quote(d.name)},{_L3}"arity": {_scalar_json(d.arity)},'
+        f'{_L3}"constructors": {_list_json([_quote(c.name) for c in d.ctors], _L3)}{_L2}}}'
+        for d in program.decls
+    ]
+    flags = "null"
+    if vp is not None:
+        items = [f"{_quote(n)}: {_scalar_json(p)}" for n, p in vp.proper_flags.items()]
+        flags = f"{{{_L2}{(',' + _L2).join(items)}{_L1}}}" if items else "{}"
+    diagnostics = [
+        f'{{{_L3}"code": {_quote(e.code)},{_L3}"message": {_quote(e.message)}{_L2}}}'
+        for e in errors
+    ]
+    return (
+        f'{{{_L1}"decls": {_list_json(decls, _L1)},{_L1}"properFlags": {flags},'
+        f'{_L1}"errors": {_list_json(diagnostics, _L1)}\n}}'
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -481,19 +404,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     except WellformedError as e:
         errors = e.errors
     if args.json:
-        out = {
-            "decls": [
-                {
-                    "name": d.name,
-                    "arity": d.arity,
-                    "constructors": [c.name for c in d.ctors],
-                }
-                for d in program.decls
-            ],
-            "properFlags": vp.proper_flags if vp else None,
-            "errors": [{"code": e.code, "message": e.message} for e in errors],
-        }
-        print(json_text(out))
+        print(_validate_json(program, vp, errors))
     else:
         if vp:
             flags = ", ".join(f"{n}={'proper' if p else 'plain'}" for n, p in vp.proper_flags.items())

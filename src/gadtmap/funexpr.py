@@ -226,27 +226,7 @@ def lift_type(t: TypeExpr, env: dict[str, FunExpr]) -> FunExpr:
     become identities (kept unexpanded so `id@Nat` stays atomic), and
     products, sums and applications lift homomorphically.
     """
-    lifted = _lift_open(t, env)
-    return Id(t) if lifted is None else lifted
-
-
-def _lift_open(t: TypeExpr, env: dict[str, FunExpr]) -> FunExpr | None:
-    """`lift_type` of `t`, or None when `t` is closed: closedness is decided
-    bottom-up in the same pass, so each subexpression is visited once."""
-    if isinstance(t, Var):
-        return env[t.name]
-    if isinstance(t, Meta):
-        raise ValueError(f"cannot lift type expression {t!r}")
-    kids = type_children(t)
-    lifted: list[FunExpr | None] = []
-    for kid in kids:
-        lifted.append(_lift_open(kid, env))
-    if all(e is None for e in lifted):
-        return None
-    args = tuple(Id(kid) if e is None else e for kid, e in zip(kids, lifted))
-    if isinstance(t, App):
-        return Lift(t.ctor, args)
-    return (ProdF if isinstance(t, Prod) else SumF)(*args)
+    return lifter(t)(env)
 
 
 def lifter(t: TypeExpr) -> Lifter:
@@ -254,7 +234,7 @@ def lifter(t: TypeExpr) -> Lifter:
 
     `env` is anything a variable's name indexes: a dict by name, or a tuple
     when the variables are named by position. Closedness is decided
-    bottom-up, as in `lift_type`, and each maximal closed part becomes one
+    bottom-up in the same walk, and each maximal closed part becomes one
     identity built here, which every lifted result shares (so it keeps its
     hash). A metavariable raises `ValueError` here, not when lifting.
     """

@@ -4,8 +4,10 @@
 `--trace --annotate` text of the five worked examples, as printed before the
 pipeline was folded into one `analyze`. It also holds outputs whose bytes
 depend on the order of inference: metavariable numbers in `IllTyped` and
-`SpecMismatch` details, nested annotations, and `inl`/`inr` subterms. A
-refactor that keeps the analysis must keep these bytes and exit codes.
+`SpecMismatch` details, nested annotations, and `inl`/`inr` subterms, and
+the `validate --json` report of every program file, of an invalid program
+and of an empty one, as the generic JSON encoder wrote them. A refactor
+that keeps the analysis must keep these bytes and exit codes.
 """
 from __future__ import annotations
 
@@ -27,6 +29,13 @@ def _argv(key, term, spec, int_lits, *flags):
     return argv
 
 
+ROOT = PROGRAMS_DIR.parent
+
+
+def _validate(path: Path) -> list[str]:
+    return ["validate", str(path), "--json"]
+
+
 SUM_LIST = ("nested", "cons (inr 1) (cons (inl tt) nil)", "List (b1 + b2)", False)
 
 CASES = (
@@ -46,6 +55,15 @@ CASES = (
         ("pair_mismatch.txt", _argv("nested", "(nil, inr nil)", "List (List b1)", False), 1),
         ("sum_list.json", _argv(*SUM_LIST, "--json", "--verify", "depth=2"), 0),
         ("sum_list.txt", _argv(*SUM_LIST, "--trace", "--annotate"), 0),
+    ]
+    + [
+        (f"validate_{p.stem}.json", _validate(p), 0)
+        for p in sorted(PROGRAMS_DIR.glob("*.gadt"))
+    ]
+    + [
+        ("validate_seqlist.json", _validate(ROOT / "bench" / "seqlist.gadt"), 0),
+        ("validate_invalid.json", _validate(GOLDEN_DIR / "k_mentions_proper.gadt"), 1),
+        ("validate_empty.json", _validate(GOLDEN_DIR / "empty.gadt"), 0),
     ]
 )
 
