@@ -31,6 +31,11 @@ make the parent with `git archive <commit> | tar -x -C DIR`. Output:
   the change's reports with `cli.report_to_json`, from the `AnalysisReport`,
   and with `json.dumps(value, indent=2)`, from the value its text parses
   to, after checking both give the same bytes; fastest of 15.
+* `render`: per checkout and selected workload, one interpreter captures
+  the seed's `AnalysisReport`s (from either writer) and `cli.infer` calls
+  through `cli.main`, and reports ms per request to write each report with
+  `render_report(trace=True, annotate=True)` and to run the captured
+  `infer` calls again; fastest of 15 each.
 
 gadtmap runs only in child interpreters: a run's `peak_rss_mb` counts the
 memory of the process it is forked from.
@@ -140,6 +145,45 @@ print(json.dumps({"calls": len(calls), "tuples": tuples, "ms_per_call": 1000 * b
                   "digest": hashlib.sha256(repr(reports).encode()).hexdigest()}))
 """
 
+RENDER_CHILD = r"""
+import contextlib, io, json, sys, time
+tree, seed, names = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
+sys.path[:0] = [tree + "/src", tree + "/bench"]
+from gadtmap import cli
+from workloads import WORKLOADS
+reports, inferred = [], []
+render, write, infer = cli.render_report, cli.report_to_json, cli.infer
+def capture_infer(*args):
+    inferred.append(args)
+    return infer(*args)
+def capture_render(report, *args, **kwargs):
+    reports.append(report)
+    return render(report, *args, **kwargs)
+def capture_write(report):
+    reports.append(report)
+    return write(report)
+cli.infer, cli.render_report, cli.report_to_json = capture_infer, capture_render, capture_write
+out = {}
+for name in names:
+    reports.clear()
+    inferred.clear()
+    for req in WORKLOADS[name](seed):
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(req.argv(tree))
+    stages = {"render_report": (lambda r: render(r, trace=True, annotate=True), reports),
+              "infer": (lambda args: infer(*args), inferred)}
+    best = dict.fromkeys(stages, float("inf"))
+    for _ in range(15):
+        for stage, (f, inputs) in stages.items():
+            start = time.perf_counter()
+            for x in inputs:
+                f(x)
+            best[stage] = min(best[stage], time.perf_counter() - start)
+    out[name] = {"requests": len(reports),
+                 **{f"{k}_ms": 1000 * t / len(reports) for k, t in best.items()}}
+print(json.dumps(out))
+"""
+
 
 def child(code: str, *args: object) -> dict:
     return json.loads(subprocess.run([sys.executable, "-c", code, *map(str, args)],
@@ -233,6 +277,8 @@ def main() -> None:
         doc["agrees"] = {**sides,
                          "same_reports": sides["parent"]["digest"] == sides["change"]["digest"]}
     doc["encode"] = child(ENCODE_CHILD, trees["change"], args.seed, *args.workloads)
+    doc["render"] = {side: child(RENDER_CHILD, tree, args.seed, *args.workloads)
+                     for side, tree in trees.items()}
 
     text = json.dumps(doc, indent=2)
     if args.out:

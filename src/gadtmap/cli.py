@@ -22,7 +22,7 @@ from . import constraints as cgen
 from .funexpr import Constraint, FunExpr, FunVar, Id, Lift, Opaque, ProdF, SumF, fun_vars
 from .oracle import AgreementReport, CandidateSpaceTooLarge, OracleInconsistency, agrees
 from .parser import ParseError, parse_program, parse_spec, parse_term
-from .pretty import pretty_annotated, pretty_constraint, pretty_fun, pretty_subterms, pretty_type
+from .pretty import pretty_constraint, pretty_fun, pretty_heads, pretty_subterms, pretty_type
 from .solver import SolvedSystem, SpecUnsatisfiable, solve
 from .syntax import Record, Term, TypeExpr
 from .typecheck import (
@@ -166,7 +166,7 @@ def _run_json(run: cgen.RunResult, names: dict[int, str]) -> tuple[str, str, str
     del traced
     constraints = _list_json(listed, _L1)
     del listed
-    paths = _list_json(_paths_json(run.annotation.essential), _L2)
+    paths = _list_json(_paths_json(run.annotation.steps()), _L2)
     return constraints, calls, f'{{{_L2}"term": {root},{_L2}"essentialPaths": {paths}{_L1}}}'
 
 
@@ -216,21 +216,22 @@ def _constraint_json(c: Constraint, origin: str, nl: str, names: dict[int, str])
     )
 
 
-def _paths_json(paths: tuple[tuple[int, ...], ...]) -> list[str]:
-    """The lists of `paths`, given in preorder, each one level below `_L3`.
+def _paths_json(steps: list[tuple[int, int]]) -> list[str]:
+    """The lists of the essential paths, each one level below `_L3`, from
+    their lengths and last indices in preorder (`AnnotatedTerm.steps`).
 
-    In preorder the last path written one shorter than `p` is `p`'s parent,
-    so each path's items are its parent's and one more: one copy per path,
-    not one string per index."""
+    In preorder the last path written one shorter than a path is its
+    parent, so each path's items are its parent's and one more: one copy
+    per path, not one string per index."""
     sep = "," + _L4
     items: list[str] = []  # items[k - 1]: the items of the last path of length k
     out = []
-    for p in paths:
-        if not p:
+    for depth, index in steps:
+        if not depth:
             out.append("[]")
             continue
-        del items[len(p) - 1:]
-        items.append(f"{items[-1]}{sep}{p[-1]!r}" if items else repr(p[0]))
+        del items[depth - 1:]
+        items.append(f"{items[-1]}{sep}{index!r}" if items else repr(index))
         out.append(f"[{_L4}{items[-1]}{_L3}]")
     return out
 
@@ -313,6 +314,11 @@ def _validate_json(
 
 
 def render_report(report: AnalysisReport, trace: bool = False, annotate: bool = False) -> str:
+    """The report's text. The call subterms and the annotated term are cut
+    from one rendering of the term (`pretty_heads`). A call's specification is
+    its parent's R entry and the left sides of its matching that entry's
+    components, so calls, which run in preorder, take those texts from
+    their parent's R and zeta lines."""
     lines = [f"status: {report.status}"]
     if report.detail:
         lines.append(f"detail: {report.detail}")
@@ -328,34 +334,42 @@ def render_report(report: AnalysisReport, trace: bool = False, annotate: bool = 
         for t, texts in zip(run.traces, emitted):
             for c, text in zip(t.emitted, texts):
                 lines.append(f"  {c.origin:<10} {text}")
-        if annotate:
-            lines.append(
-                "essential structure: "
-                + pretty_annotated(run.annotation.term, run.annotation.heads)
+        if trace or annotate:
+            shown, annotated = pretty_heads(
+                run.annotation.term, run.annotation.heads, trace, annotate
             )
+        if annotate:
+            lines.append(f"essential structure: {annotated}")
         if trace:
             lines.append("calls:")
-            shown = pretty_subterms(run.annotation.term, run.annotation.heads)
+            known: dict[int, str] = {}  # `id` of an R or zeta entry: its text
+
+            def remember(x: TypeExpr) -> str:
+                s = known[id(x)] = pretty_type(x)
+                return s
+
+            def recall(x: TypeExpr) -> str:
+                s = known.get(id(x))
+                return pretty_type(x) if s is None else s
+
             for t, texts in zip(run.traces, emitted):
-                lines.append(
-                    f"  call {t.label}: {shown[id(t.term)]}"
-                    f"  |  funs: {', '.join(pretty_fun(f) for f in t.funs)}"
-                    f"  |  spec: {pretty_type(t.spec)}"
-                )
+                funs = ", ".join([pretty_fun(f) for f in t.funs])
+                lines.append(f"  call {t.label}: {shown[id(t.term)]}  |  funs: {funs}"
+                             f"  |  spec: {recall(t.spec)}")
                 if t.matching:
                     probs = "; ".join(
-                        f"{pretty_type(l)} == {pretty_type(r)}" for l, r in t.matching
+                        [f"{recall(l)} == {pretty_type(r)}" for l, r in t.matching]
                     )
                     lines.append(f"    matching: {probs}")
                 if t.taus:
-                    lines.append("    tau: " + ", ".join(pretty_type(x) for x in t.taus))
+                    lines.append("    tau: " + ", ".join([pretty_type(x) for x in t.taus]))
                 if t.rjs:
-                    lines.append("    R: " + ", ".join(pretty_type(x) for x in t.rjs))
+                    lines.append("    R: " + ", ".join(map(remember, t.rjs)))
                 if any(z is not None for z in t.zetas):
-                    zs = ", ".join(
-                        "-" if z is None else "[" + ", ".join(pretty_type(x) for x in z) + "]"
+                    zs = ", ".join([
+                        "-" if z is None else "[" + ", ".join(map(remember, z)) + "]"
                         for z in t.zetas
-                    )
+                    ])
                     lines.append(f"    zeta: {zs}")
                 if texts:
                     lines.append("    emitted: " + " ; ".join(texts))
@@ -493,19 +507,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code.
 
-    The command runs with CPython's cyclic garbage collector paused, and the
-    caller's collector state is restored on every exit. The pipeline makes no
-    reference cycles, so reference counting frees everything a command
-    allocates as it goes, and a collection would only trace live objects. A
-    library caller running many analyses may pause the collector around them
-    the same way. `gc` is imported here, as `build_parser` imports
-    `argparse`."""
+    The command runs with CPython's cyclic garbage collector paused from
+    before its arguments are parsed, and the caller's collector state is
+    restored on every exit, `SystemExit` from bad arguments or `--help`
+    included. The pipeline makes no reference cycles, so reference counting
+    frees everything a command allocates as it goes, and a collection would
+    only trace live objects. A library caller running many analyses may
+    pause the collector around them the same way. `gc` is imported here, as
+    `build_parser` imports `argparse`."""
     import gc
 
-    args = build_parser().parse_args(argv)
     enabled = gc.isenabled()
     gc.disable()
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     finally:
         if enabled:

@@ -23,8 +23,9 @@ function variables:
     makes them incidental rather than essential.
 
 The subterm of every call is recorded by identity as an essential head
-(`AnnotatedTerm.heads`); the renderers read the heads, and only
-`AnnotatedTerm.essential` builds term paths, for the JSON `essentialPaths`.
+(`AnnotatedTerm.heads`); the renderers read the heads, and the JSON
+`essentialPaths` are written from `AnnotatedTerm.steps`, each head's depth
+and last index, without building term paths.
 
 What a call matches, emits and recurses on depends only on its key: its
 specification up to renaming its variables by first occurrence, and its
@@ -51,9 +52,9 @@ its typed node, which `check_call_invariants` left frozen.
 from __future__ import annotations
 
 import itertools
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
-from .funexpr import Call, Constraint, FunExpr, FunVar, _constant, fun_type, lifter
+from .funexpr import Call, Constraint, FunExpr, FunVar, fun_type, lifter
 from .syntax import (
     App,
     Ctor,
@@ -68,7 +69,11 @@ from .syntax import (
     Term,
     TypeExpr,
     Var,
+    _instantiate_each,
+    _instantiator,
+    _pick,
     _set,
+    _tupled,
     free_type_vars,
     is_closed,
     subst_type,
@@ -159,13 +164,33 @@ class AnnotatedTerm(Frozen):
         """The essential positions as child-index paths from the root, in
         preorder with children in index order, which is also sorted order."""
         out = []
-        stack: list[tuple[Term, Path]] = [(self.term, ())]
-        while stack:
-            t, path = stack.pop()
-            if id(t) in self.heads:
-                out.append(path)
-                stack += reversed([(c, path + (i,)) for i, c in enumerate(term_children(t))])
+        path: list[int] = []
+        for depth, index in self.steps():
+            del path[depth - 1 if depth else 0:]
+            if depth:
+                path.append(index)
+            out.append(tuple(path))
         return tuple(out)
+
+    def steps(self) -> list[tuple[int, int]]:
+        """The essential positions in the order of `essential`, each as the
+        length and the last index of its path (-1 for the root's empty
+        path). In preorder a path is the last one before it that is one
+        shorter, and one more index, so these give every path without
+        building any."""
+        heads = self.heads
+        if id(self.term) not in heads:
+            return []
+        out = []
+        stack = [(self.term, 0, -1)]
+        while stack:
+            t, depth, index = stack.pop()
+            out.append((depth, index))
+            kids = term_children(t)
+            for i in range(len(kids) - 1, -1, -1):
+                if id(kids[i]) in heads:
+                    stack.append((kids[i], depth + 1, i))
+        return out
 
 
 class RunResult(Record):
@@ -229,52 +254,6 @@ def match_spec(
     return defs, pins
 
 
-def _instantiator(t: TypeExpr) -> Callable[[tuple], TypeExpr] | None:
-    """`subst_type` on `t` as a function of a tuple `vals`, for a template
-    whose variables are slot numbers: slot `i` stands for `vals[i]`. None
-    when `t` is closed, which is decided bottom-up in the same pass, so
-    closed parts are kept, not rebuilt."""
-    if isinstance(t, Var):
-        return itemgetter(t.name)
-    kids = type_children(t)
-    fs = [_instantiator(kid) for kid in kids]
-    if fs.count(None) == len(fs):
-        return None
-    if isinstance(t, App):
-        ctor, args = t.ctor, _tupled(kids, fs)
-        return lambda vals: App(ctor, args(vals))
-    node = type(t)
-    left, right = [_constant(kid) if f is None else f for kid, f in zip(kids, fs)]
-    return lambda vals: node(left(vals), right(vals))
-
-
-def _instantiate_each(ts: tuple[TypeExpr, ...]) -> Callable[[tuple], tuple[TypeExpr, ...]]:
-    return _tupled(ts, list(map(_instantiator, ts)))
-
-
-def _tupled(ts: tuple[TypeExpr, ...], fs: list[Callable | None]) -> Callable[[tuple], tuple]:
-    """One function giving the results of `fs` as a tuple, where `fs` are
-    the compiled templates `ts` (None for a closed one, which stands for
-    itself). When every template is a variable, the tuple is picked in C."""
-    if set(map(type, ts)) <= {Var}:
-        return _pick(tuple(map(_NAME, ts)))
-    fs = [_constant(t) if f is None else f for t, f in zip(ts, fs)]
-    if len(fs) == 1:
-        f = fs[0]
-        return lambda vals: (f(vals),)
-    if len(fs) == 2:
-        f, g = fs
-        return lambda vals: (f(vals), g(vals))
-    return lambda vals: tuple([f(vals) for f in fs])
-
-
-def _pick(slots: tuple[int, ...]) -> Callable[[tuple], tuple]:
-    """The items of a tuple at `slots`, as a tuple, picked in C."""
-    if len(slots) == 1:
-        return itemgetter(slice(slots[0], slots[0] + 1))
-    return itemgetter(*slots) if slots else itemgetter(slice(0, 0))
-
-
 class _Edge:
     """Where calls find their plans: one per specification template met in
     a run, with the number of its components (-1 when it has none to call
@@ -286,7 +265,7 @@ class _Edge:
     def __init__(self, template: TypeExpr) -> None:
         self.template = template
         self.arity = len(type_children(template)) if isinstance(template, (App, Prod, Sum)) else -1
-        self.spec = _instantiator(template) or _constant(template)
+        self.spec = _instantiator(template)
         self.plans: dict[str | type, _Plan] = {}
 
 
@@ -317,7 +296,6 @@ class _Plan:
 _Pending = tuple[TypedNode, tuple[FunExpr, ...], TypeExpr, tuple[TypeExpr, ...],
                  tuple[Var, ...], Call, _Edge]
 _PARTS = attrgetter("left", "right")
-_NAME = attrgetter("name")
 _ARGS = attrgetter("args")
 
 
@@ -502,7 +480,8 @@ class _Run:
         slots = free_type_vars(rj)
         if slots != tuple(range(len(slots))):
             rj = subst_type(rj, {s: Var(i) for i, s in enumerate(slots)})
-        return j, kid, _tupled(zeta, list(map(lifter, zeta))), _pick(slots), self.edge(rj)
+        lifts = [z.name if z.__class__ is Var else lifter(z) for z in zeta]
+        return j, kid, _tupled(zeta, lifts), _pick(slots), self.edge(rj)
 
     def edge(self, template: TypeExpr) -> _Edge:
         edge = self._edges.get(template)

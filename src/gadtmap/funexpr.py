@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from .syntax import App, Frozen, Meta, Prod, Sum, TypeExpr, Var, _set, type_children
+from .syntax import App, Frozen, Meta, Prod, Sum, TypeExpr, Var, _constant, _set, type_children
 
 TYPE_CHECKING = False  # True to a type checker, without importing `typing`
 if TYPE_CHECKING:
@@ -262,10 +262,6 @@ def _open_lifter(t: TypeExpr) -> Lifter | None:
     node = ProdF if isinstance(t, Prod) else SumF
     left, right = args
     return lambda env: node(left(env), right(env))
-
-
-def _constant(value: object) -> Callable[[object], object]:
-    return lambda env: value
 
 
 def expand_id(e: Id) -> FunExpr | None:

@@ -46,7 +46,6 @@ from .funexpr import (
     SumF,
     expand_id,
     fun_type,
-    lift_type,
     lifter,
     normalize,
 )
@@ -72,6 +71,10 @@ from .syntax import (
 )
 from .typecheck import TypeCheckError, TypedNode, TypedTerm, infer
 from .wellformed import ValidatedProgram
+
+TYPE_CHECKING = False  # as in `syntax`
+if TYPE_CHECKING:
+    from .funexpr import Lifter
 
 
 class OracleInconsistency(Exception):
@@ -192,7 +195,7 @@ def map_apply(phi: FunExpr, typed: TypedTerm) -> TypedTerm | None:
     """
     vp = typed.vp
     try:
-        result = _apply(phi, typed.root, vp, itertools.count())
+        result = _apply(phi, typed.root, vp, itertools.count(), {})
     except _Fail:
         return None
     try:
@@ -201,9 +204,17 @@ def map_apply(phi: FunExpr, typed: TypedTerm) -> TypedTerm | None:
         return None
 
 
-def _apply(phi: FunExpr, node: TypedNode, vp: ValidatedProgram, counter: Iterator[int]) -> Term:
+def _apply(
+    phi: FunExpr,
+    node: TypedNode,
+    vp: ValidatedProgram,
+    counter: Iterator[int],
+    lifters: dict[str, list[Lifter]],
+) -> Term:
     """`map_apply`'s rebuilt term for one node; raises `_Fail` when the
-    function does not apply. `counter` numbers the opaque constants."""
+    function does not apply. `counter` numbers the opaque constants, and
+    `lifters` holds the lifters of each constructor's argument types met so
+    far, so each is compiled once per `map_apply` call."""
     term = node.term
     if isinstance(phi, Id):
         # The annotation keeps the type the subterm had, which annotations
@@ -215,14 +226,14 @@ def _apply(phi: FunExpr, node: TypedNode, vp: ValidatedProgram, counter: Iterato
         if not isinstance(term, Pair):
             raise _Fail
         return Pair(
-            _apply(phi.left, node.kids[0], vp, counter),
-            _apply(phi.right, node.kids[1], vp, counter),
+            _apply(phi.left, node.kids[0], vp, counter, lifters),
+            _apply(phi.right, node.kids[1], vp, counter, lifters),
         )
     if isinstance(phi, SumF):
         if isinstance(term, Inl):
-            return Inl(_apply(phi.left, node.kids[0], vp, counter))
+            return Inl(_apply(phi.left, node.kids[0], vp, counter, lifters))
         if isinstance(term, Inr):
-            return Inr(_apply(phi.right, node.kids[0], vp, counter))
+            return Inr(_apply(phi.right, node.kids[0], vp, counter, lifters))
         raise _Fail
     if isinstance(phi, Lift):
         if not isinstance(term, Ctor):
@@ -233,9 +244,11 @@ def _apply(phi: FunExpr, node: TypedNode, vp: ValidatedProgram, counter: Iterato
         env = _binder_functions(sig, phi.args, node.instance)
         if env is None:
             raise _Fail
+        lifts = lifters.get(sig.name)
+        if lifts is None:
+            lifts = lifters[sig.name] = list(map(lifter, sig.arg_types))
         new_args = tuple(
-            _apply(lift_type(arg_ty, env), kid, vp, counter)
-            for arg_ty, kid in zip(sig.arg_types, node.kids)
+            _apply(lift(env), kid, vp, counter, lifters) for lift, kid in zip(lifts, node.kids)
         )
         return Ctor(term.name, new_args)
     raise _Fail

@@ -5,10 +5,14 @@ surface grammar (see GRAMMAR.md). Internal-only nodes (metavariables, rigid
 atoms, opaque functions) render readably but are not part of the grammar.
 Each syntax class has one renderer. Terms render from one explicit stack,
 `_render`, so their depth is bounded by memory, not by the interpreter's
-recursion limit. Types and function expressions recurse, one frame per level
-of nesting: each renderer parenthesises its children in its own frame.
+recursion limit; the same walk cuts the text of chosen subterms and the
+annotated rendering from the term's text. Types and function expressions
+recurse, one frame per level of nesting: each renderer parenthesises its
+children in its own frame.
 """
 from __future__ import annotations
+
+import itertools
 
 from .funexpr import Constraint, FunExpr, FunVar, Id, Lift, Opaque, ProdF, SumF
 from .syntax import (
@@ -28,8 +32,11 @@ from .syntax import (
     Term,
     TypeExpr,
     Var,
-    term_children,
 )
+
+TYPE_CHECKING = False  # as in `syntax`
+if TYPE_CHECKING:
+    from collections.abc import Collection
 
 
 def _bare_type(t: TypeExpr) -> bool:
@@ -89,57 +96,97 @@ def _parts(t: Term) -> list[str | tuple[Term, bool]]:
     raise TypeError(f"not a term: {t!r}")
 
 
-def _render(t: Term, done: dict[int, str], heads: frozenset[int] | set[int] | None) -> str:
-    """Render `t` with an explicit stack, taking the string of every subterm
-    object found in `done` (keyed by `id`) instead of descending into it.
+def _render(
+    t: Term, heads: Collection[int], subterms: bool, annotate: bool
+) -> tuple[str, dict[int, str], str | None]:
+    """One walk of `t` from an explicit stack: its rendering, with
+    `subterms` the rendering of every subterm object whose `id` is in
+    `heads`, as a slice of it, and with `annotate` `t` with its incidental
+    structure bracketed (see `pretty_annotated`).
 
-    Given `heads`, a set of subterm `id`s, every child outside it is rendered
-    whole in [...] and never in parentheses; `t` itself is rendered normally.
+    The bracketed text differs from the plain one only at each child outside
+    `heads` of a node reached from `t` through `heads`: such a child is
+    wrapped whole in [...], in place of the parentheses it may have. Those
+    children never nest, so the walk marks where each one starts and ends,
+    and every text is cut from the plain one: the cost is the size of the
+    tree plus the length of the strings returned.
+
+    The stack holds strings, terms and markers: `(id, piece)` ends the text
+    of a head that starts at that piece, and a bool (parenthesized or not)
+    and None open and close an incidental child.
     """
     out: list[str] = []
-    stack: list[str | Term] = [t]
+    spans: dict[int, tuple[int, int]] = {}  # head id: its first and end piece
+    edits: list = []  # per incidental child: first piece, parenthesized, end piece
+    region = annotate  # whether the node popped next is reached through heads
+    stack: list = [t]
+    push = stack.append
     while stack:
         x = stack.pop()
-        if isinstance(x, str):
+        cls = x.__class__
+        if cls is str:
             out.append(x)
-            continue
-        s = done.get(id(x))
-        if s is not None:
-            out.append(s)
-            continue
-        for part in reversed(_parts(x)):
-            if isinstance(part, str):
-                stack.append(part)
-                continue
-            child, atom = part
-            if heads is not None and id(child) not in heads:
-                stack += ("]", _render(child, done, None), "[")
-            elif atom and not _is_atomic(child):
-                stack += (")", child, "(")
-            else:
-                stack.append(child)
-    return "".join(out)
+        elif cls is tuple:
+            spans[x[0]] = (x[1], len(out))
+        elif cls is bool:
+            edits += (len(out), x)
+            region = False
+        elif x is None:
+            edits.append(len(out))
+            region = True
+        else:
+            if subterms and id(x) in heads:
+                push((id(x), len(out)))
+            for part in reversed(_parts(x)):
+                if part.__class__ is str:
+                    push(part)
+                    continue
+                child, atom = part
+                parens = atom and not _is_atomic(child)
+                bracket = region and id(child) not in heads
+                if bracket:
+                    push(None)
+                stack += (")", child, "(") if parens else (child,)
+                if bracket:
+                    push(parens)
+    text = "".join(out)
+    if not (spans or edits):
+        return text, {}, text if annotate else None
+    offsets = list(itertools.accumulate(map(len, out), initial=0))
+    shown = {key: text[offsets[s]:offsets[e]] for key, (s, e) in spans.items()}
+    annotated = None
+    if annotate:
+        pieces = []
+        done = 0
+        marks = iter(edits)
+        for s, parens, e in zip(marks, marks, marks):
+            start, end = offsets[s], offsets[e]
+            pieces += (text[done:start], "[", text[start + parens:end - parens], "]")
+            done = end
+        pieces.append(text[done:])
+        annotated = "".join(pieces)
+    return text, shown, annotated
 
 
 def pretty_term(t: Term) -> str:
-    return _render(t, {}, None)
+    return _render(t, (), False, False)[0]
 
 
-def pretty_subterms(t: Term, heads: frozenset[int] | set[int]) -> dict[int, str]:
-    """The rendering of each subterm object of `t` whose `id` is in `heads`.
+def pretty_subterms(t: Term, heads: Collection[int]) -> dict[int, str]:
+    """The rendering of each subterm object of `t` whose `id` is in `heads`,
+    each a slice of one rendering of `t`."""
+    return pretty_heads(t, heads, annotate=False)[0]
 
-    They are rendered bottom-up, each from the strings of the ones below it,
-    so every node is walked once and the cost is the size of the tree plus
-    the length of the strings returned.
-    """
-    nodes = [t]
-    for x in nodes:  # breadth-first: ancestors before descendants
-        nodes.extend(term_children(x))
-    done: dict[int, str] = {}
-    for x in reversed(nodes):
-        if id(x) in heads and id(x) not in done:
-            done[id(x)] = _render(x, done, None)
-    return done
+
+def pretty_heads(
+    t: Term, heads: Collection[int], subterms: bool = True, annotate: bool = True
+) -> tuple[dict[int, str], str | None]:
+    """`pretty_subterms(t, heads)` (empty without `subterms`) and
+    `pretty_annotated(t, heads)` (None without `annotate`), from one walk.
+    Each is asked for only when wanted: the subterms' texts can be as long
+    as the square of the term's, and the annotated text copies the term's
+    once."""
+    return _render(t, heads, subterms, annotate)[1:]
 
 
 def pretty_fun(e: FunExpr) -> str:
@@ -182,7 +229,7 @@ def pretty(x: TypeExpr | Term | FunExpr | Constraint) -> str:
     raise TypeError(f"cannot pretty-print {x!r}")
 
 
-def pretty_annotated(t: Term, heads: frozenset[int] | set[int]) -> str:
+def pretty_annotated(t: Term, heads: Collection[int]) -> str:
     """Render a term with its incidental structure bracketed.
 
     `heads` holds the `id`s of the essential subterm objects, those that head
@@ -190,4 +237,4 @@ def pretty_annotated(t: Term, heads: frozenset[int] | set[int]) -> str:
     each child outside `heads` is wrapped whole in [...] and never in
     parentheses, so bracketed regions never nest.
     """
-    return _render(t, {}, heads)
+    return pretty_heads(t, heads, subterms=False)[1]

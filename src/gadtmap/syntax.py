@@ -7,10 +7,12 @@ specification variables, in first-occurrence order (`free_type_vars`).
 """
 from __future__ import annotations
 
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 TYPE_CHECKING = False  # True to a type checker, without importing `typing`
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     from .constraints import IndexName
 
 BASE_TYPES = ("Nat", "Int", "Bool", "Unit")
@@ -182,6 +184,79 @@ def subst_type(t: TypeExpr, env: dict[str, TypeExpr]) -> TypeExpr:
     if isinstance(t, App):
         return App(t.ctor, tuple([subst_type(a, env) for a in t.args]))
     return t
+
+
+def _instantiator(
+    t: TypeExpr, slots: dict[str, int] | None = None
+) -> Callable[[tuple], TypeExpr]:
+    """`subst_type` on `t` as a function of a tuple `vals`, with `t` walked
+    once: each variable named in `slots` stands for `vals` at its slot, and
+    without `slots` every variable is named by its slot. Other variables and
+    the parts that hold no slot stand for themselves, kept, not rebuilt."""
+    return _call(t, _compile(t, slots))
+
+
+def _instantiate_each(ts: tuple[TypeExpr, ...]) -> Callable[[tuple], tuple[TypeExpr, ...]]:
+    """`_instantiator` of each of `ts`, whose variables are named by their
+    slots, as one function giving a tuple."""
+    return _tupled(ts, [_compile(t, None) for t in ts])
+
+
+def _compile(t: TypeExpr, slots: dict[str, int] | None) -> Callable | int | None:
+    """`_instantiator(t, slots)`, except that it is the slot itself when `t`
+    is a slot, and None when `t` holds none, which is decided bottom-up in
+    the same pass."""
+    cls = t.__class__
+    if cls is Var:
+        return t.name if slots is None else slots.get(t.name)
+    if cls is App:
+        fs = [_compile(a, slots) for a in t.args]
+        if fs.count(None) == len(fs):
+            return None
+        ctor, args = t.ctor, _tupled(t.args, fs)
+        return lambda vals: App(ctor, args(vals))
+    if cls is Prod or cls is Sum:
+        left, right = _compile(t.left, slots), _compile(t.right, slots)
+        if left is None and right is None:
+            return None
+        left, right = _call(t.left, left), _call(t.right, right)
+        return lambda vals: cls(left(vals), right(vals))
+    return None
+
+
+def _call(t: TypeExpr, f: Callable | int | None) -> Callable:
+    """The function of `vals` that `_compile` gave `f` for `t`."""
+    if f is None:
+        return _constant(t)
+    return itemgetter(f) if f.__class__ is int else f
+
+
+def _tupled(ts: tuple, fs: list[Callable | int | None]) -> Callable[[tuple], tuple]:
+    """One function giving the results of `fs`, compiled from `ts` as
+    `_compile` does (a function of `vals`, a slot, or None for a template
+    that stands for itself), as a tuple. When every one is a slot, the tuple
+    is picked in C."""
+    if set(map(type, fs)) <= {int}:
+        return _pick(tuple(fs))
+    fs = [_call(t, f) for t, f in zip(ts, fs)]
+    if len(fs) == 1:
+        f = fs[0]
+        return lambda vals: (f(vals),)
+    if len(fs) == 2:
+        f, g = fs
+        return lambda vals: (f(vals), g(vals))
+    return lambda vals: tuple([f(vals) for f in fs])
+
+
+def _pick(slots: tuple[int, ...]) -> Callable[[tuple], tuple]:
+    """The items of a tuple at `slots`, as a tuple, picked in C."""
+    if len(slots) == 1:
+        return itemgetter(slice(slots[0], slots[0] + 1))
+    return itemgetter(*slots) if slots else itemgetter(slice(0, 0))
+
+
+def _constant(value: object) -> Callable[[object], object]:
+    return lambda env: value
 
 
 # ---------------------------------------------------------------------------

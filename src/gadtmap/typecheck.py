@@ -28,10 +28,8 @@ from .syntax import (
     Atom,
     Base,
     Const,
-    ConstructorSig,
     Ctor,
     Frozen,
-    GadtDecl,
     Inl,
     Inr,
     Lit,
@@ -42,6 +40,8 @@ from .syntax import (
     Sum,
     Term,
     TypeExpr,
+    _instantiator,
+    _pick,
     _set,
     free_type_vars,
     subst_type,
@@ -71,6 +71,11 @@ class _Store:
         self.solutions: dict[int, TypeExpr] = {}
         self.numeric: set[int] = set()
         self._next = 0
+
+    def fresh_tuple(self, n: int) -> tuple[Meta, ...]:
+        first = self._next
+        self._next += n
+        return tuple(map(Meta, range(first, self._next)))
 
     def fresh(self, numeric: bool = False) -> Meta:
         m = Meta(self._next)
@@ -218,23 +223,30 @@ def infer(term: Term, vp: ValidatedProgram, int_literals: bool = False) -> Typed
     """Infer the most general typing of `term`.
 
     Annotations are dropped from the typed tree and checked after the walk,
-    in preorder, outer before inner. Metavariables that no constraint
-    determines (such as the element type of a bare `nil`) survive in the
-    result as unsolved metas.
+    in preorder, outer before inner. A subterm with no annotation below it is
+    its typed node's term, the same object; the others are rebuilt without
+    their annotations. Metavariables that no constraint determines (such as
+    the element type of a bare `nil`) survive in the result as unsolved
+    metas.
 
     The walk keeps the nodes whose children are being typed on an explicit
     stack, so term depth is bounded by memory, not by the interpreter's
     recursion limit. It allocates and unifies metavariables in the order of
     a recursive descent: children left to right, each constructor argument
-    unified with its expected type as soon as it is typed.
+    unified with its expected type as soon as it is typed. Each constructor
+    met is compiled once per call (`_CtorPlan`), and each occurrence
+    instantiates its types from its tuple of fresh metavariables.
     """
     store = _Store()
+    plans: dict[str, _CtorPlan] = {}
     # (annotated node, annotation) in preorder, outer before inner: the slot
     # is taken when the annotation is met and filled once its node is typed.
     annotations: list = []
     # One frame per node whose children are being typed, innermost last:
-    # [Ctor, term, decl, sig, inst, kids], [Pair, term, left or None],
-    # [Inl], [Inr, right-hand metavariable] or [Ann, slot, annotation].
+    # [Ctor, term, plan, inst, kids, met], [Pair, term, left or None, met],
+    # [Inl, term, met], [Inr, term, met, right-hand metavariable] or [Ann,
+    # slot, annotation], where `met` counts the annotations met before the
+    # node: when none is met below it, its term is kept.
     stack: list[list] = []
     t = term
     while True:
@@ -245,29 +257,28 @@ def infer(term: Term, vp: ValidatedProgram, int_literals: bool = False) -> Typed
                 annotations.append(None)
                 t = t.inner
             elif isinstance(t, Ctor):
-                try:
-                    decl, sig = vp.ctor(t.name)
-                except KeyError:
-                    raise TypeCheckError(f"unknown constructor {t.name!r}") from None
-                if len(t.args) != len(sig.arg_types):
+                plan = plans.get(t.name)
+                if plan is None:
+                    plan = plans[t.name] = _CtorPlan(t.name, vp)
+                if len(t.args) != len(plan.args):
                     raise TypeCheckError(
-                        f"constructor {t.name!r} expects {len(sig.arg_types)} argument(s), "
+                        f"constructor {t.name!r} expects {len(plan.args)} argument(s), "
                         f"got {len(t.args)}"
                     )
-                inst = {v: store.fresh() for v in sig.type_vars}
+                inst = store.fresh_tuple(plan.width)
                 if not t.args:
-                    node = _ctor_node(t, decl, sig, inst, [])
+                    node = TypedNode(t, plan.ret(inst), plan.instance(inst))
                     break
-                stack.append([Ctor, t, decl, sig, inst, []])
+                stack.append([Ctor, t, plan, inst, [], len(annotations)])
                 t = t.args[0]
             elif isinstance(t, Pair):
-                stack.append([Pair, t, None])
+                stack.append([Pair, t, None, len(annotations)])
                 t = t.left
             elif isinstance(t, Inl):
-                stack.append([Inl])
+                stack.append([Inl, t, len(annotations)])
                 t = t.inner
             elif isinstance(t, Inr):
-                stack.append([Inr, store.fresh()])
+                stack.append([Inr, t, len(annotations), store.fresh()])
                 t = t.inner
             elif isinstance(t, Lit):
                 if t.base_hint in ("Bool", "Unit", "Int"):
@@ -286,31 +297,34 @@ def infer(term: Term, vp: ValidatedProgram, int_literals: bool = False) -> Typed
             frame = stack[-1]
             kind = frame[0]
             if kind is Ctor:
-                _, c, decl, sig, inst, kids = frame
+                _, c, plan, inst, kids, met = frame
                 j = len(kids)
                 store.unify(
-                    subst_type(sig.arg_types[j], inst),
-                    node.type,
-                    lambda: f"argument {j + 1} of {c.name!r}",
+                    plan.args[j](inst), node.type, lambda: f"argument {j + 1} of {c.name!r}"
                 )
                 kids.append(node)
                 if j + 1 < len(c.args):
                     t = c.args[j + 1]
                     break
-                node = _ctor_node(c, decl, sig, inst, kids)
+                if met != len(annotations):
+                    c = Ctor(c.name, tuple([k.term for k in kids]))
+                node = TypedNode(c, plan.ret(inst), plan.instance(inst), tuple(kids))
             elif kind is Pair:
                 left = frame[2]
                 if left is None:
                     frame[2] = node
                     t = frame[1].right
                     break
-                node = TypedNode(
-                    Pair(left.term, node.term), Prod(left.type, node.type), kids=(left, node)
-                )
+                pair = frame[1]
+                if frame[3] != len(annotations):
+                    pair = Pair(left.term, node.term)
+                node = TypedNode(pair, Prod(left.type, node.type), kids=(left, node))
             elif kind is Inl:
-                node = TypedNode(Inl(node.term), Sum(node.type, store.fresh()), kids=(node,))
+                inl = frame[1] if frame[2] == len(annotations) else Inl(node.term)
+                node = TypedNode(inl, Sum(node.type, store.fresh()), kids=(node,))
             elif kind is Inr:
-                node = TypedNode(Inr(node.term), Sum(frame[1], node.type), kids=(node,))
+                inr = frame[1] if frame[2] == len(annotations) else Inr(node.term)
+                node = TypedNode(inr, Sum(frame[3], node.type), kids=(node,))
             else:
                 annotations[frame[1]] = (node, frame[2])
             stack.pop()
@@ -330,16 +344,26 @@ def infer(term: Term, vp: ValidatedProgram, int_literals: bool = False) -> Typed
     return TypedTerm(root, vp, store, int_literals)
 
 
-def _ctor_node(
-    t: Ctor, decl: GadtDecl, sig: ConstructorSig, inst: dict[str, Meta], kids: list[TypedNode]
-) -> TypedNode:
-    """The typed node of a constructor application whose arguments are typed."""
-    return TypedNode(
-        Ctor(t.name, tuple(k.term for k in kids)),
-        App(decl.name, tuple(subst_type(k, inst) for k in sig.ret_indices)),
-        tuple(inst[v] for v in sig.type_vars),
-        tuple(kids),
-    )
+class _CtorPlan:
+    """What typing one occurrence of a constructor needs, compiled once per
+    `infer` call from its signature: `width` fresh metavariables, one per
+    binder; from their tuple, each argument's expected type (`args`), the
+    return type (`ret`) and the binders' instantiation (`instance`)."""
+
+    __slots__ = ("width", "args", "ret", "instance")
+
+    def __init__(self, name: str, vp: ValidatedProgram) -> None:
+        try:
+            decl, sig = vp.ctor(name)
+        except KeyError:
+            raise TypeCheckError(f"unknown constructor {name!r}") from None
+        # A binder listed twice stands for its last metavariable, as a dict
+        # built from the binders would keep it.
+        slots = dict(zip(sig.type_vars, range(len(sig.type_vars))))
+        self.width = len(sig.type_vars)
+        self.args = [_instantiator(a, slots) for a in sig.arg_types]
+        self.ret = _instantiator(App(decl.name, sig.ret_indices), slots)
+        self.instance = _pick(tuple([slots[v] for v in sig.type_vars]))
 
 
 class InstanceWitness(Frozen):

@@ -2,8 +2,8 @@
 count of Python function calls, which does not depend on the machine or on
 string hashing, may grow at most 2.2 times per doubling. The constraint walk
 also has a budget of calls per walk call, and compiles as many plans at every
-depth. The JSON report has a budget of Python and C calls per walk call. The
-oracle has a budget of calls per candidate tuple it checks."""
+depth. The JSON and text reports have budgets of Python and C calls per walk
+call. The oracle has a budget of calls per candidate tuple it checks."""
 from __future__ import annotations
 
 import functools
@@ -13,6 +13,7 @@ import pytest
 
 import gadtmap as g
 from gadtmap import constraints as cgen
+from gadtmap.cli import render_report
 
 from conftest import G_SRC, NESTED_SRC, SEQ_SRC
 
@@ -26,7 +27,8 @@ LADDERS = {
                + ") nil" * (n - 1)),
 }
 STAGES = (
-    "parse_term", "infer", "check_call_invariants", "constraints.run", "solve", "report_to_json"
+    "parse_term", "infer", "check_call_invariants", "constraints.run", "solve", "report_to_json",
+    "render_report",
 )
 RUNGS = (100, 200, 400)
 # `infer`'s occurs check walks the whole type on every bind, so on a type as
@@ -39,6 +41,11 @@ WALK_CALL_BUDGET = {"list": 45, "seq": 65}
 # on the `cons` list: 179 now, and 322 when the report was built as dicts and
 # then walked value by value by a generic writer.
 REPORT_CALL_BUDGET = 200
+# The most Python and C calls `render_report(trace=True, annotate=True)` may
+# make per call of the walk: 122 (list) and 142 (seq) now, and 211 and 218
+# when it rendered the annotated term and the call subterms in two walks,
+# and every specification and matching left side where printed.
+RENDER_CALL_BUDGET = {"list": 150, "seq": 165}
 _COMPILE = cgen._Run._compile.__code__
 # name: (program, spec, term), as the oracle-verify benchmark checks them at
 # depth 3: a `Seq` pair tree over pairs and lists, and a `G` term.
@@ -60,7 +67,9 @@ def _counts(ladder: str) -> dict[str, list[int]]:
     src, spec_text, make = LADDERS[ladder]
     vp = g.validate(g.parse_program(src))
     spec = g.parse_spec(spec_text, vp)
-    counts: dict[str, list[int]] = {s: [] for s in (*STAGES, "walk calls", "plans", "C calls")}
+    counts: dict[str, list[int]] = {
+        s: [] for s in (*STAGES, "walk calls", "plans", "C calls", "render C calls")
+    }
 
     def stage(name, f, *args):
         calls = plans = c_calls = 0
@@ -84,6 +93,8 @@ def _counts(ladder: str) -> dict[str, list[int]]:
             counts["plans"].append(plans)
         elif name == "report_to_json":
             counts["C calls"].append(c_calls)
+        elif name == "render_report":
+            counts["render C calls"].append(c_calls)
         return result
 
     for n in RUNGS:
@@ -95,6 +106,7 @@ def _counts(ladder: str) -> dict[str, list[int]]:
         solved, form = stage("solve", g.solve, run.constraints, run.root_funs)
         report = g.AnalysisReport("Mappable", form=form, solved=solved, run=run, spec=spec)
         stage("report_to_json", g.report_to_json, report)
+        stage("render_report", render_report, report, True, True)
     return counts
 
 
@@ -136,6 +148,15 @@ def test_report_calls_are_cheap():
         counts["report_to_json"], counts["C calls"], counts["walk calls"]
     ):
         assert calls + c_calls <= REPORT_CALL_BUDGET * walk_calls, (calls, c_calls, walk_calls)
+
+
+@pytest.mark.parametrize("ladder,budget", RENDER_CALL_BUDGET.items())
+def test_text_report_calls_are_cheap(ladder, budget):
+    counts = _counts(ladder)
+    for calls, c_calls, walk_calls in zip(
+        counts["render_report"], counts["render C calls"], counts["walk calls"]
+    ):
+        assert calls + c_calls <= budget * walk_calls, (calls, c_calls, walk_calls)
 
 
 @pytest.mark.parametrize("name", ORACLE_INPUTS)

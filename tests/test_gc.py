@@ -176,7 +176,45 @@ class TestPause:
     def test_no_collection_runs_during_a_command(self, caller, capsys):
         # An 800-element list allocates far past every generation's
         # threshold, so a collection would run if the collector were on.
-        before = [s["collections"] for s in gc.get_stats()]
         argv = ["analyze", program("nested"), "--term", CONS_800, "--spec", "List b1", "--json"]
-        assert main(argv) == 0
-        assert [s["collections"] for s in gc.get_stats()] == before
+        assert collections_during(argv) == (0, [])
+        # Parsing the arguments allocates too. The young generation's counter
+        # is set to every seventh offset below its threshold in turn (k
+        # fresh lists after a young collection; with the collector on, the
+        # lists past the threshold start one of their own first), and no
+        # offset may let a collection start inside the command.
+        argv = ["analyze", program("nested"), "--term", "cons 1 nil", "--spec", "List b1",
+                "--json"]
+        collected = []
+        for k in range(0, 3 * gc.get_threshold()[0], 7):
+            gc.collect(0)
+            shift = [[] for _ in range(k)]
+            code, started = collections_during(argv)
+            assert code == 0
+            if started:
+                collected.append(k)
+            del shift
+        assert collected == []
+
+
+def collections_during(argv: list[str]) -> tuple[int, list[int]]:
+    """`main(argv)`'s exit code and the generation of each collection that
+    started while it ran. A `gc` callback sees them: comparing
+    `gc.get_stats()` before and after would also count the collection that
+    the first allocation after `main` may start, once `main` has turned
+    the collector back on with its counter past the threshold."""
+    inside = [False]
+    started = []
+
+    def spy(phase, info):
+        if phase == "start" and inside[0]:
+            started.append(info["generation"])
+
+    gc.callbacks.append(spy)
+    try:
+        inside[0] = True
+        code = main(argv)
+        inside[0] = False
+    finally:
+        gc.callbacks.remove(spy)
+    return code, started

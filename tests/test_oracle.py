@@ -294,6 +294,20 @@ class TestMapApply:
         wrapped = g.Lift("G", (g.ProdF(opaque(LIST_NAT, "X1"), opaque(NAT, "X2")),))
         assert g.map_apply(wrapped, typed) is None
 
+    def test_each_argument_type_is_compiled_once_per_call(self, nested_vp, monkeypatch):
+        # `cons` is met at every element of both levels: its two argument
+        # types are compiled once per call, whatever the term's size.
+        typed, _ = self.prep(nested_vp, LISTS_TERM, "List b1")
+        lifter = oracle.lifter
+        compiled = []
+        monkeypatch.setattr(oracle, "lifter", lambda t: compiled.append(t) or lifter(t))
+        wrapped = g.Lift("List", (g.Lift("List", (opaque(NAT),)),))
+        for _ in range(2):
+            compiled.clear()
+            result = g.map_apply(wrapped, typed).term
+            assert isinstance(result.args[0].args[0], g.Const)
+            assert compiled == [Var("a"), App("List", (Var("a"),))]
+
 
 class TestMappable:
     """A tuple is mappable only when it has one candidate per component of

@@ -20,6 +20,7 @@ from gadtmap.pretty import (
     _parts,
     pretty_annotated,
     pretty_fun,
+    pretty_heads,
     pretty_subterms,
     pretty_term,
     pretty_type,
@@ -768,6 +769,26 @@ def test_annotation_matches_path_reference_on_random_heads(term, seed):
                 heads.add(id(c))
                 stack.append(c)
     _assert_matches_reference(term, heads)
+
+
+@given(_terms_strategy(), st.integers(0, 2**32 - 1))
+@example(g.Inl(g.Ann(g.Inr(g.Lit("0")), Sum(Base("Bool"), Base("Nat")))), 1)
+@settings(max_examples=300)
+def test_one_walk_matches_references_for_any_heads(term, seed):
+    # Any set of ids: each subterm object with probability one half, below
+    # a non-head too, the root maybe not, and ids of no subterm.
+    rng = random.Random(seed)
+    subs = _subterms(term)
+    heads = {id(t) for t in subs if rng.random() < 0.5} | {id(rng)}
+    shown, annotated = pretty_heads(term, heads)
+    assert shown == {id(t): g.pretty(t) for t in subs if id(t) in heads}
+    assert pretty_subterms(term, heads) == shown
+    assert annotated == pretty_annotated(term, heads)
+    assert annotated == _reference_annotated_loop(term, heads)
+    if id(term) in heads:
+        assert annotated == _reference_annotated(term, _reference_essential(term, heads))
+    assert pretty_heads(term, heads, subterms=False) == ({}, annotated)
+    assert pretty_heads(term, heads, annotate=False) == (shown, None)
 
 
 # ---------------------------------------------------------------------------

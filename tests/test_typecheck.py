@@ -4,14 +4,22 @@ from __future__ import annotations
 import itertools
 import re
 import sys
+from operator import attrgetter
+from pathlib import Path
 
 import pytest
 
 import gadtmap as g
-from gadtmap.syntax import App, Atom, Base, Meta, Prod, Sum, type_children
-from gadtmap.typecheck import InstanceWitness, spec_instance
+from gadtmap.syntax import (
+    App, Atom, Base, Meta, Prod, Sum, subst_type, term_children, type_children,
+)
+from gadtmap.typecheck import InstanceWitness, TypedNode, _Store, spec_instance
 
 from conftest import CORPUS, NESTED_SRC, SEQ_SRC, random_values
+from test_oracle import PROBE_SRC, PROBE_TERMS, SUM_INDEXED_SRC, SUM_INDEXED_TERMS
+from test_syntax import _subterms
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestInfer:
@@ -321,3 +329,165 @@ class TestSharedGrounding:
                 spec_text,
                 counts,
             )
+
+
+# ---------------------------------------------------------------------------
+# Constructors compiled once per `infer` call, against instantiating each
+# signature at every node
+
+
+def reference_infer(term, vp, int_literals=False):
+    """`infer` as it instantiated every constructor occurrence: a dict of
+    fresh metavariables per occurrence, `subst_type` on the signature's
+    argument types and return indices at every node, and every subterm
+    rebuilt without its annotations. A recursive descent, which allocates
+    and unifies in the order `infer`'s explicit stack does."""
+    store = _Store()
+    annotations = []
+
+    def go(t):
+        if isinstance(t, g.Ann):
+            slot = len(annotations)
+            annotations.append(None)
+            node = go(t.inner)
+            annotations[slot] = (node, t.type)
+            return node
+        if isinstance(t, g.Ctor):
+            decl, sig = vp.ctor(t.name)
+            inst = {v: store.fresh() for v in sig.type_vars}
+            kids = []
+            for j, a in enumerate(t.args):
+                kid = go(a)
+                store.unify(subst_type(sig.arg_types[j], inst), kid.type,
+                            lambda: f"argument {j + 1} of {t.name!r}")
+                kids.append(kid)
+            return TypedNode(
+                g.Ctor(t.name, tuple(k.term for k in kids)),
+                App(decl.name, tuple(subst_type(k, inst) for k in sig.ret_indices)),
+                tuple(inst[v] for v in sig.type_vars),
+                tuple(kids),
+            )
+        if isinstance(t, g.Pair):
+            left, right = go(t.left), go(t.right)
+            return TypedNode(g.Pair(left.term, right.term), Prod(left.type, right.type),
+                             kids=(left, right))
+        if isinstance(t, g.Inl):
+            inner = go(t.inner)
+            return TypedNode(g.Inl(inner.term), Sum(inner.type, store.fresh()), kids=(inner,))
+        if isinstance(t, g.Inr):
+            left = store.fresh()
+            inner = go(t.inner)
+            return TypedNode(g.Inr(inner.term), Sum(left, inner.type), kids=(inner,))
+        if isinstance(t, g.Lit):
+            if t.base_hint in ("Bool", "Unit", "Int"):
+                return TypedNode(t, Base(t.base_hint))
+            return TypedNode(t, store.fresh(numeric=True))
+        return TypedNode(t, t.type)
+
+    root = go(term)
+    for node, ann_ty in annotations:
+        store.unify(node.type, ann_ty, lambda: f"annotation at {node.term}")
+    default = Base("Int" if int_literals else "Nat")
+    for ident in sorted(store.numeric):
+        root_ty = store.walk(Meta(ident))
+        if isinstance(root_ty, Meta):
+            store.solutions[root_ty.ident] = default
+    return g.TypedTerm(root, vp, store, int_literals)
+
+
+def assert_typing_matches_reference(term, vp, int_literals=False):
+    """`infer` gives the reference's nodes, raw types, instances and
+    store; a subterm with no annotation below it is its node's term."""
+    typed = g.infer(term, vp, int_literals)
+    ref = reference_infer(term, vp, int_literals)
+    assert list(map(attrgetter("term", "type", "instance"), typed.nodes())) == list(
+        map(attrgetter("term", "type", "instance"), ref.nodes())
+    )
+    assert (typed._store.solutions, typed._store.numeric, typed._store._next) == (
+        ref._store.solutions, ref._store.numeric, ref._store._next
+    )
+    stack = [(typed.root, term)]
+    while stack:
+        node, t = stack.pop()
+        while isinstance(t, g.Ann):
+            t = t.inner
+        if not any(isinstance(x, g.Ann) for x in _subterms(t)):
+            assert node.term is t
+        stack.extend(zip(node.kids, term_children(t)))
+    return typed
+
+
+@pytest.mark.parametrize("key,term,spec,int_lits", CORPUS)
+def test_corpus_typing_equals_reference(programs, key, term, spec, int_lits):
+    vp = programs[key]
+    assert_typing_matches_reference(g.parse_term(term, vp), vp, int_lits)
+
+
+_PROBE_VP = g.validate(g.parse_program(NESTED_SRC + SUM_INDEXED_SRC + PROBE_SRC))
+
+
+@pytest.mark.parametrize(
+    "term", [t for t, _, _ in PROBE_TERMS] + [t for t, _ in SUM_INDEXED_TERMS]
+)
+def test_probe_typing_equals_reference(term):
+    assert_typing_matches_reference(g.parse_term(term, _PROBE_VP), _PROBE_VP)
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        "cons (2 : Int) (cons 3 nil)",
+        "((cons 1 nil : List Nat), inl (tt : Bool))",
+        "inr ((cons (1 : Nat) nil : List Nat))",
+        "cons (cons 1 nil) (cons ((cons 2 nil) : List Nat) nil)",
+    ],
+)
+def test_annotated_typing_equals_reference(nested_vp, term):
+    typed = assert_typing_matches_reference(g.parse_term(term, nested_vp), nested_vp)
+    assert not any(isinstance(x, g.Ann) for x in _subterms(typed.term))
+
+
+def test_unannotated_term_is_kept(nested_vp):
+    term = g.parse_term("cons (1, inl tt) (cons (2, inr 3) nil)", nested_vp)
+    assert g.infer(term, nested_vp).term is term
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_bench_typing_equals_reference(seed):
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        from workloads import WORKLOADS
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+    vps = {}
+    checked = 0
+    for generate in WORKLOADS.values():
+        for req in generate(seed):
+            argv = req.argv(str(ROOT))
+            path = argv[1]
+            if path not in vps:
+                vps[path] = g.validate(g.parse_program(Path(path).read_text()))
+            vp = vps[path]
+            term = g.parse_term(argv[argv.index("--term") + 1], vp)
+            assert_typing_matches_reference(term, vp, "--int-literals" in argv)
+            checked += 1
+    assert checked > 0
+
+
+def test_binder_listed_twice_stands_for_its_last_metavariable():
+    # Only a program built through the library can list a binder twice.
+    a = g.Var("a")
+    program = g.Program((g.GadtDecl("B", 1, (g.ConstructorSig("b", ("a", "a"), (a,), (a,)),)),))
+    vp = g.validate(program)
+    assert_typing_matches_reference(g.Ctor("b", (g.Lit("1"),)), vp)
+
+
+def test_unbound_variable_stands_for_itself():
+    # Nor can it leave a variable of a signature unbound.
+    program = g.Program((
+        g.GadtDecl("U", 1, (g.ConstructorSig("u", (), (g.Var("x"),), (g.Var("x"),)),)),
+    ))
+    vp = g.validate(program)
+    term = g.Ctor("u", (g.Const("c", g.Var("x")),))
+    typed = assert_typing_matches_reference(term, vp)
+    assert typed.root.type == App("U", (g.Var("x"),))
